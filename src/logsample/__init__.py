@@ -44,7 +44,7 @@ from .log_model import (
     subset_log,
     write_csv,
 )
-from .metrics import EvaluationResult, Stopwatch, Timing, evaluate, relative_accuracy, speedup
+from .metrics import EvaluationResult, Stopwatch, evaluate, relative_accuracy, speedup
 from .predictor import PrefixTreeModel, load_model, predict, save_model, train
 from .sampling import (
     SampleReport,

@@ -166,8 +166,11 @@ def predict_cmd(model_path, prefix):
     """Predict the next activity for an activity prefix."""
     model = load_model(model_path)
     activities = tuple(a.strip() for a in prefix.split(",") if a.strip())
-    predicted, dist = model.predict(activities)
-    click.echo(json.dumps({"predicted": predicted, "distribution": dist}, indent=2))
+    payload = {
+        "predicted": model.predict(activities),
+        "distribution": model.distribution(activities),
+    }
+    click.echo(json.dumps(payload, indent=2))
 
 
 @cli.command(name="evaluate")

@@ -33,7 +33,7 @@ from .features import FeatureRow, default_window, encode, extract_features
 from .log_model import EventLog, subset_log
 from .metrics import Stopwatch, evaluate, relative_accuracy, speedup
 from .predictor import train
-from .sampling import RANDOM_ORDER, SamplingConfig, parse_method_token, sample
+from .sampling import RANDOM_ORDER, REPRESENTATIVE, SamplingConfig, parse_method_token, sample
 from .variants import build_variant_index
 
 BASELINE = "baseline"
@@ -197,6 +197,8 @@ def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
     the run continues.
     """
     rows: list[ExperimentRow] = []
+    # only representative ranking reads the per-variant attribute summaries
+    summary_attributes = None if any(e.sorting == REPRESENTATIVE for e in config.grid) else []
 
     for repeat in range(config.repeats):
         splits = kfold_split(log, config.folds, derive_seed(config.seed, "folds", repeat))
@@ -223,7 +225,7 @@ def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
                 base_model = train(fit, config.max_order, config.smoothing)
             base_eval = evaluate(base_model, test_rows)
 
-            index = build_variant_index(train_log)
+            index = build_variant_index(train_log, summary_attributes)
             rows.append(
                 ExperimentRow(
                     strategy=BASELINE,

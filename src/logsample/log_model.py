@@ -238,20 +238,27 @@ def _convert(value: str, kind: str):
 
 
 def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:
-    """Parse a CSV event log (UTF-8, header row, RFC-4180 quoting).
+    """Parse a CSV event log (UTF-8 with or without a BOM, header row, RFC-4180 quoting).
 
-    Raises SchemaError when a mandatory column is missing, RowError with the
-    line number for unusable rows, and EmptyLogError when there are no data
-    rows.
+    Raises SchemaError when a mandatory column is missing or a column name
+    repeats, RowError with the line number for unusable rows (including rows
+    with more fields than the header), and EmptyLogError when there are no
+    data rows.
     """
     mapping = mapping or ColumnMapping()
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyLogError(f"{path}: file is empty") from None
+
+        seen: set[str] = set()
+        for name in header:
+            if name in seen:
+                raise SchemaError(f"{path}: duplicate column {name!r}")
+            seen.add(name)
 
         for col in (mapping.case_col, mapping.activity_col, mapping.time_col):
             if col not in header:
@@ -270,6 +277,8 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
             line = reader.line_num
             if not row or all(not cell for cell in row):
                 continue
+            if len(row) > len(header):
+                raise RowError(f"{len(row)} fields, but the header has {len(header)}", line)
             if len(row) < len(header):
                 row = row + [""] * (len(header) - len(row))
             case_id = row[case_idx].strip()

@@ -11,6 +11,7 @@ speedup.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
@@ -19,7 +20,7 @@ from .features import FeatureRow
 
 
 class SequencePredictor(Protocol):
-    def predict(self, prefix) -> tuple[str, dict[str, float]]: ...
+    def predict(self, prefix) -> str: ...
 
 
 @dataclass(frozen=True)
@@ -59,19 +60,21 @@ def evaluate(model: SequencePredictor, test_rows: Iterable[FeatureRow]) -> Evalu
     """Score a predictor on test rows.
 
     Targets never seen in training simply form their own class with zero
-    correct predictions.
+    correct predictions. Each distinct prefix is predicted once and counts
+    for every row that shares it.
     """
-    counts: dict[str, list[int]] = {}
-    n = 0
-    for row in test_rows:
-        n += 1
-        predicted, _ = model.predict(row.prefix)
-        tally = counts.setdefault(row.target, [0, 0])
-        tally[0] += 1
-        if predicted == row.target:
-            tally[1] += 1
-    if n == 0:
+    pairs = Counter((row.prefix, row.target) for row in test_rows)
+    if not pairs:
         raise EvaluationError("cannot evaluate on an empty test set")
+    predicted = {prefix: model.predict(prefix) for prefix in dict.fromkeys(p for p, _ in pairs)}
+
+    counts: dict[str, list[int]] = {}
+    for (prefix, target), rows in pairs.items():
+        tally = counts.setdefault(target, [0, 0])
+        tally[0] += rows
+        if predicted[prefix] == target:
+            tally[1] += rows
+    n = pairs.total()
 
     per_class = {label: ClassTally(s, c) for label, (s, c) in sorted(counts.items())}
     overall = sum(t.correct for t in per_class.values()) / n
@@ -94,15 +97,6 @@ def speedup(full_seconds: float, sampled_seconds: float) -> float:
             f"sampled duration must be positive, got {sampled_seconds}"
         )
     return full_seconds / sampled_seconds
-
-
-@dataclass
-class Timing:
-    """Wall-clock seconds of the three instrumented phases."""
-
-    feature_extraction_seconds: float = 0.0
-    training_seconds: float = 0.0
-    sampling_seconds: float = 0.0
 
 
 @dataclass

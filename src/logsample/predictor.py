@@ -2,16 +2,18 @@
 
 For every prefix suffix up to a maximum order the model keeps a frequency
 table over next activities. Prediction walks from the longest matching
-suffix down to the empty suffix (the global table), so it is total, and adds
-uniform smoothing before taking the argmax. Seed-free and deterministic,
-which keeps accuracy comparisons between full and sampled training sets
-exact.
+suffix down to the empty suffix (the global table), so it is total. The
+predicted label is the argmax of that table's raw counts; the smoothing in
+:meth:`PrefixTreeModel.distribution` is uniform, so it would pick the same
+label. Seed-free and deterministic, which keeps accuracy comparisons between
+full and sampled training sets exact.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,36 +44,40 @@ class PrefixTreeModel:
     def fallback(self) -> dict[str, int]:
         return self.tables[()]
 
-    def distribution(self, prefix: Sequence[str]) -> dict[str, float]:
-        """Smoothed next-activity distribution for a prefix.
+    @cached_property
+    def _rank(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
 
-        Uses the longest stored suffix of the prefix (at most max_order, down
-        to the always-present empty suffix).
+    def _table(self, prefix: Sequence[str]) -> dict[str, int]:
+        """Counts of the longest stored suffix of the prefix.
+
+        Tries at most max_order activities, down to the always-present empty
+        suffix.
         """
         prefix = tuple(prefix)
-        table: dict[str, int] = self.fallback
         for order in range(min(self.max_order, len(prefix)), 0, -1):
-            suffix = prefix[len(prefix) - order :]
-            found = self.tables.get(suffix)
+            found = self.tables.get(prefix[len(prefix) - order :])
             if found is not None:
-                table = found
-                break
+                return found
+        return self.fallback
+
+    def distribution(self, prefix: Sequence[str]) -> dict[str, float]:
+        """Smoothed next-activity distribution for a prefix."""
+        table = self._table(prefix)
         total = sum(table.values()) + self.smoothing * len(self.labels)
         return {
             label: (table.get(label, 0) + self.smoothing) / total
             for label in self.labels
         }
 
-    def predict(self, prefix: Sequence[str]) -> tuple[str, dict[str, float]]:
-        """Most likely next activity plus the full distribution.
+    def predict(self, prefix: Sequence[str]) -> str:
+        """Most likely next activity: the argmax of :meth:`distribution`.
 
         Ties go to the earliest label in alphabet order (end marker last).
         """
-        dist = self.distribution(prefix)
-        # max() returns the first maximal label, so ties resolve to the
-        # earliest in label order
-        best = max(self.labels, key=dist.__getitem__)
-        return best, dist
+        table = self._table(prefix)
+        rank = self._rank
+        return max(table, key=lambda label: (table[label], -rank[label]))
 
     def to_dict(self) -> dict:
         return {
@@ -128,7 +134,7 @@ def train(
     )
 
 
-def predict(model: PrefixTreeModel, prefix: Sequence[str]) -> tuple[str, dict[str, float]]:
+def predict(model: PrefixTreeModel, prefix: Sequence[str]) -> str:
     """Module-level alias for :meth:`PrefixTreeModel.predict`."""
     return model.predict(prefix)
 

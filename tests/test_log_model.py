@@ -106,6 +106,27 @@ class TestParseCsv:
         with pytest.raises(RowError, match="line 2"):
             parse_csv(write(tmp_path / "log.csv", bad))
 
+    def test_utf8_bom_before_header(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + CSV_BASIC.encode("utf-8"))
+        log = parse_csv(path)
+        assert log.num_cases == 2
+        assert log.trace("1") == ("a", "b")
+
+    def test_duplicate_header_column_names_it(self, tmp_path):
+        text = "case_id,activity,timestamp,x,x\n1,a,2021-01-01T10:00:00,u,v\n"
+        with pytest.raises(SchemaError, match="'x'"):
+            parse_csv(write(tmp_path / "log.csv", text))
+
+    def test_row_longer_than_header_reports_line(self, tmp_path):
+        text = (
+            "case_id,activity,timestamp\n"
+            "1,a,2021-01-01T10:00:00\n"
+            "1,b,2021-01-01T10:05:00,extra\n"
+        )
+        with pytest.raises(RowError, match="line 3"):
+            parse_csv(write(tmp_path / "log.csv", text))
+
     def test_constant_columns_become_case_attributes(self, tmp_path):
         text = (
             "case_id,activity,timestamp,channel,resource\n"

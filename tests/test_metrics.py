@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from logsample.errors import EvaluationError, UndefinedRatioError
 from logsample.features import FeatureRow
-from logsample.metrics import Stopwatch, evaluate, relative_accuracy, speedup
+from logsample.metrics import ClassTally, Stopwatch, evaluate, relative_accuracy, speedup
+from logsample.predictor import train
 
 
 class FixedPredictor:
@@ -18,11 +19,43 @@ class FixedPredictor:
         self.label = label
 
     def predict(self, prefix):
-        return self.label, {self.label: 1.0}
+        return self.label
+
+
+class CountingPredictor:
+    """Wraps a predictor and records every prefix it is asked about."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def predict(self, prefix):
+        self.calls.append(prefix)
+        return self.inner.predict(prefix)
 
 
 def rows(target_sequence):
     return [FeatureRow(("a",), t, f"c{i}") for i, t in enumerate(target_sequence)]
+
+
+def per_row_reference(model, test_rows):
+    """One prediction per row, tallied the way evaluate summarises them."""
+    counts = {}
+    for row in test_rows:
+        tally = counts.setdefault(row.target, [0, 0])
+        tally[0] += 1
+        if model.predict(row.prefix) == row.target:
+            tally[1] += 1
+    per_class = {label: ClassTally(s, c) for label, (s, c) in sorted(counts.items())}
+    n = len(test_rows)
+    overall = sum(t.correct for t in per_class.values()) / n
+    weighted = sum((t.support / n) * t.recall for t in per_class.values())
+    balanced = sum(t.recall for t in per_class.values()) / len(per_class)
+    return per_class, n, overall, weighted, balanced
+
+
+prefixes = st.lists(st.sampled_from("abc"), max_size=4).map(tuple)
+labelled = st.tuples(prefixes, st.sampled_from("abcd"))
 
 
 class TestEvaluate:
@@ -54,6 +87,42 @@ class TestEvaluate:
     def test_supports_sum_to_n(self):
         result = evaluate(FixedPredictor("b"), rows(["b", "c", "c", "d"]))
         assert sum(t.support for t in result.per_class.values()) == result.n
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(labelled, min_size=1, max_size=20),
+        st.lists(
+            st.tuples(labelled, st.integers(min_value=1, max_value=5)), min_size=1, max_size=15
+        ),
+    )
+    def test_repeated_prefixes_match_per_row_tally(self, train_pairs, test_spec):
+        train_rows = [FeatureRow(p, t, f"t{i}") for i, (p, t) in enumerate(train_pairs)]
+        model = train(train_rows, max_order=2)
+        test_rows = [
+            FeatureRow(prefix, target, f"c{i}")
+            for i, ((prefix, target), times) in enumerate(test_spec)
+            for _ in range(times)
+        ]
+        result = evaluate(model, test_rows)
+        per_class, n, overall, weighted, balanced = per_row_reference(model, test_rows)
+        assert result.per_class == per_class
+        assert result.n == n
+        assert result.overall_accuracy == overall
+        assert result.weighted_accuracy == weighted
+        assert result.balanced_accuracy == balanced
+
+    def test_predicts_each_distinct_prefix_once(self):
+        test_rows = [
+            FeatureRow(prefix, target, f"c{i}")
+            for i, (prefix, target) in enumerate(
+                [(("a",), "b"), (("a",), "c"), (("a", "b"), "c"), (("a",), "b")]
+            )
+        ]
+        model = CountingPredictor(FixedPredictor("b"))
+        result = evaluate(model, test_rows)
+        assert sorted(model.calls) == [("a",), ("a", "b")]
+        assert result.per_class["b"] == ClassTally(2, 2)
+        assert result.per_class["c"] == ClassTally(2, 0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=40))

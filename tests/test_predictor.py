@@ -27,14 +27,14 @@ class TestTrain:
 
     def test_single_row(self):
         model = train(rows_from_pairs([("ab", "c")]), max_order=2, smoothing=0.0)
-        predicted, _ = model.predict(("a", "b"))
+        predicted = model.predict(("a", "b"))
         assert predicted == "c"
 
     def test_order_zero_is_majority_class(self):
         rows = rows_from_pairs([("a", "b")] * 3 + [("b", "c")] * 5)
         model = train(rows, max_order=0, smoothing=0.0)
         assert set(model.tables) == {()}
-        assert model.predict(("a",))[0] == "c"
+        assert model.predict(("a",)) == "c"
 
     def test_empty_training_set(self):
         with pytest.raises(TrainingError):
@@ -52,25 +52,26 @@ class TestPredict:
     def test_backoff_to_shorter_suffix(self):
         rows = rows_from_pairs([("a", "b")] * 3 + [("a", "c")])
         model = train(rows, max_order=2, smoothing=0.0)
-        predicted, _ = model.predict(("x", "a"))  # (x, a) unseen at order 2
+        predicted = model.predict(("x", "a"))  # (x, a) unseen at order 2
         assert predicted == "b"
 
     def test_tie_breaks_alphabetically(self):
         rows = rows_from_pairs([("a", "b"), ("a", "c")])
         model = train(rows, max_order=1, smoothing=0.0)
-        assert model.predict(("a",))[0] == "b"
+        assert model.predict(("a",)) == "b"
 
     def test_fallback_distribution(self):
         rows = rows_from_pairs([("a", "b")] * 9 + [("a", "c")])
         model = train(rows, max_order=1, smoothing=0.0)
-        predicted, dist = model.predict(("zzz",))
+        predicted = model.predict(("zzz",))
+        dist = model.distribution(("zzz",))
         assert predicted == "b"
         assert dist["b"] == pytest.approx(0.9)
 
     def test_end_marker_sorts_last_on_ties(self):
         rows = rows_from_pairs([("a", END_MARKER), ("a", "z")])
         model = train(rows, max_order=1, smoothing=0.0)
-        assert model.predict(("a",))[0] == "z"
+        assert model.predict(("a",)) == "z"
 
     def test_module_level_alias(self):
         model = train(rows_from_pairs([("a", "b")]))
@@ -85,8 +86,52 @@ class TestPredict:
         model = train(rows, max_order=3, smoothing=0.01)
         some_prefixes = [r.prefix for r in rows[:10]] + [("unseen",)]
         for prefix in some_prefixes:
-            _, dist = model.predict(prefix)
+            dist = model.distribution(prefix)
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+
+    @staticmethod
+    def assert_predict_is_distribution_argmax(rows, max_order, smoothing, queries):
+        model = train(rows, max_order=max_order, smoothing=smoothing)
+        for prefix in [*queries, *(r.prefix for r in rows)]:
+            dist = model.distribution(prefix)
+            assert model.predict(prefix) == max(model.labels, key=dist.__getitem__)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from("abc"), max_size=5),
+                st.sampled_from(["a", "b", "c", END_MARKER]),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        tie=st.booleans(),
+        max_order=st.integers(min_value=0, max_value=4),
+        smoothing=st.sampled_from([0.0, 0.01]),
+        query=st.lists(st.sampled_from("abcz"), max_size=6),
+    )
+    def test_predict_is_distribution_argmax(self, pairs, tie, max_order, smoothing, query):
+        if tie:
+            # every prefix is followed once by each target: all counts tie
+            targets = sorted({t for _, t in pairs})
+            pairs = [(prefix, t) for prefix, _ in pairs for t in targets]
+        self.assert_predict_is_distribution_argmax(
+            rows_from_pairs(pairs), max_order, smoothing, [tuple(query), ("z",), ()]
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        max_order=st.integers(min_value=0, max_value=4),
+        smoothing=st.sampled_from([0.0, 0.01]),
+    )
+    def test_predict_is_distribution_argmax_on_random_logs(self, seed, max_order, smoothing):
+        rnd = Random(seed)
+        log = log_from_variants(random_variant_freqs(rnd, max_variants=6, max_freq=4, max_len=5))
+        self.assert_predict_is_distribution_argmax(
+            extract_features(log), max_order, smoothing, [("unseen",), ("a", "unseen")]
+        )
 
     def test_determinism(self):
         rows = rows_from_pairs([("ab", "c"), ("b", "c"), ("a", "b")] * 4)
@@ -120,7 +165,7 @@ class TestFirstOrderMarkovOracle:
             labels.append(END_MARKER)
         for state, counts in chain.items():
             expected = max(labels, key=lambda l: (counts[l], -labels.index(l)))
-            assert model.predict((state,))[0] == expected
+            assert model.predict((state,)) == expected
 
 
 class TestPersistence:
