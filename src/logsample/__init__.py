@@ -23,7 +23,7 @@ from .experiment import (
 )
 from .features import (
     END_MARKER,
-    EncodedRow,
+    EncodedRows,
     FeatureRow,
     decode,
     default_window,

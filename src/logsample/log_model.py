@@ -9,12 +9,16 @@ whether to count values or average them.
 from __future__ import annotations
 
 import csv
+import gc
 import gzip
+import math
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyLogError, RowError, SchemaError, XesParseError
 
@@ -104,8 +108,7 @@ class EventLog:
 
     def trace(self, case_id: str) -> tuple[str, ...]:
         """Activity sequence of one case, in trace order."""
-        case = self.cases[case_id]
-        return tuple(self.events[eid].activity for eid in case.event_ids)
+        return tuple(map(_activity, map(self.events.__getitem__, self.cases[case_id].event_ids)))
 
     def case_events(self, case_id: str) -> list[Event]:
         return [self.events[eid] for eid in self.cases[case_id].event_ids]
@@ -125,6 +128,28 @@ class EventRecord:
     attributes: dict[str, object] = field(default_factory=dict)
 
 
+_activity = attrgetter("activity")
+_event_id = attrgetter("event_id")
+_timestamp = attrgetter("timestamp")
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Hold off the cyclic garbage collector for a bulk build.
+
+    A log is millions of small acyclic objects: reference counting frees
+    them, and the collector would only re-walk the growing heap every few
+    hundred allocations.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def build_log(
     records: Sequence[EventRecord],
     case_attributes: Mapping[str, Mapping[str, object]] | None = None,
@@ -140,27 +165,33 @@ def build_log(
         raise EmptyLogError("no events to assemble into a log")
     case_attributes = case_attributes or {}
 
-    by_case: dict[str, list[tuple[datetime, int, str]]] = {}
+    by_case: dict[str, list[Event]] = {}
     events: dict[str, Event] = {}
-    alphabet: set[str] = set()
-    for idx, rec in enumerate(records):
-        if not rec.activity:
-            raise ValueError(f"event {idx} of case {rec.case_id!r} has an empty activity")
-        eid = f"e{idx}"
-        events[eid] = Event(eid, rec.case_id, rec.activity, rec.timestamp, dict(rec.attributes))
-        by_case.setdefault(rec.case_id, []).append((rec.timestamp, idx, eid))
-        alphabet.add(rec.activity)
+    with _gc_paused():
+        for idx, rec in enumerate(records):
+            if not rec.activity:
+                raise ValueError(f"event {idx} of case {rec.case_id!r} has an empty activity")
+            eid = f"e{idx}"
+            event = events[eid] = Event(
+                eid, rec.case_id, rec.activity, rec.timestamp, dict(rec.attributes)
+            )
+            members = by_case.get(rec.case_id)
+            if members is None:
+                by_case[rec.case_id] = [event]
+            else:
+                members.append(event)
 
-    cases: dict[str, Case] = {}
-    for case_id, entries in by_case.items():
-        entries.sort(key=lambda item: (item[0], item[1]))
-        cases[case_id] = Case(
-            case_id,
-            tuple(eid for _, _, eid in entries),
-            dict(case_attributes.get(case_id, {})),
-        )
+        cases: dict[str, Case] = {}
+        for case_id, members in by_case.items():
+            members.sort(key=_timestamp)  # stable: ties keep input order
+            cases[case_id] = Case(
+                case_id,
+                tuple(map(_event_id, members)),
+                dict(case_attributes.get(case_id, {})),
+            )
 
-    return EventLog(cases, events, frozenset(alphabet), dict(schema or {}))
+    alphabet = frozenset(map(_activity, events.values()))
+    return EventLog(cases, events, alphabet, dict(schema or {}))
 
 
 def subset_log(log: EventLog, case_ids: Iterable[str]) -> EventLog:
@@ -170,15 +201,11 @@ def subset_log(log: EventLog, case_ids: Iterable[str]) -> EventLog:
     immutable), so kept attribute values are identical by construction.
     """
     keep = set(case_ids)
+    source = log.events
     cases = {cid: case for cid, case in log.cases.items() if cid in keep}
-    events: dict[str, Event] = {}
-    alphabet: set[str] = set()
-    for case in cases.values():
-        for eid in case.event_ids:
-            ev = log.events[eid]
-            events[eid] = ev
-            alphabet.add(ev.activity)
-    return EventLog(cases, events, frozenset(alphabet), dict(log.attribute_schema))
+    events = {eid: source[eid] for case in cases.values() for eid in case.event_ids}
+    alphabet = frozenset(map(_activity, events.values()))
+    return EventLog(cases, events, alphabet, dict(log.attribute_schema))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +219,7 @@ class ColumnMapping:
 
     Columns other than the three mandatory ones become attributes. Their kind
     may be declared in ``attribute_kinds``; undeclared columns are inferred
-    (all-numeric values -> numeric, all-timestamp values -> instant,
+    (all finite numbers -> numeric, all-timestamp values -> instant,
     everything else -> categorical).
     """
 
@@ -212,9 +239,9 @@ def _infer_kind(values: list[str]) -> str:
     except ValueError:
         pass
     try:
-        for v in values:
-            float(v)
-        return NUMERIC
+        # nan and inf stay text: a NaN never equals itself as a modal value
+        if all(math.isfinite(float(v)) for v in values):
+            return NUMERIC
     except ValueError:
         pass
     try:

@@ -48,22 +48,28 @@ class PrefixTreeModel:
     def _rank(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
 
-    def _table(self, prefix: Sequence[str]) -> dict[str, int]:
-        """Counts of the longest stored suffix of the prefix.
+    @cached_property
+    def _argmax(self) -> dict[Suffix, str]:
+        # predicted label per matched suffix, filled by predict; never serialised
+        return {}
+
+    def _match(self, prefix: Sequence[str]) -> tuple[Suffix, dict[str, int]]:
+        """The longest stored suffix of the prefix and its counts.
 
         Tries at most max_order activities, down to the always-present empty
         suffix.
         """
         prefix = tuple(prefix)
         for order in range(min(self.max_order, len(prefix)), 0, -1):
-            found = self.tables.get(prefix[len(prefix) - order :])
+            suffix = prefix[len(prefix) - order :]
+            found = self.tables.get(suffix)
             if found is not None:
-                return found
-        return self.fallback
+                return suffix, found
+        return (), self.fallback
 
     def distribution(self, prefix: Sequence[str]) -> dict[str, float]:
         """Smoothed next-activity distribution for a prefix."""
-        table = self._table(prefix)
+        _, table = self._match(prefix)
         total = sum(table.values()) + self.smoothing * len(self.labels)
         return {
             label: (table.get(label, 0) + self.smoothing) / total
@@ -74,10 +80,15 @@ class PrefixTreeModel:
         """Most likely next activity: the argmax of :meth:`distribution`.
 
         Ties go to the earliest label in alphabet order (end marker last).
+        The label is computed once per matched suffix and then memoised.
         """
-        table = self._table(prefix)
-        rank = self._rank
-        return max(table, key=lambda label: (table[label], -rank[label]))
+        suffix, table = self._match(prefix)
+        memo = self._argmax
+        label = memo.get(suffix)
+        if label is None:
+            rank = self._rank
+            label = memo[suffix] = max(table, key=lambda l: (table[l], -rank[l]))
+        return label
 
     def to_dict(self) -> dict:
         return {

@@ -222,7 +222,7 @@ def sample(
     per_variant = []
     kept_variants = 0
     for variant in index.variants:
-        kept = sum(1 for cid in variant.member_case_ids if cid in kept_ids)
+        kept = len(kept_ids.intersection(variant.member_case_ids))
         if kept:
             kept_variants += 1
         per_variant.append((variant.activities, kept, variant.frequency))

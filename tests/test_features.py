@@ -3,13 +3,17 @@
 import csv
 from collections import Counter
 from random import Random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logsample import features
 from logsample.errors import EncodingError
 from logsample.features import (
+    BLOCK_BYTES,
     END_MARKER,
     FeatureRow,
     decode,
@@ -17,6 +21,7 @@ from logsample.features import (
     encode,
     export_features,
     extract_features,
+    label_space,
 )
 from logsample.sampling import DIVISION, RANDOM_ORDER, SamplingConfig, sample
 from logsample.variants import build_variant_index
@@ -61,26 +66,26 @@ class TestExtractFeatures:
 class TestEncode:
     def test_short_prefix_left_padded(self):
         rows = [FeatureRow(("a",), "b", "c1")]
-        [enc] = encode(rows, ["a", "b"], window=2)
+        [(vector, label)] = encode(rows, ["a", "b"], window=2)
         # blocks of size 3: [PAD][a]
-        assert enc.vector.tolist() == [1, 0, 0, 0, 1, 0]
-        assert enc.label_index == 1
+        assert vector.tolist() == [1, 0, 0, 0, 1, 0]
+        assert label == 1
 
     def test_long_prefix_keeps_last_window(self):
         rows = [FeatureRow(("a", "b", "a"), "b", "c1")]
-        [enc] = encode(rows, ["a", "b"], window=2)
+        [(vector, _)] = encode(rows, ["a", "b"], window=2)
         # last two activities are b, a
-        assert enc.vector.tolist() == [0, 0, 1, 0, 1, 0]
+        assert vector.tolist() == [0, 0, 1, 0, 1, 0]
 
     def test_end_marker_label_is_last(self):
         rows = [FeatureRow(("a",), END_MARKER, "c1")]
-        [enc] = encode(rows, ["a", "b"], window=1)
-        assert enc.label_index == 2
+        [(_, label)] = encode(rows, ["a", "b"], window=1)
+        assert label == 2
 
     def test_every_block_has_exactly_one_hot_slot(self):
         rows = [FeatureRow(("a", "b"), "a", "c1"), FeatureRow(("b",), "b", "c2")]
-        for enc in encode(rows, ["a", "b"], window=3):
-            blocks = enc.vector.reshape(3, 3)
+        for vector, _ in encode(rows, ["a", "b"], window=3):
+            blocks = vector.reshape(3, 3)
             assert (blocks.sum(axis=1) == 1).all()
 
     def test_unknown_activity_is_named_in_error(self):
@@ -100,8 +105,8 @@ class TestEncode:
             FeatureRow(("a", "b"), "c", "x"),
             FeatureRow(("c", "b", "a"), END_MARKER, "x"),
         ]
-        for row, enc in zip(rows, encode(rows, alphabet, window=3)):
-            back = decode(enc, alphabet, window=3)
+        for row, (vector, label) in zip(rows, encode(rows, alphabet, window=3)):
+            back = decode(vector, label, alphabet, window=3)
             assert back.prefix == row.prefix
             assert back.target == row.target
 
@@ -113,10 +118,80 @@ class TestEncode:
             for t in ["a", "b", END_MARKER]
         ]
         seen = set()
-        for enc in encode(rows, alphabet, window=2):
-            key = (tuple(enc.vector.tolist()), enc.label_index)
+        for vector, label in encode(rows, alphabet, window=2):
+            key = (tuple(vector.tolist()), label)
             assert key not in seen
             seen.add(key)
+
+
+    def test_empty_rows_give_no_blocks(self):
+        encoded = encode([], ["a", "b"], window=3)
+        assert len(encoded) == 0
+        assert encoded.blocks == ()
+        assert list(encoded) == []
+
+
+def reference_encode(rows, alphabet, window):
+    """The per-row encoder ``encode`` replaced, kept as the oracle."""
+    act_index = {act: i for i, act in enumerate(alphabet)}
+    block = len(alphabet) + 1
+    labels = {act: i for i, act in enumerate(label_space(alphabet))}
+
+    encoded = []
+    for row in rows:
+        vector = np.zeros(window * block, dtype=np.uint8)
+        tail = row.prefix[-window:]
+        pad = window - len(tail)
+        for j in range(pad):
+            vector[j * block] = 1
+        for j, act in enumerate(tail):
+            try:
+                slot = act_index[act] + 1
+            except KeyError:
+                raise EncodingError(f"activity {act!r} is not in the alphabet") from None
+            vector[(pad + j) * block + slot] = 1
+        try:
+            label = labels[row.target]
+        except KeyError:
+            raise EncodingError(f"target {row.target!r} is not in the alphabet") from None
+        encoded.append((vector, label))
+    return encoded
+
+
+@st.composite
+def encode_cases(draw):
+    alphabet = list("abcdef"[: draw(st.integers(1, 6))])
+    window = draw(st.integers(1, 8))
+    activity = st.sampled_from(alphabet)
+    row = st.builds(
+        lambda prefix, target: FeatureRow(tuple(prefix), target, "x"),
+        st.lists(activity, min_size=1, max_size=12),
+        st.sampled_from(label_space(alphabet)),
+    )
+    rows = draw(st.lists(row, max_size=40))
+    block_bytes = draw(st.one_of(st.integers(1, 300), st.just(BLOCK_BYTES)))
+    return alphabet, window, rows, block_bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(encode_cases())
+def test_encode_matches_per_row_reference(case):
+    alphabet, window, rows, block_bytes = case
+    width = window * (len(alphabet) + 1)
+    with mock.patch.object(features, "BLOCK_BYTES", block_bytes):
+        encoded = encode(rows, alphabet, window)
+    expected = reference_encode(rows, alphabet, window)
+
+    assert len(encoded) == len(rows)
+    assert encoded.labels.tolist() == [label for _, label in expected]
+    matrix = np.concatenate([*encoded.blocks, np.zeros((0, width), np.uint8)])
+    assert matrix.dtype == np.uint8
+    assert matrix.tolist() == [vector.tolist() for vector, _ in expected]
+    step = max(1, block_bytes // width)
+    assert [len(block) for block in encoded.blocks] == [
+        min(step, len(rows) - i) for i in range(0, len(rows), step)
+    ]
+    assert [(v.tolist(), l) for v, l in encoded] == [(v.tolist(), l) for v, l in expected]
 
 
 class TestExportFeatures:

@@ -1,4 +1,4 @@
-"""Golden core report: a fixed-seed ``logsample bench`` run, byte for byte.
+"""Golden outputs, byte for byte: a fixed-seed ``logsample bench`` run and an export.
 
 The core CSV is the behavioural contract of the benchmark.
 ``tests/data/bench_core.csv`` was written by this same run before the
@@ -17,6 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 from logsample.cli import cli
+from logsample.features import export_features, extract_features
 from logsample.log_model import write_csv
 
 from helpers import log_from_variants, random_variant_freqs, resource_schema
@@ -55,3 +56,13 @@ def bench_core_csv(tmp_path: Path, sort_token: str) -> bytes:
 def test_bench_core_csv_is_unchanged(tmp_path, sort_token):
     expected = (DATA / "bench_core.csv").read_bytes()
     assert bench_core_csv(tmp_path, sort_token) == expected
+
+
+def test_feature_export_is_unchanged(tmp_path):
+    log = log_from_variants(
+        random_variant_freqs(Random(3107), max_variants=12, max_freq=5, max_len=7)
+    )
+    assert max(len(log.trace(cid)) for cid in log.cases) > 4
+    out = tmp_path / "features.csv"
+    export_features(extract_features(log), sorted(log.activity_alphabet), 4, out)
+    assert out.read_bytes() == (DATA / "features_core.csv").read_bytes()

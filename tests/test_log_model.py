@@ -152,6 +152,25 @@ class TestParseCsv:
         assert log.attribute_schema["grade"].kind == CATEGORICAL
         assert log.attribute_schema["due"].kind == INSTANT
 
+    def test_non_finite_floats_make_a_column_categorical(self, tmp_path):
+        text = (
+            "case_id,activity,timestamp,score,limit,ratio\n"
+            "1,a,2021-01-01T10:00:00,nan,inf,1e3\n"
+            "2,a,2021-01-01T11:00:00,1.5,-Infinity,-2.5\n"
+        )
+        path = write(tmp_path / "log.csv", text)
+        log = parse_csv(path)
+        assert log.attribute_schema["score"].kind == CATEGORICAL
+        assert log.attribute_schema["limit"].kind == CATEGORICAL
+        assert log.attribute_schema["ratio"].kind == NUMERIC
+        assert log.cases["1"].attributes["score"] == "nan"
+        assert log.cases["1"].attributes["limit"] == "inf"
+        assert log.cases["2"].attributes["score"] == "1.5"
+        write_csv(log, tmp_path / "back.csv")
+        back = parse_csv(tmp_path / "back.csv")
+        assert back.cases["1"].attributes["score"] == "nan"
+        assert back.attribute_schema["score"].kind == CATEGORICAL
+
     def test_declared_kind_wins(self, tmp_path):
         text = "case_id,activity,timestamp,code\n1,a,2021-01-01T10:00:00,42\n"
         mapping = ColumnMapping(attribute_kinds={"code": CATEGORICAL})

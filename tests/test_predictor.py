@@ -177,3 +177,14 @@ class TestPersistence:
         back = load_model(path)
         assert back == model
         assert back.predict(("a", "b")) == model.predict(("a", "b"))
+
+    def test_predict_leaves_serialised_form_unchanged(self, tmp_path):
+        rows = rows_from_pairs([("ab", "c"), ("a", "b"), ("b", END_MARKER), ("cb", "a")])
+        model = train(rows, max_order=2, smoothing=0.05)
+        before = model.to_dict()
+        for prefix in [("a", "b"), ("c", "b"), ("z",), ("a", "b")]:
+            model.predict(prefix)
+        assert model.to_dict() == before
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert load_model(path).to_dict() == before
