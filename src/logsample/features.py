@@ -11,6 +11,7 @@ matrices of at most ``BLOCK_BYTES`` each, plus one label index per row.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from dataclasses import dataclass
@@ -148,20 +149,42 @@ def export_features(
     window: int,
     path: str | Path,
 ) -> None:
-    """Write encoded rows as CSV: one 0/1 column per slot plus a label column."""
+    """Write encoded rows as CSV: one 0/1 column per slot plus a label column.
+
+    The bytes are those of ``csv.writer``. Each one-hot block is turned into
+    ``0,1,...,`` text by numpy; each label is quoted by ``csv.writer`` once.
+    """
     encoded = encode(rows, alphabet, window)
     header = []
     for j in range(window):
         header.append(f"p{j}_PAD")
         header.extend(f"p{j}_{act}" for act in alphabet)
     header.append("label")
-    labels = label_space(alphabet)
+    endings = [_last_field(label) for label in label_space(alphabet)]
 
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for vector, label_index in encoded:
-            writer.writerow([*vector.tolist(), labels[label_index]])
+        csv.writer(fh).writerow(header)
+        row_labels = encoded.labels.tolist()
+        start = 0
+        for block in encoded.blocks:
+            n, width = block.shape
+            step = 2 * width
+            # "d,d,...,d," per row: each 0/1 digit followed by its comma
+            text = np.full((n, step), ord(","), np.uint8)
+            np.add(block, ord("0"), out=text[:, ::2])
+            lines = text.tobytes().decode("ascii")
+            fh.write("".join([
+                lines[i * step : (i + 1) * step] + endings[label]
+                for i, label in enumerate(row_labels[start : start + n])
+            ]))
+            start += n
+
+
+def _last_field(value: str) -> str:
+    """``value`` as the last field of a ``csv.writer`` row, with the terminator."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(["", value])
+    return buffer.getvalue()[1:]
 
 
 def default_window(trace_lengths: Sequence[int], percentile: float = 95.0) -> int:

@@ -12,11 +12,12 @@ import csv
 import gc
 import gzip
 import math
+import re
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -30,28 +31,51 @@ EVENT_SCOPE = "event"
 CASE_SCOPE = "case"
 
 
+# Python 3.10 reads only 3- or 6-digit fractions of a second; 3.11 reads any
+# number of digits and cuts them to microseconds.
+_FRACTION = re.compile(r"(\d\d:\d\d:\d\d)[.,](\d+)")
+
+
+def _six_digit_fraction(match: re.Match) -> str:
+    return f"{match[1]}.{match[2][:6]:0<6}"
+
+
 def parse_instant(text: str) -> datetime:
     """Parse an ISO-8601 timestamp into a UTC datetime at millisecond precision.
 
-    Naive inputs are assumed to be UTC. Raises ValueError on anything that is
-    not ISO-8601.
+    Naive inputs are assumed to be UTC. Fractions of a second may have any
+    number of digits; those beyond the millisecond are cut. Raises
+    ValueError on anything that is not ISO-8601.
     """
     s = text.strip()
     if s.endswith(("Z", "z")):
         s = s[:-1] + "+00:00"
-    dt = datetime.fromisoformat(s)
-    if dt.tzinfo is None:
+    try:
+        dt = datetime.fromisoformat(s)
+    except ValueError:
+        dt = datetime.fromisoformat(_FRACTION.sub(_six_digit_fraction, s, count=1))
+    tz = dt.tzinfo
+    if tz is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    else:
+    elif tz is not timezone.utc:
         dt = dt.astimezone(timezone.utc)
-    return dt.replace(microsecond=dt.microsecond // 1000 * 1000)
+    if dt.microsecond % 1000:
+        dt = dt.replace(microsecond=dt.microsecond // 1000 * 1000)
+    return dt
 
 
 def format_instant(dt: datetime) -> str:
-    """Render a datetime the way :func:`parse_instant` reads it back."""
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc).isoformat(timespec="milliseconds")
+    """Render a datetime the way :func:`parse_instant` reads it back.
+
+    Naive datetimes are taken as UTC. The result equals
+    ``dt.astimezone(timezone.utc).isoformat(timespec="milliseconds")``.
+    """
+    tz = dt.tzinfo
+    if tz is not None and tz is not timezone.utc:
+        dt = dt.astimezone(timezone.utc)
+    return "%04d-%02d-%02dT%02d:%02d:%02d.%03d+00:00" % (
+        dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second, dt.microsecond // 1000
+    )
 
 
 @dataclass(frozen=True)
@@ -253,15 +277,14 @@ def _infer_kind(values: list[str]) -> str:
     return CATEGORICAL
 
 
-def _convert(value: str, kind: str):
-    if kind == NUMERIC:
-        try:
-            return int(value)
-        except ValueError:
-            return float(value)
-    if kind == INSTANT:
-        return parse_instant(value)
-    return value
+def _number(value: str) -> int | float:
+    try:
+        return int(value)
+    except ValueError:
+        return float(value)
+
+
+_CONVERTERS = {NUMERIC: _number, INSTANT: parse_instant}
 
 
 def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:
@@ -269,8 +292,8 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
 
     Raises SchemaError when a mandatory column is missing or a column name
     repeats, RowError with the line number for unusable rows (including rows
-    with more fields than the header), and EmptyLogError when there are no
-    data rows.
+    with more fields than the header, and values a column declared numeric
+    or instant cannot read), and EmptyLogError when there are no data rows.
     """
     mapping = mapping or ColumnMapping()
     path = Path(path)
@@ -299,10 +322,18 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
             if i not in (case_idx, act_idx, time_idx)
         ]
 
+        # Values of a column declared numeric or instant are checked as they
+        # are read, where the line is known; inferred kinds read every value.
+        checked = [
+            (i, name, kind)
+            for i, name in attr_cols
+            if (kind := mapping.attribute_kinds.get(name)) in _CONVERTERS
+        ]
+
         raw_rows: list[tuple[str, str, datetime, dict[str, str]]] = []
         for row in reader:
             line = reader.line_num
-            if not row or all(not cell for cell in row):
+            if not any(row):
                 continue
             if len(row) > len(header):
                 raise RowError(f"{len(row)} fields, but the header has {len(header)}", line)
@@ -321,6 +352,14 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
                     f"unparseable timestamp {row[time_idx]!r} in column {mapping.time_col!r}",
                     line,
                 ) from None
+            for i, name, kind in checked:
+                if row[i] != "":
+                    try:
+                        _CONVERTERS[kind](row[i])
+                    except ValueError:
+                        raise RowError(
+                            f"column {name!r} holds unreadable {kind} value {row[i]!r}", line
+                        ) from None
             attrs = {name: row[i] for i, name in attr_cols if row[i] != ""}
             raw_rows.append((case_id, activity, ts, attrs))
 
@@ -341,13 +380,9 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
 
     # A column is promoted to a case attribute when, in every case, it is
     # present on every row with one constant value.
-    case_ids_in_order: list[str] = []
     rows_per_case: dict[str, list[dict[str, str]]] = {}
     for case_id, _, _, attrs in raw_rows:
-        if case_id not in rows_per_case:
-            case_ids_in_order.append(case_id)
-            rows_per_case[case_id] = []
-        rows_per_case[case_id].append(attrs)
+        rows_per_case.setdefault(case_id, []).append(attrs)
 
     promoted: list[str] = []
     for _, name in attr_cols:
@@ -362,20 +397,29 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
         if constant and seen_any:
             promoted.append(name)
 
-    records = []
-    for case_id, activity, ts, attrs in raw_rows:
-        event_attrs = {
-            name: _convert(value, kinds[name])
-            for name, value in attrs.items()
-            if name not in promoted
-        }
-        records.append(EventRecord(case_id, activity, ts, event_attrs))
+    # Numeric and instant values are converted in place, column by column;
+    # categorical values stay the text read. A case attribute is converted
+    # on the first row of each case, the row its value is taken from.
+    first_rows = [attr_rows[0] for attr_rows in rows_per_case.values()]
+    for name, kind in kinds.items():
+        if kind == CATEGORICAL:
+            continue
+        convert = _CONVERTERS[kind]
+        for attrs in first_rows if name in promoted else map(itemgetter(3), raw_rows):
+            if name in attrs:
+                attrs[name] = convert(attrs[name])
 
+    records = [
+        EventRecord(
+            case_id,
+            activity,
+            ts,
+            {name: value for name, value in attrs.items() if name not in promoted},
+        )
+        for case_id, activity, ts, attrs in raw_rows
+    ]
     case_attributes = {
-        case_id: {
-            name: _convert(attr_rows[0][name], kinds[name])
-            for name in promoted
-        }
+        case_id: {name: attr_rows[0][name] for name in promoted}
         for case_id, attr_rows in rows_per_case.items()
     }
 
@@ -405,21 +449,27 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
             return format_instant(value)
         return str(value)
 
+    events = log.events
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for case in log.cases.values():
+            case_id = case.case_id
+            shared = {name: render(value) for name, value in case.attributes.items()}
+            rows = []
             for eid in case.event_ids:
-                ev = log.events[eid]
-                row = [case.case_id, ev.activity, format_instant(ev.timestamp)]
-                for name in attr_names:
-                    if name in ev.attributes:
-                        row.append(render(ev.attributes[name]))
-                    elif name in case.attributes:
-                        row.append(render(case.attributes[name]))
-                    else:
-                        row.append("")
-                writer.writerow(row)
+                ev = events[eid]
+                own = ev.attributes
+                rows.append([
+                    case_id,
+                    ev.activity,
+                    format_instant(ev.timestamp),
+                    *[
+                        render(own[name]) if name in own else shared.get(name, "")
+                        for name in attr_names
+                    ],
+                ])
+            writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +503,9 @@ def _xes_value(elem: ET.Element, context: str):
         if tag == "int":
             return key, (kind, int(raw))
         if tag == "float":
-            return key, (kind, float(raw))
+            value = float(raw)
+            # nan and inf stay text, as in a CSV column (see _infer_kind)
+            return key, (kind, value) if math.isfinite(value) else (CATEGORICAL, raw)
         if tag == "date":
             return key, (kind, parse_instant(raw))
     except ValueError:

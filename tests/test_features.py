@@ -225,6 +225,45 @@ class TestExportFeatures:
         assert labels == Counter(r.target for r in rows)
 
 
+def reference_export(rows, alphabet, window, path):
+    """The per-row ``csv.writer`` export ``export_features`` replaced, kept as the oracle."""
+    header = []
+    for j in range(window):
+        header.append(f"p{j}_PAD")
+        header.extend(f"p{j}_{act}" for act in alphabet)
+    header.append("label")
+    labels = label_space(alphabet)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for vector, label in reference_encode(rows, alphabet, window):
+            writer.writerow([*vector.tolist(), labels[label]])
+
+
+QUOTING_ALPHABET = ["a,b", '"q"', "two\nlines", "plain", " spaced "]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    window=st.integers(1, 5),
+    rows=st.lists(
+        st.builds(
+            lambda prefix, target: FeatureRow(tuple(prefix), target, "x"),
+            st.lists(st.sampled_from(QUOTING_ALPHABET), min_size=1, max_size=8),
+            st.sampled_from(label_space(QUOTING_ALPHABET)),
+        ),
+        max_size=30,
+    ),
+    block_bytes=st.one_of(st.integers(1, 200), st.just(BLOCK_BYTES)),
+)
+def test_export_matches_csv_writer(tmp_path_factory, window, rows, block_bytes):
+    folder = tmp_path_factory.mktemp("export")
+    with mock.patch.object(features, "BLOCK_BYTES", block_bytes):
+        export_features(rows, QUOTING_ALPHABET, window, folder / "fast.csv")
+    reference_export(rows, QUOTING_ALPHABET, window, folder / "reference.csv")
+    assert (folder / "fast.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
 class TestDefaultWindow:
     def test_percentile_of_lengths(self):
         lengths = list(range(1, 101))

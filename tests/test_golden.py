@@ -1,4 +1,4 @@
-"""Golden outputs, byte for byte: a fixed-seed ``logsample bench`` run and an export.
+"""Golden outputs, byte for byte: a fixed-seed ``logsample bench`` run, an export, a log.
 
 The core CSV is the behavioural contract of the benchmark.
 ``tests/data/bench_core.csv`` was written by this same run before the
@@ -8,8 +8,12 @@ evaluation path was reworked, so any change to what the pipeline computes
 Random and representative ranking share one expected file: sampling keeps
 the same number of cases of each variant whatever the ranking, and the
 predictor sees only activity sequences.
+
+``tests/data/write_core.csv`` is ``write_csv`` output from before
+timestamps were formatted without ``isoformat``.
 """
 
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from random import Random
 
@@ -18,7 +22,17 @@ from click.testing import CliRunner
 
 from logsample.cli import cli
 from logsample.features import export_features, extract_features
-from logsample.log_model import write_csv
+from logsample.log_model import (
+    CASE_SCOPE,
+    CATEGORICAL,
+    EVENT_SCOPE,
+    INSTANT,
+    NUMERIC,
+    AttributeSpec,
+    EventRecord,
+    build_log,
+    write_csv,
+)
 
 from helpers import log_from_variants, random_variant_freqs, resource_schema
 
@@ -66,3 +80,49 @@ def test_feature_export_is_unchanged(tmp_path):
     out = tmp_path / "features.csv"
     export_features(extract_features(log), sorted(log.activity_alphabet), 4, out)
     assert out.read_bytes() == (DATA / "features_core.csv").read_bytes()
+
+
+def write_core_log():
+    """Naive, UTC and offset timestamps; numeric, instant, text and case attributes.
+
+    Microseconds that are not whole milliseconds, a timezone equal to UTC
+    but not ``timezone.utc``, text that needs quoting, an event attribute
+    shadowing a case attribute, and attributes absent from some events.
+    """
+    east = timezone(timedelta(hours=5, minutes=30))
+    west = timezone(timedelta(hours=-8))
+    named_utc = timezone(timedelta(0), "GMT")
+    records = [
+        EventRecord("c1", "a", datetime(2021, 3, 1, 9, 0, 0, 123456, tzinfo=east),
+                    {"cost": 12, "note": "x,y", "due": datetime(2021, 3, 2, tzinfo=west)}),
+        EventRecord("c1", "b", datetime(2021, 3, 1, 4, 0, 0, 999, tzinfo=timezone.utc),
+                    {"cost": 0.1, "note": 'say "hi"', "priority": 7}),
+        EventRecord("c1", "c", datetime(2021, 3, 1, 23, 59, 59, 999999, tzinfo=west),
+                    {"cost": -1e-07, "note": "two\nlines"}),
+        EventRecord("c2", "a", datetime(2021, 3, 1, 10, 0),
+                    {"due": datetime(2021, 3, 3, 12, 30, 15, 500)}),
+        EventRecord("c2", "c", datetime(2021, 3, 1, 10, 0), {"cost": 1e16}),
+        EventRecord("c2", "b", datetime(2021, 3, 1, 9, 59, 59, 1000), {"note": ""}),
+        EventRecord("c3", "b", datetime(1, 1, 1, 0, 0, 0, 7000, tzinfo=named_utc), {}),
+        EventRecord("c3", "a", datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=east),
+                    {"cost": True}),
+    ]
+    case_attributes = {
+        "c1": {"region": "north", "priority": 2},
+        "c2": {"region": "so,uth", "opened": datetime(2020, 2, 29, 12, tzinfo=east)},
+    }
+    schema = {
+        "cost": AttributeSpec(NUMERIC, EVENT_SCOPE),
+        "note": AttributeSpec(CATEGORICAL, EVENT_SCOPE),
+        "due": AttributeSpec(INSTANT, EVENT_SCOPE),
+        "priority": AttributeSpec(NUMERIC, EVENT_SCOPE),
+        "region": AttributeSpec(CATEGORICAL, CASE_SCOPE),
+        "opened": AttributeSpec(INSTANT, CASE_SCOPE),
+    }
+    return build_log(records, case_attributes, schema)
+
+
+def test_write_csv_is_unchanged(tmp_path):
+    out = tmp_path / "log.csv"
+    write_csv(write_core_log(), out)
+    assert out.read_bytes() == (DATA / "write_core.csv").read_bytes()

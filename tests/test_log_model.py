@@ -1,9 +1,11 @@
 """CSV / XES parsing, CSV writing, and the structural log invariants."""
 
 import gzip
-from datetime import timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsample.errors import EmptyLogError, RowError, SchemaError, XesParseError
 from logsample.log_model import (
@@ -13,6 +15,7 @@ from logsample.log_model import (
     INSTANT,
     NUMERIC,
     ColumnMapping,
+    format_instant,
     load_log,
     parse_csv,
     parse_instant,
@@ -177,6 +180,31 @@ class TestParseCsv:
         log = parse_csv(write(tmp_path / "log.csv", text), mapping)
         assert log.attribute_schema["code"].kind == CATEGORICAL
 
+    @pytest.mark.parametrize(
+        "kind, readable", [(NUMERIC, "5"), (INSTANT, "2021-02-01T00:00:00")]
+    )
+    def test_declared_kind_rejects_an_unreadable_event_value(self, tmp_path, kind, readable):
+        text = (
+            "case_id,activity,timestamp,cost\n"
+            f"1,a,2021-01-01T10:00:00,{readable}\n"
+            "1,b,2021-01-01T10:05:00,abc\n"
+        )
+        mapping = ColumnMapping(attribute_kinds={"cost": kind})
+        with pytest.raises(RowError, match=r"line 3: .*'cost'.*'abc'") as err:
+            parse_csv(write(tmp_path / "log.csv", text), mapping)
+        assert err.value.line == 3
+
+    def test_declared_kind_rejects_an_unreadable_case_value(self, tmp_path):
+        text = (
+            "case_id,activity,timestamp,cost\n"
+            "1,a,2021-01-01T10:00:00,5\n"
+            "2,a,2021-01-01T11:00:00,abc\n"
+            "2,b,2021-01-01T11:05:00,abc\n"
+        )
+        mapping = ColumnMapping(attribute_kinds={"cost": NUMERIC})
+        with pytest.raises(RowError, match=r"line 3: .*'cost'.*'abc'"):
+            parse_csv(write(tmp_path / "log.csv", text), mapping)
+
     def test_custom_column_names(self, tmp_path):
         text = "Case,Task,When\n9,a,2021-01-01T10:00:00\n"
         mapping = ColumnMapping(case_col="Case", activity_col="Task", time_col="When")
@@ -284,6 +312,27 @@ class TestParseXes:
         with pytest.raises(XesParseError, match="concept:name"):
             parse_xes(write(tmp_path / "bad.xes", text))
 
+    def test_non_finite_float_is_kept_as_text(self, tmp_path):
+        text = (
+            "<log><trace>"
+            '<string key="concept:name" value="t"/>'
+            '<float key="weight" value="inf"/>'
+            '<event><string key="concept:name" value="a"/>'
+            '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/>'
+            '<float key="cost" value="NaN"/></event>'
+            '<event><string key="concept:name" value="b"/>'
+            '<date key="time:timestamp" value="2021-01-01T00:01:00Z"/>'
+            '<float key="cost" value="2.5"/></event>'
+            "</trace></log>"
+        )
+        log = parse_xes(write(tmp_path / "log.xes", text))
+        first, second = log.case_events("t")
+        assert first.attributes["cost"] == "NaN"
+        assert second.attributes["cost"] == 2.5
+        assert log.attribute_schema["cost"].kind == CATEGORICAL
+        assert log.cases["t"].attributes["weight"] == "inf"
+        assert log.attribute_schema["weight"].kind == CATEGORICAL
+
     def test_trace_attributes_become_case_attributes(self, tmp_path):
         text = (
             "<log><trace>"
@@ -339,3 +388,98 @@ class TestInstantParsing:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_instant("yesterday-ish")
+
+    def test_any_number_of_fraction_digits(self):
+        # Python 3.10 reads only 3 or 6 digits; the result must not depend on it
+        assert parse_instant("2021-01-01T10:00:00.12") == datetime(
+            2021, 1, 1, 10, 0, 0, 120000, tzinfo=timezone.utc
+        )
+        assert parse_instant("2021-01-01T10:00:00.123456789Z") == datetime(
+            2021, 1, 1, 10, 0, 0, 123000, tzinfo=timezone.utc
+        )
+        assert parse_instant("2021-01-01T10:00:00.9999999+05:30") == datetime(
+            2021, 1, 1, 4, 30, 0, 999000, tzinfo=timezone.utc
+        )
+        assert parse_instant("2021-01-01 10:00:00,5") == datetime(
+            2021, 1, 1, 10, 0, 0, 500000, tzinfo=timezone.utc
+        )
+        assert parse_instant("2021-01-01T10:00:00.1234-01:00") == datetime(
+            2021, 1, 1, 11, 0, 0, 123000, tzinfo=timezone.utc
+        )
+
+    def test_fraction_without_digits_is_rejected(self):
+        with pytest.raises(ValueError):
+            parse_instant("2021-01-01T10:00:00.")
+
+
+def old_parse_instant(text):
+    """``parse_instant`` before its fast paths, kept verbatim as the oracle."""
+    s = text.strip()
+    if s.endswith(("Z", "z")):
+        s = s[:-1] + "+00:00"
+    dt = datetime.fromisoformat(s)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    else:
+        dt = dt.astimezone(timezone.utc)
+    return dt.replace(microsecond=dt.microsecond // 1000 * 1000)
+
+
+def outcome(function, *args):
+    """What ``function(*args)`` returns, or the type of the error it raises."""
+    try:
+        return function(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+TIMEZONES = st.one_of(
+    st.none(),
+    st.just(timezone.utc),
+    st.just(timezone(timedelta(0), "GMT")),
+    st.builds(
+        timezone,
+        st.timedeltas(min_value=timedelta(hours=-14), max_value=timedelta(hours=14)),
+    ),
+)
+
+
+def old_format_instant(dt):
+    """``format_instant`` before it stopped calling ``isoformat``, kept as the oracle."""
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc).isoformat(timespec="milliseconds")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.datetimes(timezones=TIMEZONES))
+def test_format_instant_matches_isoformat(dt):
+    assert outcome(format_instant, dt) == outcome(old_format_instant, dt)
+
+
+@st.composite
+def iso_stamps(draw):
+    dt = draw(st.datetimes())
+    text = "%04d-%02d-%02dT%02d:%02d:%02d" % (
+        dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second
+    )
+    digits = draw(st.sampled_from([0, 3, 6]))
+    if digits:
+        text += "." + f"{dt.microsecond:06d}"[:digits]
+    zone = draw(st.sampled_from(["naive", "Z", "z", "offset"]))
+    if zone == "offset":
+        minutes = draw(st.integers(-14 * 60, 14 * 60))
+        sign = "-" if minutes < 0 else "+"
+        text += "%s%02d:%02d" % (sign, abs(minutes) // 60, abs(minutes) % 60)
+    elif zone != "naive":
+        text += zone
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(iso_stamps())
+def test_parse_instant_matches_old_implementation(text):
+    expected = outcome(old_parse_instant, text)
+    actual = outcome(parse_instant, text)
+    assert actual == expected
+    assert repr(actual) == repr(expected)
