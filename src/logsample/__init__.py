@@ -36,7 +36,6 @@ from .log_model import (
     ColumnMapping,
     Event,
     EventLog,
-    EventRecord,
     build_log,
     load_log,
     parse_csv,
@@ -45,11 +44,10 @@ from .log_model import (
     write_csv,
 )
 from .metrics import EvaluationResult, Stopwatch, evaluate, relative_accuracy, speedup
-from .predictor import PrefixTreeModel, load_model, predict, save_model, train
+from .predictor import PrefixTreeModel, load_model, save_model, train
 from .sampling import (
     SampleReport,
     SamplingConfig,
-    is_variant_preserving,
     parse_method_token,
     rank_traces,
     sample,
@@ -57,11 +55,9 @@ from .sampling import (
 )
 from .variants import (
     DistributionSummary,
-    SimpleLog,
     Variant,
     VariantIndex,
     build_variant_index,
-    simple_log,
 )
 
 __version__ = "0.1.0"

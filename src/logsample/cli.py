@@ -137,7 +137,7 @@ def features(log_path, end_marker, window, output, case_col, activity_col, time_
     rows = extract_features(log, end_marker)
     alphabet = sorted(log.activity_alphabet)
     if window is None:
-        window = default_window([len(log.trace(cid)) for cid in log.cases])
+        window = default_window([len(case.trace) for case in log.cases.values()])
     export_features(rows, alphabet, window, output)
     click.echo(f"wrote {len(rows)} rows (window {window}) -> {output}")
 

@@ -17,7 +17,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from random import Random
 from typing import Sequence
@@ -84,10 +84,16 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from a JSON-style dict (grid given as method tokens)."""
+    """Build a config from a JSON-style dict (grid given as method tokens).
+
+    Raises ConfigurationError naming any key that is not a config field.
+    """
     kwargs = dict(data)
     sorting = kwargs.pop("sorting", RANDOM_ORDER)
     tokens = kwargs.pop("grid", None)
+    unknown = sorted(kwargs.keys() - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ConfigurationError(f"unknown experiment config keys: {', '.join(unknown)}")
     if tokens is not None:
         kwargs["grid"] = tuple(parse_method_token(tok, sorting=sorting) for tok in tokens)
     else:
@@ -193,8 +199,11 @@ def _fit_rows(
 def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
     """Run the full repeats x folds x strategies benchmark on one log.
 
-    A grid entry whose sample comes out empty is recorded as a failed row and
-    the run continues.
+    In every fold the baseline, the strategy that keeps the whole training
+    fold, runs first; each grid entry then runs on its sample of that fold.
+    A grid entry whose sample comes out empty or cannot be trained on is
+    recorded as a failed row and the run continues; a baseline that cannot
+    be trained aborts the run.
     """
     rows: list[ExperimentRow] = []
     # only representative ranking reads the per-variant attribute summaries
@@ -210,98 +219,69 @@ def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
                 )
             alphabet = sorted(train_log.activity_alphabet)
             window = config.window or default_window(
-                [len(train_log.trace(cid)) for cid in train_log.cases]
+                [len(case.trace) for case in train_log.cases.values()]
             )
-
-            with Stopwatch() as fe_watch:
-                base_rows = extract_features(train_log, config.end_marker)
-                encode(base_rows, alphabet, window)
-            fit = _fit_rows(
-                base_rows,
-                config.validation_fraction,
-                Random(derive_seed(config.seed, "val", repeat, fold)),
-            )
-            with Stopwatch() as train_watch:
-                base_model = train(fit, config.max_order, config.smoothing)
-            base_eval = evaluate(base_model, test_rows)
-
             index = build_variant_index(train_log, summary_attributes)
-            rows.append(
-                ExperimentRow(
-                    strategy=BASELINE,
-                    repeat=repeat,
-                    fold=fold,
-                    ok=True,
-                    original_cases=train_log.num_cases,
-                    sampled_cases=train_log.num_cases,
-                    original_variants=len(index.variants),
-                    sampled_variants=len(index.variants),
-                    reduction_rate=1.0,
-                    accuracy_full=base_eval.weighted_accuracy,
-                    accuracy_sampled=base_eval.weighted_accuracy,
-                    rel_accuracy=1.0,
-                    sampling_seconds=0.0,
-                    fe_seconds=fe_watch.seconds,
-                    train_seconds=train_watch.seconds,
-                    fe_speedup=1.0,
-                    train_speedup=1.0,
-                )
-            )
+            n, v = train_log.num_cases, len(index.variants)
+            fold_fields = dict(repeat=repeat, fold=fold, original_cases=n, original_variants=v)
 
-            for entry in config.grid:
-                cfg = replace(
-                    entry, seed=derive_seed(config.seed, "sample", repeat, fold, entry.label)
-                )
+            for entry in (None, *config.grid):  # None: the baseline
+                label = BASELINE if entry is None else entry.label
                 try:
-                    with Stopwatch() as sample_watch:
-                        sampled_log, sample_report = sample(train_log, index, cfg)
-                    with Stopwatch() as fe_watch_s:
-                        sampled_rows = extract_features(sampled_log, config.end_marker)
-                        encode(sampled_rows, alphabet, window)
-                    fit_s = _fit_rows(
-                        sampled_rows,
+                    if entry is None:
+                        fit_log, sampling_seconds = train_log, 0.0
+                        kept = dict(sampled_cases=n, sampled_variants=v, reduction_rate=1.0)
+                    else:
+                        cfg = replace(
+                            entry, seed=derive_seed(config.seed, "sample", repeat, fold, label)
+                        )
+                        with Stopwatch() as sample_watch:
+                            fit_log, report = sample(train_log, index, cfg)
+                        sampling_seconds = sample_watch.seconds
+                        kept = dict(
+                            sampled_cases=report.sampled_cases,
+                            sampled_variants=report.sampled_variants,
+                            reduction_rate=report.reduction_rate,
+                        )
+                    with Stopwatch() as fe_watch:
+                        feature_rows = extract_features(fit_log, config.end_marker)
+                        encode(feature_rows, alphabet, window)
+                    fit = _fit_rows(
+                        feature_rows,
                         config.validation_fraction,
                         Random(derive_seed(config.seed, "val", repeat, fold)),
                     )
-                    with Stopwatch() as train_watch_s:
-                        model_s = train(fit_s, config.max_order, config.smoothing)
+                    with Stopwatch() as train_watch:
+                        model = train(fit, config.max_order, config.smoothing)
                 except (EmptySampleError, TrainingError) as exc:
+                    if entry is None:
+                        raise  # no cell of the fold can be scored without the baseline
                     # an annihilated training set fails this cell, not the run
-                    rows.append(
-                        ExperimentRow(
-                            strategy=entry.label,
-                            repeat=repeat,
-                            fold=fold,
-                            ok=False,
-                            error=str(exc),
-                            original_cases=train_log.num_cases,
-                            original_variants=len(index.variants),
-                        )
-                    )
+                    rows.append(ExperimentRow(label, ok=False, error=str(exc), **fold_fields))
                     continue
-                eval_s = evaluate(model_s, test_rows)
-
+                accuracy = evaluate(model, test_rows).weighted_accuracy
+                fe_seconds, train_seconds = fe_watch.seconds, train_watch.seconds
+                if entry is None:
+                    base_accuracy, base_fe, base_train = accuracy, fe_seconds, train_seconds
+                    ratios = dict(rel_accuracy=1.0, fe_speedup=1.0, train_speedup=1.0)
+                else:
+                    ratios = dict(
+                        rel_accuracy=relative_accuracy(accuracy, base_accuracy),
+                        fe_speedup=speedup(base_fe, fe_seconds),
+                        train_speedup=speedup(base_train, train_seconds),
+                    )
                 rows.append(
                     ExperimentRow(
-                        strategy=entry.label,
-                        repeat=repeat,
-                        fold=fold,
+                        label,
                         ok=True,
-                        original_cases=sample_report.original_cases,
-                        sampled_cases=sample_report.sampled_cases,
-                        original_variants=sample_report.original_variants,
-                        sampled_variants=sample_report.sampled_variants,
-                        reduction_rate=sample_report.reduction_rate,
-                        accuracy_full=base_eval.weighted_accuracy,
-                        accuracy_sampled=eval_s.weighted_accuracy,
-                        rel_accuracy=relative_accuracy(
-                            eval_s.weighted_accuracy, base_eval.weighted_accuracy
-                        ),
-                        sampling_seconds=sample_watch.seconds,
-                        fe_seconds=fe_watch_s.seconds,
-                        train_seconds=train_watch_s.seconds,
-                        fe_speedup=speedup(fe_watch.seconds, fe_watch_s.seconds),
-                        train_speedup=speedup(train_watch.seconds, train_watch_s.seconds),
+                        accuracy_full=base_accuracy,
+                        accuracy_sampled=accuracy,
+                        sampling_seconds=sampling_seconds,
+                        fe_seconds=fe_seconds,
+                        train_seconds=train_seconds,
+                        **fold_fields,
+                        **kept,
+                        **ratios,
                     )
                 )
 

@@ -71,8 +71,8 @@ def extract_features(log: EventLog, include_end_marker: bool = True) -> list[Fea
     END_MARKER, so a case of length n contributes n rows instead of n-1.
     """
     rows: list[FeatureRow] = []
-    for cid in log.cases:
-        trace = log.trace(cid)
+    for cid, case in log.cases.items():
+        trace = case.trace
         if END_MARKER in trace:
             raise EncodingError(
                 f"case {cid!r} uses the reserved end-of-case label {END_MARKER!r}"

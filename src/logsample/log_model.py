@@ -17,6 +17,7 @@ import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -94,7 +95,6 @@ class AttributeSpec:
 class Event:
     """One recorded process step, owned by exactly one case."""
 
-    event_id: str
     case_id: str
     activity: str
     timestamp: datetime
@@ -103,19 +103,19 @@ class Event:
 
 @dataclass(slots=True)
 class Case:
-    """One process instance; event_ids are in trace (timestamp) order."""
+    """One process instance: its events in timestamp order and their activities."""
 
     case_id: str
-    event_ids: tuple[str, ...]
-    attributes: Mapping[str, object] = field(default_factory=dict)
+    events: list[Event]
+    attributes: Mapping[str, object]
+    trace: tuple[str, ...]
 
 
 @dataclass
 class EventLog:
-    """Event log: cases, events, alphabet, and attribute schema."""
+    """Event log: cases (which own their events), alphabet, and attribute schema."""
 
     cases: Mapping[str, Case]
-    events: Mapping[str, Event]
     activity_alphabet: frozenset[str]
     attribute_schema: Mapping[str, AttributeSpec] = field(default_factory=dict)
 
@@ -125,36 +125,19 @@ class EventLog:
 
     @property
     def num_events(self) -> int:
-        return len(self.events)
-
-    def case_ids(self) -> list[str]:
-        return list(self.cases)
+        return sum(len(case.events) for case in self.cases.values())
 
     def trace(self, case_id: str) -> tuple[str, ...]:
         """Activity sequence of one case, in trace order."""
-        return tuple(map(_activity, map(self.events.__getitem__, self.cases[case_id].event_ids)))
-
-    def case_events(self, case_id: str) -> list[Event]:
-        return [self.events[eid] for eid in self.cases[case_id].event_ids]
-
-    def case_start(self, case_id: str) -> datetime:
-        """Arrival time of a case = timestamp of its first event."""
-        return self.events[self.cases[case_id].event_ids[0]].timestamp
-
-
-@dataclass(slots=True)
-class EventRecord:
-    """Raw parsed event before assembly into a log."""
-
-    case_id: str
-    activity: str
-    timestamp: datetime
-    attributes: dict[str, object] = field(default_factory=dict)
+        return self.cases[case_id].trace
 
 
 _activity = attrgetter("activity")
-_event_id = attrgetter("event_id")
 _timestamp = attrgetter("timestamp")
+
+
+def _alphabet(cases: Iterable[Case]) -> frozenset[str]:
+    return frozenset(chain.from_iterable(case.trace for case in cases))
 
 
 @contextmanager
@@ -175,33 +158,28 @@ def _gc_paused() -> Iterator[None]:
 
 
 def build_log(
-    records: Sequence[EventRecord],
+    events: Sequence[Event],
     case_attributes: Mapping[str, Mapping[str, object]] | None = None,
     schema: Mapping[str, AttributeSpec] | None = None,
 ) -> EventLog:
-    """Assemble an EventLog from parsed event records.
+    """Assemble an EventLog from parsed events, which the log then owns.
 
     Events are grouped by case id in order of first appearance; within a case
-    they are sorted by timestamp, ties keeping input order. Event ids are
-    assigned sequentially in input order.
+    they are sorted by timestamp, ties keeping input order. Raises RowError
+    for an event with an empty activity.
     """
-    if not records:
+    if not events:
         raise EmptyLogError("no events to assemble into a log")
     case_attributes = case_attributes or {}
 
     by_case: dict[str, list[Event]] = {}
-    events: dict[str, Event] = {}
     with _gc_paused():
-        for idx, rec in enumerate(records):
-            if not rec.activity:
-                raise ValueError(f"event {idx} of case {rec.case_id!r} has an empty activity")
-            eid = f"e{idx}"
-            event = events[eid] = Event(
-                eid, rec.case_id, rec.activity, rec.timestamp, dict(rec.attributes)
-            )
-            members = by_case.get(rec.case_id)
+        for idx, event in enumerate(events):
+            if not event.activity:
+                raise RowError(f"event {idx} of case {event.case_id!r} has an empty activity")
+            members = by_case.get(event.case_id)
             if members is None:
-                by_case[rec.case_id] = [event]
+                by_case[event.case_id] = [event]
             else:
                 members.append(event)
 
@@ -210,26 +188,23 @@ def build_log(
             members.sort(key=_timestamp)  # stable: ties keep input order
             cases[case_id] = Case(
                 case_id,
-                tuple(map(_event_id, members)),
+                members,
                 dict(case_attributes.get(case_id, {})),
+                tuple(map(_activity, members)),
             )
 
-    alphabet = frozenset(map(_activity, events.values()))
-    return EventLog(cases, events, alphabet, dict(schema or {}))
+    return EventLog(cases, _alphabet(cases.values()), dict(schema or {}))
 
 
 def subset_log(log: EventLog, case_ids: Iterable[str]) -> EventLog:
     """Sub-log holding exactly the given cases, untouched, in original order.
 
-    Case and event objects are shared with the source log (both are
-    immutable), so kept attribute values are identical by construction.
+    Case objects (and so their events) are shared with the source log, so
+    kept attribute values are identical by construction.
     """
     keep = set(case_ids)
-    source = log.events
     cases = {cid: case for cid, case in log.cases.items() if cid in keep}
-    events = {eid: source[eid] for case in cases.values() for eid in case.event_ids}
-    alphabet = frozenset(map(_activity, events.values()))
-    return EventLog(cases, events, alphabet, dict(log.attribute_schema))
+    return EventLog(cases, _alphabet(cases.values()), dict(log.attribute_schema))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +384,8 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
             if name in attrs:
                 attrs[name] = convert(attrs[name])
 
-    records = [
-        EventRecord(
+    events = [
+        Event(
             case_id,
             activity,
             ts,
@@ -428,7 +403,7 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
         for _, name in attr_cols
         if any(name in attrs for _, _, _, attrs in raw_rows)
     }
-    return build_log(records, case_attributes, schema)
+    return build_log(events, case_attributes, schema)
 
 
 def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = None) -> None:
@@ -439,7 +414,7 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
     """
     mapping = mapping or ColumnMapping()
     attr_names = sorted(
-        {name for ev in log.events.values() for name in ev.attributes}
+        {name for case in log.cases.values() for ev in case.events for name in ev.attributes}
         | {name for case in log.cases.values() for name in case.attributes}
     )
     header = [mapping.case_col, mapping.activity_col, mapping.time_col, *attr_names]
@@ -449,7 +424,6 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
             return format_instant(value)
         return str(value)
 
-    events = log.events
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -457,8 +431,7 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
             case_id = case.case_id
             shared = {name: render(value) for name, value in case.attributes.items()}
             rows = []
-            for eid in case.event_ids:
-                ev = events[eid]
+            for ev in case.events:
                 own = ev.attributes
                 rows.append([
                     case_id,
@@ -530,7 +503,7 @@ def parse_xes(path: str | Path) -> EventLog:
         raise XesParseError(f"{path}: malformed XML at line {line}, column {col}") from None
 
     root = tree.getroot()
-    records: list[EventRecord] = []
+    events: list[Event] = []
     case_attributes: dict[str, dict[str, object]] = {}
     schema: dict[str, AttributeSpec] = {}
 
@@ -592,11 +565,11 @@ def parse_xes(path: str | Path) -> EventLog:
                 raise XesParseError(f"{where}: missing concept:name")
             if timestamp is None:
                 raise XesParseError(f"{where}: missing time:timestamp")
-            records.append(EventRecord(case_id, activity, timestamp, attrs))
+            events.append(Event(case_id, activity, timestamp, attrs))
 
-    if not records:
+    if not events:
         raise EmptyLogError(f"{path}: log has no traces")
-    return build_log(records, case_attributes, schema)
+    return build_log(events, case_attributes, schema)
 
 
 def load_log(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:

@@ -145,11 +145,6 @@ def train(
     )
 
 
-def predict(model: PrefixTreeModel, prefix: Sequence[str]) -> str:
-    """Module-level alias for :meth:`PrefixTreeModel.predict`."""
-    return model.predict(prefix)
-
-
 def save_model(model: PrefixTreeModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(model.to_dict(), indent=2), encoding="utf-8")
 

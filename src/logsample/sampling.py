@@ -14,7 +14,7 @@ from random import Random
 
 from .errors import ConfigurationError, EmptySampleError
 from .log_model import CASE_SCOPE, EventLog, subset_log
-from .variants import SimpleLog, Variant, VariantIndex
+from .variants import Variant, VariantIndex
 
 UNIQUE = "unique"
 LOGARITHMIC = "log"
@@ -153,7 +153,7 @@ def _representative_score(
             if log.cases[case_id].attributes.get(name) in modal:
                 score += 1
         else:
-            for ev in log.case_events(case_id):
+            for ev in log.cases[case_id].events:
                 if ev.attributes.get(name) in modal:
                     score += 1
     return score
@@ -177,9 +177,12 @@ def rank_traces(
             key=lambda cid: (-_representative_score(cid, index, variant), cid),
         )
     if sorting in (OLDEST_FIRST, NEWEST_FIRST):
-        log = index.source_log
+        cases = index.source_log.cases
         ids = sorted(variant.member_case_ids)
-        return sorted(ids, key=log.case_start, reverse=sorting == NEWEST_FIRST)
+        # a case arrives with its first event
+        return sorted(
+            ids, key=lambda cid: cases[cid].events[0].timestamp, reverse=sorting == NEWEST_FIRST
+        )
     if sorting == RANDOM_ORDER:
         rnd = Random(f"{seed}|rank|" + "\x1f".join(variant.activities))
         ids = sorted(variant.member_case_ids)
@@ -239,13 +242,11 @@ def sample(
     return sampled, report
 
 
-def is_variant_preserving(original: SimpleLog, sampled: SimpleLog) -> bool:
-    """True iff both logs contain exactly the same set of unique variants."""
-    return original.unique_variants == sampled.unique_variants
-
-
 def parse_method_token(token: str, sorting: str = RANDOM_ORDER, seed: int = 0) -> SamplingConfig:
-    """Parse a grid token like d10, log2, unique, or random:0.5."""
+    """Parse a grid token like d10, log2, unique, or random:0.5.
+
+    Raises ConfigurationError naming the token when it is none of these.
+    """
     token = token.strip()
     if token == UNIQUE:
         return SamplingConfig(UNIQUE, sorting=sorting, seed=seed)
@@ -253,7 +254,10 @@ def parse_method_token(token: str, sorting: str = RANDOM_ORDER, seed: int = 0) -
         return SamplingConfig(DIVISION, k=int(token[1:]), sorting=sorting, seed=seed)
     if token.startswith("log") and token[3:].isdigit():
         return SamplingConfig(LOGARITHMIC, k=int(token[3:]), sorting=sorting, seed=seed)
-    if token == RANDOM or token.startswith("random:"):
-        fraction = 1.0 if token == RANDOM else float(token.split(":", 1)[1])
-        return SamplingConfig(RANDOM, fraction=fraction, sorting=sorting, seed=seed)
+    try:
+        if token == RANDOM or token.startswith("random:"):
+            fraction = 1.0 if token == RANDOM else float(token.split(":", 1)[1])
+            return SamplingConfig(RANDOM, fraction=fraction, sorting=sorting, seed=seed)
+    except ValueError:
+        pass  # the fraction is not a number
     raise ConfigurationError(f"cannot parse sampling method token {token!r}")

@@ -31,24 +31,6 @@ class Variant:
 
 
 @dataclass(frozen=True)
-class SimpleLog:
-    """Multiset of per-case activity sequences (all attributes discarded)."""
-
-    entries: Counter
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    @property
-    def unique_variants(self) -> frozenset[ActivitySeq]:
-        return frozenset(self.entries)
-
-    def __len__(self) -> int:
-        return self.total
-
-
-@dataclass(frozen=True)
 class DistributionSummary:
     """Value statistics of one attribute within one variant.
 
@@ -74,17 +56,6 @@ class VariantIndex:
     attributes: tuple[str, ...]
     distributions: dict[ActivitySeq, dict[str, DistributionSummary]]
     source_log: EventLog = field(repr=False)
-
-    def variant_of(self, activities: ActivitySeq) -> Variant:
-        for v in self.variants:
-            if v.activities == activities:
-                return v
-        raise KeyError(activities)
-
-
-def simple_log(log: EventLog) -> SimpleLog:
-    """Project a log onto the multiset of its case activity sequences."""
-    return SimpleLog(Counter(log.trace(cid) for cid in log.cases))
 
 
 def _summarise(kind: str, values: list) -> DistributionSummary:
@@ -134,8 +105,8 @@ def build_variant_index(log: EventLog, attributes: list[str] | None = None) -> V
             raise ConfigurationError(f"unknown attribute {name!r}")
 
     members: dict[ActivitySeq, list[str]] = {}
-    for cid in log.cases:
-        members.setdefault(log.trace(cid), []).append(cid)
+    for cid, case in log.cases.items():
+        members.setdefault(case.trace, []).append(cid)
 
     ordered = sorted(members.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     variants = tuple(Variant(seq, tuple(ids)) for seq, ids in ordered)
@@ -153,7 +124,7 @@ def build_variant_index(log: EventLog, attributes: list[str] | None = None) -> V
                         values.append(value)
             else:
                 for cid in variant.member_case_ids:
-                    for ev in log.case_events(cid):
+                    for ev in log.cases[cid].events:
                         value = ev.attributes.get(name)
                         if value is not None:
                             values.append(value)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from random import Random
 
@@ -9,8 +10,8 @@ from logsample.log_model import (
     CATEGORICAL,
     EVENT_SCOPE,
     AttributeSpec,
+    Event,
     EventLog,
-    EventRecord,
     build_log,
 )
 
@@ -30,7 +31,7 @@ def log_from_variants(
     after ``start`` and its events are a minute apart, so arrival order
     equals case-id order.
     """
-    records = []
+    events = []
     case_attributes = {}
     case_n = 0
     hour = timedelta(hours=1)
@@ -46,12 +47,17 @@ def log_from_variants(
                     off = minute_offsets[j] if j < 64 else timedelta(minutes=j)
                     ts = case_start + off
                 attrs = event_attrs(case_n, j) if event_attrs else {}
-                records.append(EventRecord(cid, act, ts, attrs))
+                events.append(Event(cid, act, ts, attrs))
             if case_attrs:
                 case_attributes[cid] = case_attrs(case_n)
             case_n += 1
             case_start = case_start + hour
-    return build_log(records, case_attributes, schema)
+    return build_log(events, case_attributes, schema)
+
+
+def trace_counts(log: EventLog) -> Counter:
+    """Multiset of the log's case activity sequences (attributes discarded)."""
+    return Counter(case.trace for case in log.cases.values())
 
 
 def resource_schema():

@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from logsample.cli import cli
+from logsample.cli import cli, main
 from logsample.log_model import write_csv
 
 from helpers import log_from_variants, skewed_log
@@ -159,6 +160,29 @@ def test_bench_config_file(runner, small_csv, tmp_path):
     with out.open() as fh:
         rows = list(csv.DictReader(fh))
     assert {r["strategy"] for r in rows} == {"baseline", "unique"}
+
+
+@pytest.mark.parametrize(
+    "args, config, named",
+    [
+        (["--grid", "random:abc"], None, "'random:abc'"),
+        ([], {"fold": 2, "grid": ["unique"]}, "fold"),
+    ],
+    ids=["grid-token", "config-key"],
+)
+def test_bench_bad_settings_exit_with_error(small_csv, tmp_path, monkeypatch, capsys,
+                                            args, config, named):
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        args = [*args, "--config", str(config_path)]
+    argv = ["logsample", "bench", small_csv, *args, "-o", str(tmp_path / "report.csv")]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_missing_file_fails(runner):

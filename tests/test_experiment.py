@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from logsample.errors import ConfigurationError, SplitError
+from logsample.errors import ConfigurationError, SplitError, TrainingError
 from logsample.experiment import (
     BASELINE,
     ExperimentConfig,
@@ -96,6 +96,8 @@ class TestExperimentConfig:
         assert config.folds == 3
         assert [e.label for e in config.grid] == ["d2", "unique"]
         assert config.seed == 5
+        with pytest.raises(ConfigurationError, match="fold, windw"):
+            config_from_dict({"fold": 3, "windw": 4, "seed": 5})
 
     def test_derive_seed_is_stable(self):
         assert derive_seed(1, "x") == derive_seed(1, "x")
@@ -156,6 +158,14 @@ class TestRunExperiment:
         failed = [r for r in report.rows if not r.ok]
         assert failed, "expected the empty-feature sample to be recorded"
         assert all("empty feature set" in r.error for r in failed)
+
+    def test_baseline_that_cannot_train_is_fatal(self):
+        # with the end marker off, seed 5 puts only the single-activity cases
+        # in one training fold, so the baseline itself has no rows to train on
+        log = log_from_variants([(("a",), 2), (("a", "b"), 2)])
+        config = ExperimentConfig(folds=2, repeats=1, grid=grid("d2"), seed=5, end_marker=False)
+        with pytest.raises(TrainingError, match="empty feature set"):
+            run_experiment(log, config)
 
     def test_baseline_accuracy_shared_within_fold(self):
         config = ExperimentConfig(folds=3, repeats=1, grid=grid("d2", "unique"), seed=4)

@@ -29,7 +29,7 @@ from logsample.log_model import (
     INSTANT,
     NUMERIC,
     AttributeSpec,
-    EventRecord,
+    Event,
     build_log,
     write_csv,
 )
@@ -92,20 +92,20 @@ def write_core_log():
     east = timezone(timedelta(hours=5, minutes=30))
     west = timezone(timedelta(hours=-8))
     named_utc = timezone(timedelta(0), "GMT")
-    records = [
-        EventRecord("c1", "a", datetime(2021, 3, 1, 9, 0, 0, 123456, tzinfo=east),
-                    {"cost": 12, "note": "x,y", "due": datetime(2021, 3, 2, tzinfo=west)}),
-        EventRecord("c1", "b", datetime(2021, 3, 1, 4, 0, 0, 999, tzinfo=timezone.utc),
-                    {"cost": 0.1, "note": 'say "hi"', "priority": 7}),
-        EventRecord("c1", "c", datetime(2021, 3, 1, 23, 59, 59, 999999, tzinfo=west),
-                    {"cost": -1e-07, "note": "two\nlines"}),
-        EventRecord("c2", "a", datetime(2021, 3, 1, 10, 0),
-                    {"due": datetime(2021, 3, 3, 12, 30, 15, 500)}),
-        EventRecord("c2", "c", datetime(2021, 3, 1, 10, 0), {"cost": 1e16}),
-        EventRecord("c2", "b", datetime(2021, 3, 1, 9, 59, 59, 1000), {"note": ""}),
-        EventRecord("c3", "b", datetime(1, 1, 1, 0, 0, 0, 7000, tzinfo=named_utc), {}),
-        EventRecord("c3", "a", datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=east),
-                    {"cost": True}),
+    events = [
+        Event("c1", "a", datetime(2021, 3, 1, 9, 0, 0, 123456, tzinfo=east),
+              {"cost": 12, "note": "x,y", "due": datetime(2021, 3, 2, tzinfo=west)}),
+        Event("c1", "b", datetime(2021, 3, 1, 4, 0, 0, 999, tzinfo=timezone.utc),
+              {"cost": 0.1, "note": 'say "hi"', "priority": 7}),
+        Event("c1", "c", datetime(2021, 3, 1, 23, 59, 59, 999999, tzinfo=west),
+              {"cost": -1e-07, "note": "two\nlines"}),
+        Event("c2", "a", datetime(2021, 3, 1, 10, 0),
+              {"due": datetime(2021, 3, 3, 12, 30, 15, 500)}),
+        Event("c2", "c", datetime(2021, 3, 1, 10, 0), {"cost": 1e16}),
+        Event("c2", "b", datetime(2021, 3, 1, 9, 59, 59, 1000), {"note": ""}),
+        Event("c3", "b", datetime(1, 1, 1, 0, 0, 0, 7000, tzinfo=named_utc), {}),
+        Event("c3", "a", datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=east),
+              {"cost": True}),
     ]
     case_attributes = {
         "c1": {"region": "north", "priority": 2},
@@ -119,7 +119,7 @@ def write_core_log():
         "region": AttributeSpec(CATEGORICAL, CASE_SCOPE),
         "opened": AttributeSpec(INSTANT, CASE_SCOPE),
     }
-    return build_log(records, case_attributes, schema)
+    return build_log(events, case_attributes, schema)
 
 
 def test_write_csv_is_unchanged(tmp_path):

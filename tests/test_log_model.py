@@ -2,6 +2,7 @@
 
 import gzip
 from datetime import datetime, timedelta, timezone
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from logsample.log_model import (
     INSTANT,
     NUMERIC,
     ColumnMapping,
+    Event,
+    build_log,
     format_instant,
     load_log,
     parse_csv,
@@ -23,9 +26,7 @@ from logsample.log_model import (
     subset_log,
     write_csv,
 )
-from logsample.variants import simple_log
-
-from helpers import log_from_variants
+from helpers import T0, log_from_variants, random_variant_freqs, trace_counts
 
 CSV_BASIC = """case_id,activity,timestamp
 1,a,2021-01-01T10:00:00
@@ -141,7 +142,7 @@ class TestParseCsv:
         assert log.attribute_schema["channel"].scope == CASE_SCOPE
         assert log.attribute_schema["resource"].scope == EVENT_SCOPE
         assert log.cases["1"].attributes["channel"] == "web"
-        first_event = log.events[log.cases["1"].event_ids[0]]
+        first_event = log.cases["1"].events[0]
         assert first_event.attributes["resource"] == "r1"
 
     def test_attribute_kind_inference(self, tmp_path):
@@ -239,7 +240,7 @@ class TestWriteCsv:
         back = parse_csv(out)
         assert back.num_cases == log.num_cases
         assert back.num_events == log.num_events
-        assert simple_log(back).entries == simple_log(log).entries
+        assert trace_counts(back) == trace_counts(log)
 
     def test_empty_attribute_restored_as_absent(self, tmp_path):
         text = (
@@ -251,7 +252,7 @@ class TestWriteCsv:
         out = tmp_path / "out.csv"
         write_csv(log, out)
         back = parse_csv(out)
-        events = back.case_events("1")
+        events = back.cases["1"].events
         assert events[0].attributes == {"note": "hello"}
         assert "note" not in events[1].attributes
 
@@ -265,7 +266,7 @@ class TestWriteCsv:
         out = tmp_path / "out.csv"
         write_csv(log, out)
         back = parse_csv(out)
-        assert [e.attributes["cost"] for e in back.case_events("1")] == [5, 9]
+        assert [e.attributes["cost"] for e in back.cases["1"].events] == [5, 9]
 
 
 class TestParseXes:
@@ -273,7 +274,7 @@ class TestParseXes:
         log = parse_xes(write(tmp_path / "log.xes", XES_BASIC))
         assert log.num_cases == 1
         assert log.trace("t1") == ("a", "b")
-        events = log.case_events("t1")
+        events = log.cases["t1"].events
         assert events[0].attributes["org:resource"] == "r1"
         assert events[1].attributes["cost"] == 5
         assert log.attribute_schema["cost"].kind == NUMERIC
@@ -326,7 +327,7 @@ class TestParseXes:
             "</trace></log>"
         )
         log = parse_xes(write(tmp_path / "log.xes", text))
-        first, second = log.case_events("t")
+        first, second = log.cases["t"].events
         assert first.attributes["cost"] == "NaN"
         assert second.attributes["cost"] == 2.5
         assert log.attribute_schema["cost"].kind == CATEGORICAL
@@ -348,27 +349,67 @@ class TestParseXes:
 
 
 class TestInvariants:
-    def test_simple_log_size_equals_case_count(self, tmp_path):
+    def test_trace_counts_size_equals_case_count(self, tmp_path):
         log = parse_csv(write(tmp_path / "log.csv", CSV_BASIC))
-        assert len(simple_log(log)) == log.num_cases
+        assert sum(trace_counts(log).values()) == log.num_cases
 
     def test_event_case_cross_references(self, tmp_path):
         log = parse_csv(write(tmp_path / "log.csv", CSV_BASIC))
-        referenced = {eid for c in log.cases.values() for eid in c.event_ids}
-        assert referenced == set(log.events)
-        assert {e.case_id for e in log.events.values()} == set(log.cases)
+        assert all(c.case_id == cid for cid, c in log.cases.items())
+        assert all(e.case_id == cid for cid, c in log.cases.items() for e in c.events)
+        assert log.num_events == CSV_BASIC.count("\n") - 1
 
     def test_alphabet_matches_events(self, tmp_path):
         log = parse_csv(write(tmp_path / "log.csv", CSV_BASIC))
-        assert log.activity_alphabet == {e.activity for e in log.events.values()}
+        events = [e for c in log.cases.values() for e in c.events]
+        assert log.activity_alphabet == {e.activity for e in events}
 
     def test_subset_log_shares_events(self, tiny_log):
         kept = list(tiny_log.cases)[:1]
         sub = subset_log(tiny_log, kept)
         assert set(sub.cases) == set(kept)
-        for eid, ev in sub.events.items():
-            assert ev is tiny_log.events[eid]
-        assert sub.activity_alphabet == {e.activity for e in sub.events.values()}
+        for cid, case in sub.cases.items():
+            assert case is tiny_log.cases[cid]
+        events = [e for c in sub.cases.values() for e in c.events]
+        assert sub.activity_alphabet == {e.activity for e in events}
+
+    def test_build_log_rejects_empty_activity(self):
+        events = [Event("c1", "a", T0), Event("c2", "b", T0), Event("c2", "", T0)]
+        with pytest.raises(RowError, match="event 2 of case 'c2'"):
+            build_log(events)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from("abc"), st.integers(0, 2)), max_size=30
+    ),
+)
+def test_model_invariants(seed, extra):
+    """Cases own their time-sorted events; trace, counts and alphabet follow from them."""
+    rnd = Random(seed)
+    source = log_from_variants(random_variant_freqs(rnd, max_variants=5, max_freq=5))
+    events = [e for c in source.cases.values() for e in c.events]
+    # few distinct minutes, so cases of extra events hold timestamp ties
+    events += [Event(f"x{c}", act, T0 + timedelta(minutes=m)) for c, act, m in extra]
+    rnd.shuffle(events)
+    position = {id(e): i for i, e in enumerate(events)}
+
+    log = build_log(events)
+    assert log.num_events == len(events)
+    for cid, case in log.cases.items():
+        assert case.trace == tuple(e.activity for e in case.events)
+        assert all(e.case_id == cid for e in case.events)
+        order = [(e.timestamp, position[id(e)]) for e in case.events]
+        assert order == sorted(order)  # by time, ties in input order
+    assert log.activity_alphabet == set().union(*(c.trace for c in log.cases.values()))
+
+    kept = set(rnd.sample(sorted(log.cases), rnd.randint(0, log.num_cases)))
+    sub = subset_log(log, kept)
+    assert list(sub.cases) == [cid for cid in log.cases if cid in kept]
+    assert all(sub.cases[cid] is log.cases[cid] for cid in kept)
+    assert sub.activity_alphabet == set().union(*(c.trace for c in sub.cases.values()))
 
 
 class TestInstantParsing:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from logsample.errors import TrainingError
 from logsample.features import END_MARKER, FeatureRow, extract_features
-from logsample.predictor import load_model, predict, save_model, train
+from logsample.predictor import load_model, save_model, train
 
 from helpers import log_from_variants, random_variant_freqs
 
@@ -72,10 +72,6 @@ class TestPredict:
         rows = rows_from_pairs([("a", END_MARKER), ("a", "z")])
         model = train(rows, max_order=1, smoothing=0.0)
         assert model.predict(("a",)) == "z"
-
-    def test_module_level_alias(self):
-        model = train(rows_from_pairs([("a", "b")]))
-        assert predict(model, ("a",)) == model.predict(("a",))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

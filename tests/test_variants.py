@@ -6,25 +6,10 @@ from hypothesis import strategies as st
 
 from logsample.errors import ConfigurationError
 from logsample.log_model import CASE_SCOPE, CATEGORICAL, NUMERIC, AttributeSpec
-from logsample.variants import build_variant_index, simple_log
+from logsample.variants import build_variant_index
 
-from helpers import log_from_variants, random_variant_freqs, resource_schema
+from helpers import log_from_variants, random_variant_freqs, resource_schema, trace_counts
 from random import Random
-
-
-class TestSimpleLog:
-    def test_multiset_of_traces(self, tiny_log):
-        sl = simple_log(tiny_log)
-        assert sl.entries == {("a", "b"): 2, ("a", "c"): 1}
-        assert len(sl) == 3
-
-    def test_singleton(self):
-        log = log_from_variants([(("a",), 1)])
-        sl = simple_log(log)
-        assert sl.entries == {("a",): 1}
-
-    def test_size_equals_case_count(self, skewed):
-        assert len(simple_log(skewed)) == skewed.num_cases
 
 
 class TestBuildVariantIndex:
@@ -114,9 +99,9 @@ class TestBuildVariantIndex:
         assert [v.activities for v in a.variants] == [v.activities for v in b.variants]
         assert [v.frequency for v in a.variants] == [v.frequency for v in b.variants]
 
-    def test_index_variants_match_simple_log(self, skewed):
+    def test_index_variants_match_traces(self, skewed):
         index = build_variant_index(skewed)
-        assert {v.activities for v in index.variants} == simple_log(skewed).unique_variants
+        assert {v.activities: v.frequency for v in index.variants} == trace_counts(skewed)
 
 
 @settings(max_examples=40, deadline=None)
