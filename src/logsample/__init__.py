@@ -53,11 +53,6 @@ from .sampling import (
     sample,
     sample_count,
 )
-from .variants import (
-    DistributionSummary,
-    Variant,
-    VariantIndex,
-    build_variant_index,
-)
+from .variants import Variant, VariantIndex, build_variant_index
 
 __version__ = "0.1.0"

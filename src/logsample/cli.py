@@ -74,11 +74,8 @@ def variants(log_path, attr, case_col, activity_col, time_col):
     writer = csv.writer(sys.stdout)
     writer.writerow(["variant", "frequency", *(f"modal_{a}" for a in index.attributes)])
     for variant in index.variants:
-        summaries = index.distributions[variant.activities]
-        modal_cells = [
-            "|".join(sorted(map(str, summaries[a].modal_values)))
-            for a in index.attributes
-        ]
+        modal = index.modal_values[variant.activities]
+        modal_cells = ["|".join(sorted(map(str, modal[a]))) for a in index.attributes]
         writer.writerow([",".join(variant.activities), variant.frequency, *modal_cells])
 
 
@@ -185,9 +182,8 @@ def evaluate_cmd(model_path, log_path, end_marker, case_col, activity_col, time_
     rows = extract_features(log, end_marker)
     result = evaluate(model, rows)
     writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "overall_accuracy", "weighted_accuracy", "balanced_accuracy"])
-    writer.writerow([result.n, result.overall_accuracy,
-                     result.weighted_accuracy, result.balanced_accuracy])
+    writer.writerow(["n", "overall_accuracy", "balanced_accuracy"])
+    writer.writerow([result.n, result.overall_accuracy, result.balanced_accuracy])
 
 
 @cli.command()

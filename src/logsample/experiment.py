@@ -17,7 +17,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from random import Random
 from typing import Sequence
@@ -29,7 +29,7 @@ from .errors import (
     SplitError,
     TrainingError,
 )
-from .features import FeatureRow, default_window, encode, extract_features
+from .features import default_window, encode, extract_features
 from .log_model import EventLog, subset_log
 from .metrics import Stopwatch, evaluate, relative_accuracy, speedup
 from .predictor import train
@@ -59,11 +59,9 @@ class ExperimentConfig:
     repeats: int = 5
     grid: tuple[SamplingConfig, ...] = field(default_factory=default_grid)
     seed: int = 0
-    validation_fraction: float = 0.1
     end_marker: bool = True
     window: int | None = None
     max_order: int = 5
-    smoothing: float = 0.01
 
     def __post_init__(self):
         if self.folds < 2:
@@ -72,28 +70,57 @@ class ExperimentConfig:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
         if not self.grid:
             raise ConfigurationError("the sampling grid must not be empty")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ConfigurationError(
-                f"validation_fraction must be in [0, 1), got {self.validation_fraction}"
-            )
         if self.window is not None and self.window < 1:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
+        if self.max_order < 0:
+            raise ConfigurationError(f"max_order must be >= 0, got {self.max_order}")
         labels = [entry.label for entry in self.grid]
         if len(labels) != len(set(labels)):
             raise ConfigurationError(f"duplicate strategies in grid: {labels}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Every key a config dict may hold, with the check its value must pass.
+_CONFIG_KEYS = {
+    "folds": (_is_int, "an integer"),
+    "repeats": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "max_order": (_is_int, "an integer"),
+    "end_marker": (lambda v: isinstance(v, bool), "true or false"),
+    "window": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "grid": (
+        lambda v: v is None or (isinstance(v, list) and all(isinstance(t, str) for t in v)),
+        "a list of strings",
+    ),
+    "sorting": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a JSON-style dict (grid given as method tokens).
 
-    Raises ConfigurationError naming any key that is not a config field.
+    Raises ConfigurationError when ``data`` is not a dict, or naming the keys
+    that are not config fields, or the first key whose value has the wrong type.
     """
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"an experiment config must be a JSON object, got {type(data).__name__}"
+        )
+    unknown = sorted(data.keys() - _CONFIG_KEYS.keys())
+    if unknown:
+        raise ConfigurationError(f"unknown experiment config keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        valid, expected = _CONFIG_KEYS[key]
+        if not valid(value):
+            raise ConfigurationError(
+                f"experiment config {key!r} must be {expected}, got {value!r}"
+            )
     kwargs = dict(data)
     sorting = kwargs.pop("sorting", RANDOM_ORDER)
     tokens = kwargs.pop("grid", None)
-    unknown = sorted(kwargs.keys() - {f.name for f in fields(ExperimentConfig)})
-    if unknown:
-        raise ConfigurationError(f"unknown experiment config keys: {', '.join(unknown)}")
     if tokens is not None:
         kwargs["grid"] = tuple(parse_method_token(tok, sorting=sorting) for tok in tokens)
     else:
@@ -102,7 +129,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def config_from_json(path: str | Path) -> ExperimentConfig:
-    return config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"experiment config {path} is not valid JSON: {exc}") from None
+    return config_from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -179,23 +210,6 @@ def kfold_split(
     return splits
 
 
-def _fit_rows(
-    rows: list[FeatureRow], validation_fraction: float, rnd: Random
-) -> list[FeatureRow]:
-    """Hold out a validation share of rows; return the rows used for fitting.
-
-    The built-in predictor has no early stopping, but the holdout keeps the
-    training timings comparable to external trainers that do.
-    """
-    n_val = int(validation_fraction * len(rows))
-    if n_val == 0:
-        return rows
-    indices = list(range(len(rows)))
-    rnd.shuffle(indices)
-    kept = sorted(indices[n_val:])
-    return [rows[i] for i in kept]
-
-
 def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
     """Run the full repeats x folds x strategies benchmark on one log.
 
@@ -246,20 +260,15 @@ def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
                     with Stopwatch() as fe_watch:
                         feature_rows = extract_features(fit_log, config.end_marker)
                         encode(feature_rows, alphabet, window)
-                    fit = _fit_rows(
-                        feature_rows,
-                        config.validation_fraction,
-                        Random(derive_seed(config.seed, "val", repeat, fold)),
-                    )
                     with Stopwatch() as train_watch:
-                        model = train(fit, config.max_order, config.smoothing)
+                        model = train(feature_rows, config.max_order)
                 except (EmptySampleError, TrainingError) as exc:
                     if entry is None:
                         raise  # no cell of the fold can be scored without the baseline
                     # an annihilated training set fails this cell, not the run
                     rows.append(ExperimentRow(label, ok=False, error=str(exc), **fold_fields))
                     continue
-                accuracy = evaluate(model, test_rows).weighted_accuracy
+                accuracy = evaluate(model, test_rows).overall_accuracy
                 fe_seconds, train_seconds = fe_watch.seconds, train_watch.seconds
                 if entry is None:
                     base_accuracy, base_fe, base_train = accuracy, fe_seconds, train_seconds
@@ -421,16 +430,3 @@ def render_report(report: ExperimentReport, fmt: str = "csv") -> str:
         return "\n".join(lines) + "\n"
     raise ConfigurationError(f"unknown report format {fmt!r}")
 
-
-def parse_aggregates_csv(text: str) -> list[dict]:
-    """Read back what render_report('csv') produced, restoring numbers."""
-    reader = csv.DictReader(io.StringIO(text))
-    out = []
-    for record in reader:
-        parsed: dict = {"strategy": record["strategy"]}
-        for key, value in record.items():
-            if key == "strategy":
-                continue
-            parsed[key] = int(value) if key in ("runs", "failures") else float(value)
-        out.append(parsed)
-    return out

@@ -41,10 +41,6 @@ class FeatureRow:
     target: str
     case_id: str
 
-    @property
-    def prefix_length(self) -> int:
-        return len(self.prefix)
-
 
 @dataclass(frozen=True, eq=False)
 class EncodedRows:

@@ -1,8 +1,8 @@
 """Accuracy bookkeeping and the ratio metrics used by the benchmark.
 
-Accuracy is reported three ways: plain overall accuracy, support-weighted
-recall (the headline number, which coincides with overall accuracy by
-construction), and balanced accuracy (unweighted mean recall per class).
+Accuracy is reported two ways: overall accuracy, the exact share of
+correct predictions and the benchmark's headline number, and balanced
+accuracy (unweighted mean recall per class).
 The ratio metrics compare a sampled-training run against the full-training
 baseline: relative accuracy, feature-extraction speedup, and training
 speedup.
@@ -35,25 +35,12 @@ class ClassTally:
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    """Per-class tallies plus the three accuracy summaries."""
+    """Per-class tallies plus the two accuracy summaries."""
 
     per_class: dict[str, ClassTally]
     overall_accuracy: float
-    weighted_accuracy: float
     balanced_accuracy: float
     n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "overall_accuracy": self.overall_accuracy,
-            "weighted_accuracy": self.weighted_accuracy,
-            "balanced_accuracy": self.balanced_accuracy,
-            "per_class": {
-                label: {"support": t.support, "correct": t.correct}
-                for label, t in self.per_class.items()
-            },
-        }
 
 
 def evaluate(model: SequencePredictor, test_rows: Iterable[FeatureRow]) -> EvaluationResult:
@@ -78,9 +65,8 @@ def evaluate(model: SequencePredictor, test_rows: Iterable[FeatureRow]) -> Evalu
 
     per_class = {label: ClassTally(s, c) for label, (s, c) in sorted(counts.items())}
     overall = sum(t.correct for t in per_class.values()) / n
-    weighted = sum((t.support / n) * t.recall for t in per_class.values())
     balanced = sum(t.recall for t in per_class.values()) / len(per_class)
-    return EvaluationResult(per_class, overall, weighted, balanced, n)
+    return EvaluationResult(per_class, overall, balanced, n)
 
 
 def relative_accuracy(sampled: float, full: float) -> float:

@@ -142,10 +142,10 @@ def _representative_score(
 ) -> int:
     """How many of the case's attribute observations hit a modal value."""
     log = index.source_log
-    summaries = index.distributions[variant.activities]
+    modal_values = index.modal_values[variant.activities]
     score = 0
     for name in index.attributes:
-        modal = summaries[name].modal_values
+        modal = modal_values[name]
         if not modal:
             continue
         spec = log.attribute_schema[name]

@@ -1,19 +1,19 @@
-"""Variant partitioning and per-variant attribute distributions.
+"""Variant partitioning and per-variant modal attribute values.
 
 A variant is a distinct activity sequence; every case belongs to exactly one
-variant. The index groups cases by variant and summarises the requested
-attributes within each group, which is what representative trace ranking
+variant. The index groups cases by variant and keeps, for each requested
+attribute, the set of its most frequent values within each group (all ties,
+numeric attributes included), which is what representative trace ranking
 scores against.
 """
 
 from __future__ import annotations
 
-import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .log_model import CASE_SCOPE, CATEGORICAL, EVENT_SCOPE, EventLog, NUMERIC
+from .log_model import CASE_SCOPE, CATEGORICAL, EVENT_SCOPE, EventLog
 
 ActivitySeq = tuple[str, ...]
 
@@ -31,54 +31,20 @@ class Variant:
 
 
 @dataclass(frozen=True)
-class DistributionSummary:
-    """Value statistics of one attribute within one variant.
-
-    Categorical summaries keep raw value counts; numeric summaries keep mean
-    and median. Both keep the set of most frequent values (all ties), which
-    is what representative scoring matches observations against.
-    """
-
-    kind: str
-    modal_values: frozenset
-    value_frequencies: dict | None = None
-    mean: float | None = None
-    median: float | None = None
-    observations: int = 0
-
-
-@dataclass(frozen=True)
 class VariantIndex:
-    """Variant partition of a log plus per-variant attribute summaries."""
+    """Variant partition of a log plus per-variant modal attribute values."""
 
     variants: tuple[Variant, ...]
-    total_cases: int
     attributes: tuple[str, ...]
-    distributions: dict[ActivitySeq, dict[str, DistributionSummary]]
+    modal_values: dict[ActivitySeq, dict[str, frozenset]]
     source_log: EventLog = field(repr=False)
 
 
-def _summarise(kind: str, values: list) -> DistributionSummary:
+def _modal(values: list) -> frozenset:
+    """The most frequent values, all ties kept; empty when there are none."""
     counts = Counter(values)
-    if counts:
-        top = max(counts.values())
-        modal = frozenset(v for v, c in counts.items() if c == top)
-    else:
-        modal = frozenset()
-    if kind == NUMERIC and values:
-        return DistributionSummary(
-            kind=kind,
-            modal_values=modal,
-            mean=statistics.fmean(values),
-            median=float(statistics.median(values)),
-            observations=len(values),
-        )
-    return DistributionSummary(
-        kind=kind,
-        modal_values=modal,
-        value_frequencies=dict(counts),
-        observations=len(values),
-    )
+    top = max(counts.values(), default=0)
+    return frozenset(v for v, c in counts.items() if c == top)
 
 
 def default_attributes(log: EventLog) -> list[str]:
@@ -91,10 +57,10 @@ def default_attributes(log: EventLog) -> list[str]:
 
 
 def build_variant_index(log: EventLog, attributes: list[str] | None = None) -> VariantIndex:
-    """Group cases by variant and summarise the given attributes per variant.
+    """Group cases by variant and find the given attributes' modal values per variant.
 
     ``attributes`` defaults to every categorical event attribute; pass an
-    empty list to skip distribution computation entirely. Event-scoped
+    empty list to skip the attribute pass entirely. Event-scoped
     attributes pool one observation per event, case-scoped ones pool one per
     case.
     """
@@ -111,9 +77,9 @@ def build_variant_index(log: EventLog, attributes: list[str] | None = None) -> V
     ordered = sorted(members.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     variants = tuple(Variant(seq, tuple(ids)) for seq, ids in ordered)
 
-    distributions: dict[ActivitySeq, dict[str, DistributionSummary]] = {}
+    modal_values: dict[ActivitySeq, dict[str, frozenset]] = {}
     for variant in variants:
-        per_attr: dict[str, DistributionSummary] = {}
+        per_attr: dict[str, frozenset] = {}
         for name in attributes:
             spec = log.attribute_schema[name]
             values = []
@@ -128,13 +94,12 @@ def build_variant_index(log: EventLog, attributes: list[str] | None = None) -> V
                         value = ev.attributes.get(name)
                         if value is not None:
                             values.append(value)
-            per_attr[name] = _summarise(spec.kind, values)
-        distributions[variant.activities] = per_attr
+            per_attr[name] = _modal(values)
+        modal_values[variant.activities] = per_attr
 
     return VariantIndex(
         variants=variants,
-        total_cases=log.num_cases,
         attributes=tuple(attributes),
-        distributions=distributions,
+        modal_values=modal_values,
         source_log=log,
     )

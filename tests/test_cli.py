@@ -110,7 +110,8 @@ def test_train_predict_evaluate(runner, small_csv, tmp_path):
     assert result.exit_code == 0, result.output
     table = list(csv.reader(io.StringIO(result.output)))
     assert table[0][0] == "n"
-    assert float(dict(zip(table[0], table[1]))["weighted_accuracy"]) > 0.5
+    assert table[0] == ["n", "overall_accuracy", "balanced_accuracy"]
+    assert float(dict(zip(table[0], table[1]))["overall_accuracy"]) > 0.5
 
 
 def test_bench_writes_reports(runner, small_csv, tmp_path):
@@ -167,14 +168,31 @@ def test_bench_config_file(runner, small_csv, tmp_path):
     [
         (["--grid", "random:abc"], None, "'random:abc'"),
         ([], {"fold": 2, "grid": ["unique"]}, "fold"),
+        ([], {"folds": "3"}, "'folds'"),
+        ([], {"window": 2.5}, "'window'"),
+        ([], {"window": True}, "'window'"),
+        ([], [2, "unique"], "JSON object"),
+        ([], {"seed": "x"}, "'seed'"),
+        ([], {"repeats": False}, "'repeats'"),
+        ([], {"end_marker": "no"}, "'end_marker'"),
+        ([], {"grid": "d2"}, "'grid'"),
+        ([], {"grid": ["d2", 3]}, "'grid'"),
+        ([], {"sorting": 1}, "'sorting'"),
+        ([], '{"folds": 2', "not valid JSON"),
+        ([], {"validation_fraction": 0.1}, "unknown experiment config keys: validation_fraction"),
+        ([], {"smoothing": 0.01}, "unknown experiment config keys: smoothing"),
     ],
-    ids=["grid-token", "config-key"],
+    ids=[
+        "grid-token", "config-key", "folds-str", "window-float", "window-bool", "json-list",
+        "seed-str", "repeats-bool", "end-marker-str", "grid-str",
+        "grid-non-str-token", "sorting-int", "json-malformed", "validation-fraction", "smoothing",
+    ],
 )
 def test_bench_bad_settings_exit_with_error(small_csv, tmp_path, monkeypatch, capsys,
                                             args, config, named):
     if config is not None:
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
+        config_path.write_text(config if isinstance(config, str) else json.dumps(config))
         args = [*args, "--config", str(config_path)]
     argv = ["logsample", "bench", small_csv, *args, "-o", str(tmp_path / "report.csv")]
     monkeypatch.setattr(sys, "argv", argv)

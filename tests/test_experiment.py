@@ -1,6 +1,9 @@
 """Cross-validation harness: splits, the benchmark loop, and rendering."""
 
+import csv
 import dataclasses
+import io
+from random import Random
 
 import pytest
 
@@ -12,14 +15,16 @@ from logsample.experiment import (
     default_grid,
     derive_seed,
     kfold_split,
-    parse_aggregates_csv,
     render_report,
     run_experiment,
     write_rows_csv,
 )
+from logsample.features import extract_features
+from logsample.metrics import evaluate
+from logsample.predictor import train
 from logsample.sampling import RANDOM_ORDER, SamplingConfig, parse_method_token
 
-from helpers import log_from_variants, skewed_log
+from helpers import log_from_variants, random_variant_freqs, skewed_log
 
 
 def small_log():
@@ -85,7 +90,7 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(grid=())
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(validation_fraction=1.0)
+            ExperimentConfig(max_order=-1)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(grid=grid("d2", "d2"))
 
@@ -128,9 +133,7 @@ class TestRunExperiment:
             assert row.accuracy_sampled == row.accuracy_full
 
     def test_skewed_division_reduction(self):
-        config = ExperimentConfig(
-            folds=2, repeats=1, grid=grid("d10"), seed=0, validation_fraction=0.0
-        )
+        config = ExperimentConfig(folds=2, repeats=1, grid=grid("d10"), seed=0)
         report = run_experiment(skewed_log(), config)
         for row in report.rows:
             if row.strategy == "d10":
@@ -174,6 +177,21 @@ class TestRunExperiment:
         for row in report.rows:
             by_fold.setdefault((row.repeat, row.fold), set()).add(row.accuracy_full)
         assert all(len(values) == 1 for values in by_fold.values())
+
+    def test_baseline_accuracy_is_full_fold_overall_accuracy(self):
+        # the baseline trains on every feature row of the training fold
+        log = log_from_variants(
+            random_variant_freqs(Random(2210), max_variants=14, max_freq=40, max_len=6)
+        )
+        config = ExperimentConfig(folds=3, repeats=2, grid=grid("d2"), seed=12)
+        report = run_experiment(log, config)
+        for repeat in range(config.repeats):
+            splits = kfold_split(log, config.folds, derive_seed(config.seed, "folds", repeat))
+            for fold, (train_log, test_log) in enumerate(splits):
+                model = train(extract_features(train_log), config.max_order)
+                expected = evaluate(model, extract_features(test_log)).overall_accuracy
+                cells = [r for r in report.rows if (r.repeat, r.fold) == (repeat, fold)]
+                assert [r.accuracy_full for r in cells] == [expected, expected]
 
     def test_aggregates_are_means_of_rows(self):
         config = ExperimentConfig(folds=3, repeats=2, grid=grid("d2"), seed=5)
@@ -238,10 +256,12 @@ class TestRendering:
 
     def test_csv_round_trip(self, report):
         text = render_report(report, "csv")
-        parsed = parse_aggregates_csv(text)
-        by_strategy = {p["strategy"]: p for p in parsed}
-        assert by_strategy["d2"]["reduction_rate"] == report.aggregates["d2"].reduction_rate
-        assert by_strategy["unique"]["rel_accuracy"] == report.aggregates["unique"].rel_accuracy
+        by_strategy = {r["strategy"]: r for r in csv.DictReader(io.StringIO(text))}
+        assert float(by_strategy["d2"]["reduction_rate"]) == report.aggregates["d2"].reduction_rate
+        assert (
+            float(by_strategy["unique"]["rel_accuracy"])
+            == report.aggregates["unique"].rel_accuracy
+        )
 
     def test_markdown_has_column_pairs_per_strategy(self, report):
         text = render_report(report, "markdown")

@@ -55,7 +55,7 @@ class TestExtractFeatures:
         assert {r.case_id for r in rows} == set(tiny_log.cases)
         for row in rows:
             trace = tiny_log.trace(row.case_id)
-            assert row.prefix == trace[: row.prefix_length]
+            assert row.prefix == trace[: len(row.prefix)]
 
     def test_reserved_marker_collision_rejected(self):
         log = log_from_variants([((END_MARKER,), 1)])

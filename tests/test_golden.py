@@ -1,9 +1,14 @@
 """Golden outputs, byte for byte: a fixed-seed ``logsample bench`` run, an export, a log.
 
-The core CSV is the behavioural contract of the benchmark.
-``tests/data/bench_core.csv`` was written by this same run before the
-evaluation path was reworked, so any change to what the pipeline computes
-(splits, samples, models, predictions, accuracies) shows up here.
+The core CSV is the behavioural contract of the benchmark, so any change
+to what the pipeline computes (splits, samples, models, predictions,
+accuracies) shows up here. ``tests/data/bench_core.csv`` was regenerated
+once, on purpose, by this same run when the contract was revised: models
+now train on every feature row of the training fold (a random 10% had been
+held out for a validation split that the predictor never read), and cells
+report overall accuracy, the exact count ratio, instead of support-weighted
+recall, which equalled it up to rounding. That changed 120 accuracy cells;
+every other cell kept its bytes.
 
 Random and representative ranking share one expected file: sampling keeps
 the same number of cases of each variant whatever the ranking, and the

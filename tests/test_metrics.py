@@ -49,9 +49,8 @@ def per_row_reference(model, test_rows):
     per_class = {label: ClassTally(s, c) for label, (s, c) in sorted(counts.items())}
     n = len(test_rows)
     overall = sum(t.correct for t in per_class.values()) / n
-    weighted = sum((t.support / n) * t.recall for t in per_class.values())
     balanced = sum(t.recall for t in per_class.values()) / len(per_class)
-    return per_class, n, overall, weighted, balanced
+    return per_class, n, overall, balanced
 
 
 prefixes = st.lists(st.sampled_from("abc"), max_size=4).map(tuple)
@@ -62,14 +61,12 @@ class TestEvaluate:
     def test_all_correct(self):
         result = evaluate(FixedPredictor("b"), rows(["b"] * 10))
         assert result.overall_accuracy == 1.0
-        assert result.weighted_accuracy == 1.0
         assert result.balanced_accuracy == 1.0
         assert result.n == 10
 
     def test_skewed_classes(self):
         result = evaluate(FixedPredictor("b"), rows(["b"] * 9 + ["c"]))
         assert result.overall_accuracy == pytest.approx(0.9)
-        assert result.weighted_accuracy == pytest.approx(0.9)
         assert result.balanced_accuracy == pytest.approx(0.5)
         assert result.per_class["b"].support == 9
         assert result.per_class["c"].correct == 0
@@ -77,7 +74,6 @@ class TestEvaluate:
     def test_all_wrong(self):
         result = evaluate(FixedPredictor("x"), rows(["b", "c"]))
         assert result.overall_accuracy == 0.0
-        assert result.weighted_accuracy == 0.0
         assert result.balanced_accuracy == 0.0
 
     def test_empty_test_set(self):
@@ -104,11 +100,10 @@ class TestEvaluate:
             for _ in range(times)
         ]
         result = evaluate(model, test_rows)
-        per_class, n, overall, weighted, balanced = per_row_reference(model, test_rows)
+        per_class, n, overall, balanced = per_row_reference(model, test_rows)
         assert result.per_class == per_class
         assert result.n == n
         assert result.overall_accuracy == overall
-        assert result.weighted_accuracy == weighted
         assert result.balanced_accuracy == balanced
 
     def test_predicts_each_distinct_prefix_once(self):
@@ -123,12 +118,6 @@ class TestEvaluate:
         assert sorted(model.calls) == [("a",), ("a", "b")]
         assert result.per_class["b"] == ClassTally(2, 2)
         assert result.per_class["c"] == ClassTally(2, 0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=40))
-    def test_weighted_equals_overall(self, targets):
-        result = evaluate(FixedPredictor("a"), rows(targets))
-        assert result.weighted_accuracy == pytest.approx(result.overall_accuracy, abs=1e-12)
 
 
 class TestRatios:

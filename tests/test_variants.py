@@ -1,4 +1,4 @@
-"""Variant partitioning and per-variant distribution summaries."""
+"""Variant partitioning and per-variant modal attribute values."""
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +24,7 @@ class TestBuildVariantIndex:
 
     def test_frequencies_sum_to_total(self, skewed):
         index = build_variant_index(skewed)
-        assert sum(v.frequency for v in index.variants) == index.total_cases
-        assert index.total_cases == skewed.num_cases
+        assert sum(v.frequency for v in index.variants) == skewed.num_cases
 
     def test_members_share_the_variant_sequence(self, skewed):
         index = build_variant_index(skewed)
@@ -42,10 +41,7 @@ class TestBuildVariantIndex:
             [(("a", "b"), 2)], event_attrs=attrs, schema=resource_schema()
         )
         index = build_variant_index(log, ["resource"])
-        summary = index.distributions[("a", "b")]["resource"]
-        assert summary.value_frequencies == {"r1": 3, "r2": 1}
-        assert summary.modal_values == {"r1"}
-        assert summary.observations == 4
+        assert index.modal_values[("a", "b")]["resource"] == {"r1"}
 
     def test_modal_ties_keep_all_values(self):
         def attrs(case_n, event_idx):
@@ -55,21 +51,19 @@ class TestBuildVariantIndex:
             [(("a",), 2)], event_attrs=attrs, schema=resource_schema()
         )
         index = build_variant_index(log, ["resource"])
-        assert index.distributions[("a",)]["resource"].modal_values == {"r1", "r2"}
+        assert index.modal_values[("a",)]["resource"] == {"r1", "r2"}
 
     def test_numeric_distribution(self):
         def attrs(case_n, event_idx):
-            return {"cost": [1, 2, 9][case_n]}
+            return {"cost": [1, 2, 9, 2][case_n]}
 
         log = log_from_variants(
-            [(("a",), 3)],
+            [(("a",), 4)],
             event_attrs=attrs,
             schema={"cost": AttributeSpec(NUMERIC, "event")},
         )
         index = build_variant_index(log, ["cost"])
-        summary = index.distributions[("a",)]["cost"]
-        assert summary.mean == 4.0
-        assert summary.median == 2.0
+        assert index.modal_values[("a",)]["cost"] == {2}
 
     def test_case_scope_pools_one_value_per_case(self):
         log = log_from_variants(
@@ -78,8 +72,7 @@ class TestBuildVariantIndex:
             schema={"channel": AttributeSpec(CATEGORICAL, CASE_SCOPE)},
         )
         index = build_variant_index(log, ["channel"])
-        summary = index.distributions[("a", "b")]["channel"]
-        assert summary.value_frequencies == {"web": 2, "phone": 1}
+        assert index.modal_values[("a", "b")]["channel"] == {"web"}
 
     def test_unknown_attribute(self, tiny_log):
         with pytest.raises(ConfigurationError, match="no_such"):
@@ -88,7 +81,7 @@ class TestBuildVariantIndex:
     def test_empty_attribute_list_skips_distributions(self, tiny_log):
         index = build_variant_index(tiny_log, [])
         assert index.attributes == ()
-        assert all(not d for d in index.distributions.values())
+        assert all(not d for d in index.modal_values.values())
 
     def test_invariant_under_case_reordering(self):
         freqs = [(("a", "b"), 2), (("c",), 3), (("a",), 1)]
