@@ -26,6 +26,9 @@ from .log_model import EventLog
 
 END_MARKER = "<END>"
 
+# default_window covers this percentage of traces in full.
+WINDOW_PERCENTILE = 95
+
 # Upper bound on the bytes of one encoded block. A single matrix for a whole
 # training fold is the largest allocation of a run, and the allocator maps
 # fresh pages for it instead of reusing freed heap (+8% peak RSS on a 300-case
@@ -183,11 +186,11 @@ def _last_field(value: str) -> str:
     return buffer.getvalue()[1:]
 
 
-def default_window(trace_lengths: Sequence[int], percentile: float = 95.0) -> int:
-    """Window heuristic: the given percentile (nearest rank) of trace lengths."""
+def default_window(trace_lengths: Sequence[int]) -> int:
+    """Window heuristic: the 95th percentile (nearest rank) of trace lengths."""
     if not trace_lengths:
         return 1
     ordered = sorted(trace_lengths)
-    rank = math.ceil(percentile / 100.0 * len(ordered))
+    rank = math.ceil(WINDOW_PERCENTILE / 100 * len(ordered))
     rank = min(max(rank, 1), len(ordered))
     return max(1, ordered[rank - 1])

@@ -14,11 +14,12 @@ import gzip
 import math
 import re
 import xml.etree.ElementTree as ET
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -262,20 +263,41 @@ def _number(value: str) -> int | float:
 _CONVERTERS = {NUMERIC: _number, INSTANT: parse_instant}
 
 
+def _records(fh, path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) per CSV record; unreadable input raises RowError with its line."""
+    reader = csv.reader(fh)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise RowError(str(exc), reader.line_num) from None
+    except UnicodeDecodeError:
+        # the decoder reads ahead in blocks, so the bad byte is found in the file itself
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise RowError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8", line) from None
+        raise
+
+
 def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:
     """Parse a CSV event log (UTF-8 with or without a BOM, header row, RFC-4180 quoting).
 
-    Raises SchemaError when a mandatory column is missing or a column name
-    repeats, RowError with the line number for unusable rows (including rows
-    with more fields than the header, and values a column declared numeric
-    or instant cannot read), and EmptyLogError when there are no data rows.
+    Raises SchemaError when a mandatory column is missing, a column name
+    repeats or a column is declared with an unknown kind, RowError with the
+    line number for unusable rows (including rows with more fields than the
+    header, values a column declared numeric or instant cannot read, bytes
+    that are not UTF-8 and fields over the csv module's size limit), and
+    EmptyLogError when there are no data rows.
     """
     mapping = mapping or ColumnMapping()
     path = Path(path)
+    events: list[Event] = []
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        records = _records(fh, path)
         try:
-            header = next(reader)
+            _, header = next(records)
         except StopIteration:
             raise EmptyLogError(f"{path}: file is empty") from None
 
@@ -296,6 +318,10 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
             for i, name in enumerate(header)
             if i not in (case_idx, act_idx, time_idx)
         ]
+        for _, name in attr_cols:
+            declared = mapping.attribute_kinds.get(name)
+            if declared is not None and declared not in (CATEGORICAL, NUMERIC, INSTANT):
+                raise SchemaError(f"unknown attribute kind {declared!r} for column {name!r}")
 
         # Values of a column declared numeric or instant are checked as they
         # are read, where the line is known; inferred kinds read every value.
@@ -305,9 +331,7 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
             if (kind := mapping.attribute_kinds.get(name)) in _CONVERTERS
         ]
 
-        raw_rows: list[tuple[str, str, datetime, dict[str, str]]] = []
-        for row in reader:
-            line = reader.line_num
+        for line, row in records:
             if not any(row):
                 continue
             if len(row) > len(header):
@@ -336,74 +360,42 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
                             f"column {name!r} holds unreadable {kind} value {row[i]!r}", line
                         ) from None
             attrs = {name: row[i] for i, name in attr_cols if row[i] != ""}
-            raw_rows.append((case_id, activity, ts, attrs))
+            events.append(Event(case_id, activity, ts, attrs))
 
-    if not raw_rows:
+    if not events:
         raise EmptyLogError(f"{path}: no data rows")
+    log = build_log(events)
 
-    # Kind per attribute column: declared wins, else inferred from all values.
-    kinds: dict[str, str] = {}
+    # Each column is settled once, in header order: its kind is declared or
+    # inferred from every value; it moves to the cases when every event holds
+    # it with one text per case; numeric and instant values are converted,
+    # categorical ones stay the text read.
+    cases = log.cases.values()
     for _, name in attr_cols:
-        declared = mapping.attribute_kinds.get(name)
-        if declared is not None:
-            if declared not in (CATEGORICAL, NUMERIC, INSTANT):
-                raise SchemaError(f"unknown attribute kind {declared!r} for column {name!r}")
-            kinds[name] = declared
-        else:
-            observed = [attrs[name] for _, _, _, attrs in raw_rows if name in attrs]
-            kinds[name] = _infer_kind(observed)
-
-    # A column is promoted to a case attribute when, in every case, it is
-    # present on every row with one constant value.
-    rows_per_case: dict[str, list[dict[str, str]]] = {}
-    for case_id, _, _, attrs in raw_rows:
-        rows_per_case.setdefault(case_id, []).append(attrs)
-
-    promoted: list[str] = []
-    for _, name in attr_cols:
-        constant = True
-        seen_any = False
-        for attr_rows in rows_per_case.values():
-            values = {attrs.get(name) for attrs in attr_rows}
-            if len(values) != 1 or None in values:
-                constant = False
-                break
-            seen_any = True
-        if constant and seen_any:
-            promoted.append(name)
-
-    # Numeric and instant values are converted in place, column by column;
-    # categorical values stay the text read. A case attribute is converted
-    # on the first row of each case, the row its value is taken from.
-    first_rows = [attr_rows[0] for attr_rows in rows_per_case.values()]
-    for name, kind in kinds.items():
-        if kind == CATEGORICAL:
+        values = [
+            ev.attributes[name] for case in cases for ev in case.events if name in ev.attributes
+        ]
+        if not values:
             continue
-        convert = _CONVERTERS[kind]
-        for attrs in first_rows if name in promoted else map(itemgetter(3), raw_rows):
-            if name in attrs:
-                attrs[name] = convert(attrs[name])
-
-    events = [
-        Event(
-            case_id,
-            activity,
-            ts,
-            {name: value for name, value in attrs.items() if name not in promoted},
-        )
-        for case_id, activity, ts, attrs in raw_rows
-    ]
-    case_attributes = {
-        case_id: {name: attr_rows[0][name] for name in promoted}
-        for case_id, attr_rows in rows_per_case.items()
-    }
-
-    schema = {
-        name: AttributeSpec(kinds[name], CASE_SCOPE if name in promoted else EVENT_SCOPE)
-        for _, name in attr_cols
-        if any(name in attrs for _, _, _, attrs in raw_rows)
-    }
-    return build_log(events, case_attributes, schema)
+        kind = mapping.attribute_kinds.get(name) or _infer_kind(values)
+        convert = _CONVERTERS.get(kind)
+        if len(values) == len(events) and all(
+            len({ev.attributes[name] for ev in case.events}) == 1 for case in cases
+        ):
+            log.attribute_schema[name] = AttributeSpec(kind, CASE_SCOPE)
+            for case in cases:
+                value = case.events[0].attributes[name]
+                case.attributes[name] = value if convert is None else convert(value)
+                for ev in case.events:
+                    del ev.attributes[name]
+        else:
+            log.attribute_schema[name] = AttributeSpec(kind, EVENT_SCOPE)
+            if convert is not None:
+                for case in cases:
+                    for ev in case.events:
+                        if name in ev.attributes:
+                            ev.attributes[name] = convert(ev.attributes[name])
+    return log
 
 
 def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = None) -> None:
@@ -501,6 +493,8 @@ def parse_xes(path: str | Path) -> EventLog:
     except ET.ParseError as exc:
         line, col = exc.position
         raise XesParseError(f"{path}: malformed XML at line {line}, column {col}") from None
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise XesParseError(f"{path}: corrupt gzip data: {exc}") from None
 
     root = tree.getroot()
     events: list[Event] = []

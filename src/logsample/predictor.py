@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import TrainingError
+from .errors import ConfigurationError, TrainingError
 from .features import END_MARKER, FeatureRow
 
 Suffix = tuple[str, ...]
@@ -149,5 +149,47 @@ def save_model(model: PrefixTreeModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(model.to_dict(), indent=2), encoding="utf-8")
 
 
+def _is_table(entry, labels: set[str]) -> bool:
+    """Whether a model file's table entry has the shape save_model writes."""
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("suffix"), list)
+        and all(isinstance(activity, str) for activity in entry["suffix"])
+        and isinstance(entry.get("counts"), dict)
+        and entry["counts"].keys() <= labels
+        and all(type(count) is int for count in entry["counts"].values())
+    )
+
+
 def load_model(path: str | Path) -> PrefixTreeModel:
-    return PrefixTreeModel.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a model written by :func:`save_model`.
+
+    Raises ConfigurationError naming the file when it is not UTF-8 JSON, or
+    not an object whose fields have the shape save_model writes.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigurationError(f"model file {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"model file {path} must hold a JSON object, got {type(data).__name__}"
+        )
+    labels = data.get("labels")
+    labels_ok = isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+    known = set(labels) if labels_ok else set()
+    tables = data.get("tables")
+    if not (
+        type(data.get("max_order")) is int
+        and type(data.get("smoothing")) in (int, float)
+        and labels_ok
+        and isinstance(tables, list)
+        and all(_is_table(entry, known) for entry in tables)
+        and any(entry["suffix"] == [] for entry in tables)
+    ):
+        raise ConfigurationError(
+            f"model file {path} is not a model: it needs an integer max_order, a number"
+            " smoothing, a list of labels and a tables list that holds the empty suffix"
+            " and counts only those labels"
+        )
+    return PrefixTreeModel.from_dict(data)

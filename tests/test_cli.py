@@ -114,6 +114,29 @@ def test_train_predict_evaluate(runner, small_csv, tmp_path):
     assert float(dict(zip(table[0], table[1]))["overall_accuracy"]) > 0.5
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"max_order": 2, "smoothing": 0.0',
+        '[2, "labels"]',
+        '{"max_order": "2", "smoothing": 0.0, "labels": [],'
+        ' "tables": [{"suffix": [], "counts": {}}]}',
+        '{"max_order": 1, "smoothing": 0.0, "labels": [],'
+        ' "tables": [{"suffix": [], "counts": {"x": 1}}]}',
+    ],
+    ids=["truncated-json", "json-list", "max-order-str", "unknown-label"],
+)
+def test_predict_on_a_bad_model_file_exits_with_error(tmp_path, monkeypatch, capsys, text):
+    model_path = tmp_path / "bad_model.json"
+    model_path.write_text(text)
+    monkeypatch.setattr(sys, "argv", ["logsample", "predict", str(model_path), "--prefix", "a"])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model file ") and "bad_model.json" in err
+
+
 def test_bench_writes_reports(runner, small_csv, tmp_path):
     out = tmp_path / "report.csv"
     result = runner.invoke(

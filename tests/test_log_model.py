@@ -1,7 +1,11 @@
 """CSV / XES parsing, CSV writing, and the structural log invariants."""
 
+import csv
 import gzip
+import tempfile
 from datetime import datetime, timedelta, timezone
+from operator import itemgetter
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -15,8 +19,12 @@ from logsample.log_model import (
     EVENT_SCOPE,
     INSTANT,
     NUMERIC,
+    AttributeSpec,
     ColumnMapping,
     Event,
+    EventLog,
+    _CONVERTERS,
+    _infer_kind,
     build_log,
     format_instant,
     load_log,
@@ -206,6 +214,25 @@ class TestParseCsv:
         with pytest.raises(RowError, match=r"line 3: .*'cost'.*'abc'"):
             parse_csv(write(tmp_path / "log.csv", text), mapping)
 
+    def test_unknown_declared_kind_names_the_column_before_rows_are_read(self, tmp_path):
+        text = "case_id,activity,timestamp,cost\n1,a,not-a-time,5\n"
+        mapping = ColumnMapping(attribute_kinds={"cost": "money"})
+        with pytest.raises(SchemaError, match="'money' for column 'cost'"):
+            parse_csv(write(tmp_path / "log.csv", text), mapping)
+
+    def test_byte_that_is_not_utf8_reports_its_line(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(CSV_BASIC.encode("utf-8").replace(b"2,a,", b"2,\xff,"))
+        with pytest.raises(RowError, match=r"line 4: byte 0xff is not UTF-8") as err:
+            parse_csv(path)
+        assert err.value.line == 4
+
+    def test_field_over_the_csv_size_limit_reports_its_line(self, tmp_path):
+        text = CSV_BASIC.replace("1,b,", "1," + "b" * (csv.field_size_limit() + 1) + ",")
+        with pytest.raises(RowError, match="line 3: field larger than field limit") as err:
+            parse_csv(write(tmp_path / "log.csv", text))
+        assert err.value.line == 3
+
     def test_custom_column_names(self, tmp_path):
         text = "Case,Task,When\n9,a,2021-01-01T10:00:00\n"
         mapping = ColumnMapping(case_col="Case", activity_col="Task", time_col="When")
@@ -217,6 +244,279 @@ class TestParseCsv:
         a = parse_csv(path)
         b = parse_csv(path)
         assert a == b
+
+
+def reference_parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:
+    """``parse_csv`` before it built each event once, kept verbatim as the oracle.
+
+    Raises SchemaError when a mandatory column is missing or a column name
+    repeats, RowError with the line number for unusable rows (including rows
+    with more fields than the header, and values a column declared numeric
+    or instant cannot read), and EmptyLogError when there are no data rows.
+    """
+    mapping = mapping or ColumnMapping()
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyLogError(f"{path}: file is empty") from None
+
+        seen: set[str] = set()
+        for name in header:
+            if name in seen:
+                raise SchemaError(f"{path}: duplicate column {name!r}")
+            seen.add(name)
+
+        for col in (mapping.case_col, mapping.activity_col, mapping.time_col):
+            if col not in header:
+                raise SchemaError(f"{path}: missing mandatory column {col!r}")
+        case_idx = header.index(mapping.case_col)
+        act_idx = header.index(mapping.activity_col)
+        time_idx = header.index(mapping.time_col)
+        attr_cols = [
+            (i, name)
+            for i, name in enumerate(header)
+            if i not in (case_idx, act_idx, time_idx)
+        ]
+
+        # Values of a column declared numeric or instant are checked as they
+        # are read, where the line is known; inferred kinds read every value.
+        checked = [
+            (i, name, kind)
+            for i, name in attr_cols
+            if (kind := mapping.attribute_kinds.get(name)) in _CONVERTERS
+        ]
+
+        raw_rows: list[tuple[str, str, datetime, dict[str, str]]] = []
+        for row in reader:
+            line = reader.line_num
+            if not any(row):
+                continue
+            if len(row) > len(header):
+                raise RowError(f"{len(row)} fields, but the header has {len(header)}", line)
+            if len(row) < len(header):
+                row = row + [""] * (len(header) - len(row))
+            case_id = row[case_idx].strip()
+            activity = row[act_idx].strip()
+            if not case_id:
+                raise RowError("empty case id", line)
+            if not activity:
+                raise RowError("empty activity", line)
+            try:
+                ts = parse_instant(row[time_idx])
+            except ValueError:
+                raise RowError(
+                    f"unparseable timestamp {row[time_idx]!r} in column {mapping.time_col!r}",
+                    line,
+                ) from None
+            for i, name, kind in checked:
+                if row[i] != "":
+                    try:
+                        _CONVERTERS[kind](row[i])
+                    except ValueError:
+                        raise RowError(
+                            f"column {name!r} holds unreadable {kind} value {row[i]!r}", line
+                        ) from None
+            attrs = {name: row[i] for i, name in attr_cols if row[i] != ""}
+            raw_rows.append((case_id, activity, ts, attrs))
+
+    if not raw_rows:
+        raise EmptyLogError(f"{path}: no data rows")
+
+    # Kind per attribute column: declared wins, else inferred from all values.
+    kinds: dict[str, str] = {}
+    for _, name in attr_cols:
+        declared = mapping.attribute_kinds.get(name)
+        if declared is not None:
+            if declared not in (CATEGORICAL, NUMERIC, INSTANT):
+                raise SchemaError(f"unknown attribute kind {declared!r} for column {name!r}")
+            kinds[name] = declared
+        else:
+            observed = [attrs[name] for _, _, _, attrs in raw_rows if name in attrs]
+            kinds[name] = _infer_kind(observed)
+
+    # A column is promoted to a case attribute when, in every case, it is
+    # present on every row with one constant value.
+    rows_per_case: dict[str, list[dict[str, str]]] = {}
+    for case_id, _, _, attrs in raw_rows:
+        rows_per_case.setdefault(case_id, []).append(attrs)
+
+    promoted: list[str] = []
+    for _, name in attr_cols:
+        constant = True
+        seen_any = False
+        for attr_rows in rows_per_case.values():
+            values = {attrs.get(name) for attrs in attr_rows}
+            if len(values) != 1 or None in values:
+                constant = False
+                break
+            seen_any = True
+        if constant and seen_any:
+            promoted.append(name)
+
+    # Numeric and instant values are converted in place, column by column;
+    # categorical values stay the text read. A case attribute is converted
+    # on the first row of each case, the row its value is taken from.
+    first_rows = [attr_rows[0] for attr_rows in rows_per_case.values()]
+    for name, kind in kinds.items():
+        if kind == CATEGORICAL:
+            continue
+        convert = _CONVERTERS[kind]
+        for attrs in first_rows if name in promoted else map(itemgetter(3), raw_rows):
+            if name in attrs:
+                attrs[name] = convert(attrs[name])
+
+    events = [
+        Event(
+            case_id,
+            activity,
+            ts,
+            {name: value for name, value in attrs.items() if name not in promoted},
+        )
+        for case_id, activity, ts, attrs in raw_rows
+    ]
+    case_attributes = {
+        case_id: {name: attr_rows[0][name] for name in promoted}
+        for case_id, attr_rows in rows_per_case.items()
+    }
+
+    schema = {
+        name: AttributeSpec(kinds[name], CASE_SCOPE if name in promoted else EVENT_SCOPE)
+        for _, name in attr_cols
+        if any(name in attrs for _, _, _, attrs in raw_rows)
+    }
+    return build_log(events, case_attributes, schema)
+
+
+# Cell texts by the kind they read as. "007" reads as the number 7, and the
+# three spellings of one instant differ as text but not as a datetime.
+CELL_TEXTS = {
+    "int": ["0", "1", "-7", "007", "42"],
+    "float": ["1.0", "2.5", "-0.5", "1e3"],
+    "non-finite": ["nan", "inf", "-Infinity"],
+    "instant": ["2021-02-01T00:00:00", "2021-02-01T00:00:00Z", "2021-02-01T01:00:00+01:00"],
+    "text": ["web", "phone", "a b", "x,y", 'say "hi"'],
+}
+
+# Row timestamps: ties, one instant in two spellings, and (rarely) an unreadable one.
+STAMPS = [
+    "2021-01-01T10:00:00",
+    "2021-01-01T10:00:00Z",
+    "2021-01-01T09:00:00-01:00",
+    "2021-01-01T10:05:00.123456",
+    "2021-01-01T09:59:59.999",
+    "2021-01-01T11:00:00+02:00",
+]
+
+# How an attribute column is filled: one text per case; one text per case but
+# one cell of the case left empty; any text or empty per row; "1" and "1.0"
+# alternating within a case.
+COLUMN_MODES = ["per-case", "per-case-with-gap", "per-row", "one-and-one-point-zero"]
+
+
+@st.composite
+def csv_logs(draw):
+    """CSV text, and the kinds declared for it, with the shapes parse_csv must tell apart."""
+    columns = [f"c{j}" for j in range(draw(st.integers(0, 4)))]
+    modes = {col: draw(st.sampled_from(COLUMN_MODES)) for col in columns}
+    texts = {
+        col: sorted(
+            text
+            for kind in draw(st.sets(st.sampled_from(sorted(CELL_TEXTS)), min_size=1, max_size=2))
+            for text in CELL_TEXTS[kind]
+        )
+        for col in columns
+    }
+    declared = {
+        col: kind
+        for col in columns
+        if (kind := draw(st.sampled_from([None] * 6 + [CATEGORICAL, NUMERIC, INSTANT])))
+    }
+    header = draw(st.permutations(["case_id", "activity", "timestamp", *columns]))
+
+    rows = []
+    for case in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(1, 4))
+        own = {col: draw(st.sampled_from(texts[col])) for col in columns}
+        gap = draw(st.integers(0, length - 1))
+        for position in range(length):
+            cells = {
+                "case_id": f"k{case}",
+                "activity": draw(st.sampled_from("abc")),
+                "timestamp": draw(st.sampled_from(STAMPS)),
+            }
+            for col, mode in modes.items():
+                if mode == "per-case":
+                    cells[col] = own[col]
+                elif mode == "per-case-with-gap":
+                    cells[col] = "" if position == gap else own[col]
+                elif mode == "per-row":
+                    cells[col] = draw(st.sampled_from(["", *texts[col]]))
+                else:
+                    cells[col] = "1" if position % 2 == 0 else "1.0"
+            rows.append([cells[name] for name in header])
+    rows = draw(st.permutations(rows))  # out of timestamp order, cases interleaved
+
+    if draw(st.integers(0, 9)) == 0:  # now and then, an unusable row
+        row = list(draw(st.sampled_from(rows)))
+        fault = draw(st.sampled_from(["timestamp", "activity", "case_id", "extra"]))
+        if fault == "extra":
+            row.append("surplus")
+        else:
+            row[header.index(fault)] = "not-a-time" if fault == "timestamp" else ""
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [""] * len(header))  # blank record
+    short = draw(st.booleans())
+    for row in rows:
+        while short and row and row[-1] == "":  # short rows: trailing empty cells dropped
+            row.pop()
+    return header, rows, declared
+
+
+def parsed(parse, path, mapping):
+    """Everything a parser returns, with value types and key order, or its error."""
+    try:
+        log = parse(path, mapping)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+    def items(attributes):
+        return [(name, type(value), repr(value)) for name, value in attributes.items()]
+
+    return (
+        [
+            (
+                case_id,
+                case.case_id,
+                case.trace,
+                items(case.attributes),
+                [
+                    (ev.case_id, ev.activity, repr(ev.timestamp), items(ev.attributes))
+                    for ev in case.events
+                ],
+            )
+            for case_id, case in log.cases.items()
+        ],
+        list(log.attribute_schema.items()),
+        sorted(log.activity_alphabet),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_logs())
+def test_parse_csv_matches_reference(generated):
+    header, rows, declared = generated
+    mapping = ColumnMapping(attribute_kinds=declared)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        assert parsed(parse_csv, path, mapping) == parsed(reference_parse_csv, path, mapping)
 
 
 class TestWriteCsv:
@@ -285,6 +585,20 @@ class TestParseXes:
             fh.write(XES_BASIC)
         log = parse_xes(path)
         assert log.num_cases == 1
+
+    @pytest.mark.parametrize("damage", ["not-gzip", "truncated", "byte-flipped"])
+    def test_corrupt_gzip_is_a_parse_error(self, tmp_path, damage):
+        data = gzip.compress(XES_BASIC.encode("utf-8"), mtime=0)
+        if damage == "not-gzip":
+            data = XES_BASIC.encode("utf-8")
+        elif damage == "truncated":
+            data = data[: len(data) // 2]
+        else:
+            data = data[:11] + bytes([data[11] ^ 0xFF]) + data[12:]
+        path = tmp_path / "log.xes.gz"
+        path.write_bytes(data)
+        with pytest.raises(XesParseError, match="log.xes.gz"):
+            parse_xes(path)
 
     def test_load_log_dispatches_on_suffix(self, tmp_path):
         xes = write(tmp_path / "log.xes", XES_BASIC)
