@@ -17,7 +17,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from random import Random
 from typing import Sequence
@@ -131,9 +131,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def config_from_json(path: str | Path) -> ExperimentConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigurationError(f"experiment config {path} is not valid JSON: {exc}") from None
     return config_from_dict(data)
+
+
+# Marks the wall-clock fields of a row: they go to the timing sidecar, not the core CSV.
+_TIMING = {"timing": True}
 
 
 @dataclass(frozen=True)
@@ -153,16 +157,20 @@ class ExperimentRow:
     accuracy_full: float = 0.0
     accuracy_sampled: float = 0.0
     rel_accuracy: float = 0.0
-    sampling_seconds: float = 0.0
-    fe_seconds: float = 0.0
-    train_seconds: float = 0.0
-    fe_speedup: float = 0.0
-    train_speedup: float = 0.0
+    sampling_seconds: float = field(default=0.0, metadata=_TIMING)
+    fe_seconds: float = field(default=0.0, metadata=_TIMING)
+    train_seconds: float = field(default=0.0, metadata=_TIMING)
+    fe_speedup: float = field(default=0.0, metadata=_TIMING)
+    train_speedup: float = field(default=0.0, metadata=_TIMING)
 
 
 @dataclass(frozen=True)
 class StrategyAggregate:
-    """Arithmetic means over the successful rows of one strategy."""
+    """Arithmetic means over the successful rows of one strategy.
+
+    Every field after ``failures`` is the mean of the row field of the same
+    name, or of the one its ``mean_of`` metadata names.
+    """
 
     strategy: str
     runs: int
@@ -171,7 +179,7 @@ class StrategyAggregate:
     rel_accuracy: float = 0.0
     fe_speedup: float = 0.0
     train_speedup: float = 0.0
-    accuracy: float = 0.0
+    accuracy: float = field(default=0.0, metadata={"mean_of": "accuracy_sampled"})
     sampling_seconds: float = 0.0
     fe_seconds: float = 0.0
     train_seconds: float = 0.0
@@ -182,7 +190,7 @@ class ExperimentReport:
     log_name: str
     config: ExperimentConfig
     rows: list[ExperimentRow]
-    aggregates: dict[str, StrategyAggregate]
+    aggregates: dict[str, StrategyAggregate]  # baseline first, then the grid's order
 
 
 def kfold_split(
@@ -305,128 +313,71 @@ def _aggregate(strategy: str, rows: Sequence[ExperimentRow]) -> StrategyAggregat
     failures = len(mine) - len(ok)
     if not ok:
         return StrategyAggregate(strategy=strategy, runs=0, failures=failures)
-
-    def mean(attr: str) -> float:
-        return sum(getattr(r, attr) for r in ok) / len(ok)
-
-    return StrategyAggregate(
-        strategy=strategy,
-        runs=len(ok),
-        failures=failures,
-        reduction_rate=mean("reduction_rate"),
-        rel_accuracy=mean("rel_accuracy"),
-        fe_speedup=mean("fe_speedup"),
-        train_speedup=mean("train_speedup"),
-        accuracy=mean("accuracy_sampled"),
-        sampling_seconds=mean("sampling_seconds"),
-        fe_seconds=mean("fe_seconds"),
-        train_seconds=mean("train_seconds"),
-    )
+    means = {}
+    for f in fields(StrategyAggregate)[3:]:
+        attr = f.metadata.get("mean_of", f.name)
+        means[f.name] = sum(getattr(r, attr) for r in ok) / len(ok)
+    return StrategyAggregate(strategy=strategy, runs=len(ok), failures=failures, **means)
 
 
 # ---------------------------------------------------------------------------
 # Rendering and persistence
 # ---------------------------------------------------------------------------
 
-CORE_COLUMNS = (
-    "strategy",
-    "repeat",
-    "fold",
-    "ok",
-    "error",
-    "original_cases",
-    "sampled_cases",
-    "original_variants",
-    "sampled_variants",
-    "reduction_rate",
-    "accuracy_full",
-    "accuracy_sampled",
-    "rel_accuracy",
-)
+CORE_COLUMNS = tuple(f.name for f in fields(ExperimentRow) if not f.metadata.get("timing"))
 
 TIMING_COLUMNS = (
     "strategy",
     "repeat",
     "fold",
-    "sampling_seconds",
-    "fe_seconds",
-    "train_seconds",
-    "fe_speedup",
-    "train_speedup",
+    *(f.name for f in fields(ExperimentRow) if f.metadata.get("timing")),
 )
+
+AGGREGATE_COLUMNS = tuple(f.name for f in fields(StrategyAggregate))
+
+# (title, aggregate field, format) of each per-strategy markdown column
+_MARKDOWN_COLUMNS = (
+    ("reduction", "reduction_rate", ".2f"),
+    ("fe-speedup", "fe_speedup", ".2f"),
+    ("rel-acc", "rel_accuracy", ".4f"),
+    ("train-speedup", "train_speedup", ".2f"),
+)
+
+
+def _write_table(fh, columns: Sequence[str], records) -> None:
+    """A header of ``columns``, then each record's attributes of those names."""
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    for record in records:
+        writer.writerow([getattr(record, col) for col in columns])
 
 
 def write_rows_csv(report: ExperimentReport, path: str | Path) -> None:
     """Deterministic per-row CSV: identical seeds give identical bytes."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CORE_COLUMNS)
-        for row in report.rows:
-            writer.writerow([getattr(row, col) for col in CORE_COLUMNS])
+        _write_table(fh, CORE_COLUMNS, report.rows)
 
 
 def write_timings_csv(report: ExperimentReport, path: str | Path) -> None:
     """Wall-clock sidecar; joins to the core CSV on (strategy, repeat, fold)."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMING_COLUMNS)
-        for row in report.rows:
-            if row.ok:
-                writer.writerow([getattr(row, col) for col in TIMING_COLUMNS])
-
-
-AGGREGATE_COLUMNS = (
-    "strategy",
-    "runs",
-    "failures",
-    "reduction_rate",
-    "rel_accuracy",
-    "fe_speedup",
-    "train_speedup",
-    "accuracy",
-    "sampling_seconds",
-    "fe_seconds",
-    "train_seconds",
-)
+        _write_table(fh, TIMING_COLUMNS, [row for row in report.rows if row.ok])
 
 
 def render_report(report: ExperimentReport, fmt: str = "csv") -> str:
     """Aggregate table as CSV (one strategy per row) or markdown (wide)."""
-    order = [BASELINE, *(entry.label for entry in report.config.grid)]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(AGGREGATE_COLUMNS)
-        for name in order:
-            agg = report.aggregates[name]
-            writer.writerow([getattr(agg, col) for col in AGGREGATE_COLUMNS])
+        _write_table(buf, AGGREGATE_COLUMNS, report.aggregates.values())
         return buf.getvalue()
     if fmt == "markdown":
-        name = report.log_name or "log"
+        baseline, *strategies = report.aggregates.values()
         header = ["log", "baseline acc"]
-        values = [name, f"{report.aggregates[BASELINE].accuracy:.4f}"]
-        for strategy in order[1:]:
-            agg = report.aggregates[strategy]
-            header += [
-                f"{strategy} reduction",
-                f"{strategy} fe-speedup",
-                f"{strategy} rel-acc",
-                f"{strategy} train-speedup",
-            ]
-            if agg.runs:
-                values += [
-                    f"{agg.reduction_rate:.2f}",
-                    f"{agg.fe_speedup:.2f}",
-                    f"{agg.rel_accuracy:.4f}",
-                    f"{agg.train_speedup:.2f}",
-                ]
-            else:
-                values += ["-", "-", "-", "-"]
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "| " + " | ".join("---" for _ in header) + " |",
-            "| " + " | ".join(values) + " |",
-        ]
-        return "\n".join(lines) + "\n"
+        values = [report.log_name or "log", f"{baseline.accuracy:.4f}"]
+        for agg in strategies:
+            for title, attr, spec in _MARKDOWN_COLUMNS:
+                header.append(f"{agg.strategy} {title}")
+                values.append(format(getattr(agg, attr), spec) if agg.runs else "-")
+        rule = ["---"] * len(header)
+        return "".join(f"| {' | '.join(cells)} |\n" for cells in (header, rule, values))
     raise ConfigurationError(f"unknown report format {fmt!r}")
-

@@ -47,7 +47,8 @@ def parse_instant(text: str) -> datetime:
 
     Naive inputs are assumed to be UTC. Fractions of a second may have any
     number of digits; those beyond the millisecond are cut. Raises
-    ValueError on anything that is not ISO-8601.
+    ValueError on anything that is not ISO-8601, or whose UTC time falls
+    outside the years 1-9999.
     """
     s = text.strip()
     if s.endswith(("Z", "z")):
@@ -60,7 +61,10 @@ def parse_instant(text: str) -> datetime:
     if tz is None:
         dt = dt.replace(tzinfo=timezone.utc)
     elif tz is not timezone.utc:
-        dt = dt.astimezone(timezone.utc)
+        try:
+            dt = dt.astimezone(timezone.utc)
+        except OverflowError:
+            raise ValueError(f"{text!r} is out of range in UTC") from None
     if dt.microsecond % 1000:
         dt = dt.replace(microsecond=dt.microsecond // 1000 * 1000)
     return dt
@@ -478,6 +482,32 @@ def _xes_value(elem: ET.Element, context: str):
     return key, (kind, raw)
 
 
+def _xes_traces(path: Path) -> Iterator[ET.Element]:
+    """Each direct ``<trace>`` child of the root, cleared once the caller is done with it.
+
+    Traces are read one at a time, so the whole tree is never held. Malformed
+    XML and corrupt gzip data raise XesParseError naming the file, wherever
+    in the file they are met.
+    """
+    opener = gzip.open if path.name.endswith(".gz") else open
+    try:
+        with opener(path, "rb") as fh:
+            depth = 0
+            for action, elem in ET.iterparse(fh, events=("start", "end")):
+                if action == "start":
+                    depth += 1
+                    continue
+                depth -= 1
+                if depth == 1 and _local_name(elem.tag) == "trace":
+                    yield elem
+                    elem.clear()
+    except ET.ParseError as exc:
+        line, col = exc.position
+        raise XesParseError(f"{path}: malformed XML at line {line}, column {col}") from None
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise XesParseError(f"{path}: corrupt gzip data: {exc}") from None
+
+
 def parse_xes(path: str | Path) -> EventLog:
     """Parse an XES file (plain or .gz): log -> trace -> event.
 
@@ -486,17 +516,6 @@ def parse_xes(path: str | Path) -> EventLog:
     string/int/float/date/boolean attributes are kept with their tag kinds.
     """
     path = Path(path)
-    opener = gzip.open if path.name.endswith(".gz") else open
-    try:
-        with opener(path, "rb") as fh:
-            tree = ET.parse(fh)
-    except ET.ParseError as exc:
-        line, col = exc.position
-        raise XesParseError(f"{path}: malformed XML at line {line}, column {col}") from None
-    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
-        raise XesParseError(f"{path}: corrupt gzip data: {exc}") from None
-
-    root = tree.getroot()
     events: list[Event] = []
     case_attributes: dict[str, dict[str, object]] = {}
     schema: dict[str, AttributeSpec] = {}
@@ -511,7 +530,7 @@ def parse_xes(path: str | Path) -> EventLog:
         elif prev.scope != scope and scope == EVENT_SCOPE:
             schema[name] = AttributeSpec(prev.kind, EVENT_SCOPE)
 
-    for t_idx, trace in enumerate(root.findall("{*}trace")):
+    for t_idx, trace in enumerate(_xes_traces(path)):
         case_id = None
         trace_attrs: dict[str, object] = {}
         event_elems = []
@@ -550,7 +569,12 @@ def parse_xes(path: str | Path) -> EventLog:
                     activity = str(value)
                 elif key == "time:timestamp":
                     if not isinstance(value, datetime):
-                        value = parse_instant(str(value))
+                        try:
+                            value = parse_instant(str(value))
+                        except ValueError:
+                            raise XesParseError(
+                                f"{where}: unreadable time:timestamp {value!r}"
+                            ) from None
                     timestamp = value
                 else:
                     attrs[key] = value

@@ -202,20 +202,25 @@ def test_bench_config_file(runner, small_csv, tmp_path):
         ([], {"grid": ["d2", 3]}, "'grid'"),
         ([], {"sorting": 1}, "'sorting'"),
         ([], '{"folds": 2', "not valid JSON"),
+        ([], b'{"folds": \xff}', "not valid JSON"),
         ([], {"validation_fraction": 0.1}, "unknown experiment config keys: validation_fraction"),
         ([], {"smoothing": 0.01}, "unknown experiment config keys: smoothing"),
     ],
     ids=[
         "grid-token", "config-key", "folds-str", "window-float", "window-bool", "json-list",
         "seed-str", "repeats-bool", "end-marker-str", "grid-str",
-        "grid-non-str-token", "sorting-int", "json-malformed", "validation-fraction", "smoothing",
+        "grid-non-str-token", "sorting-int", "json-malformed", "json-not-utf8",
+        "validation-fraction", "smoothing",
     ],
 )
 def test_bench_bad_settings_exit_with_error(small_csv, tmp_path, monkeypatch, capsys,
                                             args, config, named):
     if config is not None:
         config_path = tmp_path / "config.json"
-        config_path.write_text(config if isinstance(config, str) else json.dumps(config))
+        if isinstance(config, bytes):
+            config_path.write_bytes(config)
+        else:
+            config_path.write_text(config if isinstance(config, str) else json.dumps(config))
         args = [*args, "--config", str(config_path)]
     argv = ["logsample", "bench", small_csv, *args, "-o", str(tmp_path / "report.csv")]
     monkeypatch.setattr(sys, "argv", argv)

@@ -194,17 +194,34 @@ class TestRunExperiment:
                 assert [r.accuracy_full for r in cells] == [expected, expected]
 
     def test_aggregates_are_means_of_rows(self):
-        config = ExperimentConfig(folds=3, repeats=2, grid=grid("d2"), seed=5)
+        config = ExperimentConfig(folds=3, repeats=2, grid=grid("d2", "unique"), seed=5)
         report = run_experiment(small_log(), config)
-        rows = [r for r in report.rows if r.strategy == "d2" and r.ok]
-        agg = report.aggregates["d2"]
-        assert agg.runs == len(rows)
-        assert agg.reduction_rate == pytest.approx(
-            sum(r.reduction_rate for r in rows) / len(rows)
-        )
-        assert agg.rel_accuracy == pytest.approx(
-            sum(r.rel_accuracy for r in rows) / len(rows)
-        )
+        means = {
+            "reduction_rate": "reduction_rate",
+            "rel_accuracy": "rel_accuracy",
+            "fe_speedup": "fe_speedup",
+            "train_speedup": "train_speedup",
+            "accuracy": "accuracy_sampled",
+            "sampling_seconds": "sampling_seconds",
+            "fe_seconds": "fe_seconds",
+            "train_seconds": "train_seconds",
+        }
+        for strategy in ("d2", "unique"):
+            rows = [r for r in report.rows if r.strategy == strategy and r.ok]
+            agg = report.aggregates[strategy]
+            assert agg.runs == len(rows)
+            assert agg.failures == 0
+            assert [f.name for f in dataclasses.fields(agg)] == [
+                "strategy", "runs", "failures", *means
+            ]
+            for name, row_field in means.items():
+                expected = sum(getattr(r, row_field) for r in rows) / len(rows)
+                assert getattr(agg, name) == pytest.approx(expected), (strategy, name)
+        # unique keeps one case per variant, so its sampled accuracy differs from the
+        # full-fold accuracy and `accuracy` is seen to follow the sampled one
+        unique = [r for r in report.rows if r.strategy == "unique"]
+        full = sum(r.accuracy_full for r in unique) / len(unique)
+        assert report.aggregates["unique"].accuracy != pytest.approx(full)
 
     def test_reduction_matches_closed_form_per_fold(self):
         from collections import Counter

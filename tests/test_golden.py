@@ -1,5 +1,9 @@
 """Golden outputs, byte for byte: a fixed-seed ``logsample bench`` run, an export, a log.
 
+The headers of the timing sidecar, of the aggregate table and of its markdown
+form are pinned as literal tuples, because they are derived from the report
+dataclasses rather than written out.
+
 The core CSV is the behavioural contract of the benchmark, so any change
 to what the pipeline computes (splits, samples, models, predictions,
 accuracies) shows up here. ``tests/data/bench_core.csv`` was regenerated
@@ -18,6 +22,8 @@ predictor sees only activity sequences.
 timestamps were formatted without ``isoformat``.
 """
 
+import csv
+import io
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from random import Random
@@ -26,6 +32,16 @@ import pytest
 from click.testing import CliRunner
 
 from logsample.cli import cli
+from logsample.experiment import (
+    AGGREGATE_COLUMNS,
+    DEFAULT_GRID_TOKENS,
+    TIMING_COLUMNS,
+    ExperimentConfig,
+    default_grid,
+    render_report,
+    run_experiment,
+    write_timings_csv,
+)
 from logsample.features import export_features, extract_features
 from logsample.log_model import (
     CASE_SCOPE,
@@ -75,6 +91,39 @@ def bench_core_csv(tmp_path: Path, sort_token: str) -> bytes:
 def test_bench_core_csv_is_unchanged(tmp_path, sort_token):
     expected = (DATA / "bench_core.csv").read_bytes()
     assert bench_core_csv(tmp_path, sort_token) == expected
+
+
+def test_report_headers_are_unchanged(tmp_path):
+    """The columns the timing sidecar, the aggregate table and the markdown name."""
+    config = ExperimentConfig(folds=3, repeats=1, grid=default_grid(), seed=11)
+    report = run_experiment(golden_log(), config)
+    timing = (
+        "strategy", "repeat", "fold",
+        "sampling_seconds", "fe_seconds", "train_seconds", "fe_speedup", "train_speedup",
+    )
+    assert TIMING_COLUMNS == timing
+    write_timings_csv(report, tmp_path / "timings.csv")
+    with (tmp_path / "timings.csv").open(newline="", encoding="utf-8") as fh:
+        assert tuple(next(csv.reader(fh))) == timing
+
+    aggregate = (
+        "strategy", "runs", "failures", "reduction_rate", "rel_accuracy",
+        "fe_speedup", "train_speedup", "accuracy",
+        "sampling_seconds", "fe_seconds", "train_seconds",
+    )
+    assert AGGREGATE_COLUMNS == aggregate
+    table = list(csv.reader(io.StringIO(render_report(report, "csv"))))
+    assert tuple(table[0]) == aggregate
+    assert [row[0] for row in table[1:]] == ["baseline", *DEFAULT_GRID_TOKENS]
+
+    header = render_report(report, "markdown").splitlines()[0]
+    cells = [cell.strip() for cell in header.strip("|").split("|")]
+    titles = ("reduction", "fe-speedup", "rel-acc", "train-speedup")
+    assert cells == [
+        "log",
+        "baseline acc",
+        *(f"{token} {title}" for token in DEFAULT_GRID_TOKENS for title in titles),
+    ]
 
 
 def test_feature_export_is_unchanged(tmp_path):

@@ -62,6 +62,10 @@ XES_BASIC = """<?xml version="1.0" encoding="UTF-8"?>
 """
 
 
+# A valid ISO-8601 stamp whose UTC time is past the end of year 9999.
+OUT_OF_RANGE = "9999-12-31T23:59:59-01:00"
+
+
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
@@ -104,6 +108,12 @@ class TestParseCsv:
         bad = "case_id,activity,timestamp\n1,a,2021-01-01T10:00:00\n1,b,not-a-time\n"
         with pytest.raises(RowError, match="line 3"):
             parse_csv(write(tmp_path / "log.csv", bad))
+
+    def test_timestamp_out_of_range_in_utc_reports_line(self, tmp_path):
+        bad = f"case_id,activity,timestamp\n1,a,2021-01-01T10:00:00\n1,b,{OUT_OF_RANGE}\n"
+        with pytest.raises(RowError, match="line 3") as err:
+            parse_csv(write(tmp_path / "log.csv", bad))
+        assert err.value.line == 3
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyLogError):
@@ -182,6 +192,27 @@ class TestParseCsv:
         back = parse_csv(tmp_path / "back.csv")
         assert back.cases["1"].attributes["score"] == "nan"
         assert back.attribute_schema["score"].kind == CATEGORICAL
+
+    def test_out_of_range_instants_make_a_column_categorical(self, tmp_path):
+        text = (
+            "case_id,activity,timestamp,due\n"
+            "1,a,2021-01-01T10:00:00,2021-02-01T00:00:00\n"
+            f"1,b,2021-01-01T10:05:00,{OUT_OF_RANGE}\n"
+        )
+        log = parse_csv(write(tmp_path / "log.csv", text))
+        assert log.attribute_schema["due"] == AttributeSpec(CATEGORICAL, EVENT_SCOPE)
+        assert log.cases["1"].events[1].attributes["due"] == OUT_OF_RANGE
+
+    def test_declared_instant_rejects_an_out_of_range_value(self, tmp_path):
+        text = (
+            "case_id,activity,timestamp,due\n"
+            "1,a,2021-01-01T10:00:00,2021-02-01T00:00:00\n"
+            f"1,b,2021-01-01T10:05:00,{OUT_OF_RANGE}\n"
+        )
+        mapping = ColumnMapping(attribute_kinds={"due": INSTANT})
+        with pytest.raises(RowError, match=r"line 3: .*'due'") as err:
+            parse_csv(write(tmp_path / "log.csv", text), mapping)
+        assert err.value.line == 3
 
     def test_declared_kind_wins(self, tmp_path):
         text = "case_id,activity,timestamp,code\n1,a,2021-01-01T10:00:00,42\n"
@@ -610,6 +641,33 @@ class TestParseXes:
         with pytest.raises(XesParseError, match="line"):
             parse_xes(write(tmp_path / "bad.xes", "<log><trace></log>"))
 
+    def test_malformed_xml_after_a_complete_trace_reports_location(self, tmp_path):
+        complete = XES_BASIC[XES_BASIC.index("  <trace>") : XES_BASIC.index("</log>")]
+        text = f"<log>\n{complete}  <trace><event></trace>\n</log>\n"
+        with pytest.raises(XesParseError, match=r"line 15, column 18$"):
+            parse_xes(write(tmp_path / "bad.xes", text))
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            f'<date key="time:timestamp" value="{OUT_OF_RANGE}"/>',
+            '<string key="time:timestamp" value="garbage"/>',
+            '<int key="time:timestamp" value="5"/>',
+        ],
+        ids=["date-out-of-range", "string-garbage", "int"],
+    )
+    def test_unreadable_timestamp_names_case_and_event(self, tmp_path, stamp):
+        text = (
+            "<log><trace>"
+            '<string key="concept:name" value="t"/>'
+            '<event><string key="concept:name" value="a"/>'
+            '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/></event>'
+            f'<event><string key="concept:name" value="b"/>{stamp}</event>'
+            "</trace></log>"
+        )
+        with pytest.raises(XesParseError, match=r"case 't' event 1: .*time:timestamp"):
+            parse_xes(write(tmp_path / "bad.xes", text))
+
     def test_trace_without_events_rejected_with_case_id(self, tmp_path):
         text = (
             '<log><trace><string key="concept:name" value="empty-one"/></trace></log>'
@@ -766,6 +824,11 @@ class TestInstantParsing:
         with pytest.raises(ValueError):
             parse_instant("2021-01-01T10:00:00.")
 
+    @pytest.mark.parametrize("text", [OUT_OF_RANGE, "0001-01-01T00:00:00+01:00"])
+    def test_out_of_range_in_utc_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_instant(text)
+
 
 def old_parse_instant(text):
     """``parse_instant`` before its fast paths, kept verbatim as the oracle."""
@@ -835,6 +898,8 @@ def iso_stamps(draw):
 @given(iso_stamps())
 def test_parse_instant_matches_old_implementation(text):
     expected = outcome(old_parse_instant, text)
+    if expected is OverflowError:
+        expected = ValueError  # out-of-range stamps are now rejected as unreadable input
     actual = outcome(parse_instant, text)
     assert actual == expected
     assert repr(actual) == repr(expected)
