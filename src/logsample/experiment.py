@@ -188,7 +188,6 @@ class StrategyAggregate:
 @dataclass
 class ExperimentReport:
     log_name: str
-    config: ExperimentConfig
     rows: list[ExperimentRow]
     aggregates: dict[str, StrategyAggregate]  # baseline first, then the grid's order
 
@@ -267,7 +266,8 @@ def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
                         )
                     with Stopwatch() as fe_watch:
                         feature_rows = extract_features(fit_log, config.end_marker)
-                        encode(feature_rows, alphabet, window)
+                        for _ in encode(feature_rows, alphabet, window).blocks():
+                            pass  # a trainer would read each one-hot mini-batch here
                     with Stopwatch() as train_watch:
                         model = train(feature_rows, config.max_order)
                 except (EmptySampleError, TrainingError) as exc:
@@ -304,7 +304,7 @@ def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
 
     strategies = [BASELINE, *(entry.label for entry in config.grid)]
     aggregates = {name: _aggregate(name, rows) for name in strategies}
-    return ExperimentReport(log_name="", config=config, rows=rows, aggregates=aggregates)
+    return ExperimentReport(log_name="", rows=rows, aggregates=aggregates)
 
 
 def _aggregate(strategy: str, rows: Sequence[ExperimentRow]) -> StrategyAggregate:

@@ -1,11 +1,13 @@
 """Prefix-to-next-activity feature rows and fixed-window one-hot encoding.
 
 Each case of length n yields n-1 rows (prefix of length i, activity i+1) and
-optionally one extra row targeting the end-of-case marker. Encoding flattens
-a prefix into W one-hot blocks over (padding + alphabet), newest activity in
-the rightmost block. :func:`encode` maps each row to W integer codes
-(0 = padding) and expands them with numpy into :class:`EncodedRows`: uint8
-matrices of at most ``BLOCK_BYTES`` each, plus one label index per row.
+optionally one extra row targeting the end-of-case marker. A row is a view
+of its case: the case's sequence and a cut, so no prefix is ever copied.
+Encoding flattens a prefix into W one-hot blocks over (padding + alphabet),
+newest activity in the rightmost block. :func:`encode` gathers each row's W
+integer codes (0 = padding) and its label with numpy into
+:class:`EncodedRows`, which expands them on demand into uint8 one-hot
+matrices of at most ``BLOCK_BYTES`` each.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,31 +38,53 @@ WINDOW_PERCENTILE = 95
 BLOCK_BYTES = 64 * 1024
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    """One training example: activity prefix and the activity that followed."""
+class FeatureRow(NamedTuple):
+    """One training example: ``sequence[:cut]`` and the activity that followed it.
 
-    prefix: tuple[str, ...]
-    target: str
+    ``sequence`` is the case's trace, with END_MARKER appended when the end
+    row is kept; every row of a case shares that one tuple.
+    """
+
+    sequence: tuple[str, ...]
+    cut: int
     case_id: str
+
+    @property
+    def prefix(self) -> tuple[str, ...]:
+        return self.sequence[: self.cut]
+
+    @property
+    def target(self) -> str:
+        return self.sequence[self.cut]
 
 
 @dataclass(frozen=True, eq=False)
 class EncodedRows:
-    """One-hot rows, in order, split into uint8 blocks of at most BLOCK_BYTES.
+    """Encoded rows, in order: a ``rows x W`` code matrix and one label index per row.
 
-    Each block is a ``rows x W*(len(alphabet)+1)`` matrix; ``labels`` holds
-    one label index per row. Iterating yields ``(vector, label_index)`` pairs.
+    Code 0 is padding and code i the i-th activity of the alphabet, so a code
+    is the hot slot of its one-hot block. :meth:`blocks` expands the codes
+    into uint8 ``rows x W*slots`` matrices of at most BLOCK_BYTES each.
+    Iterating yields ``(vector, label_index)`` pairs.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    codes: np.ndarray
     labels: np.ndarray
+    slots: int  # one-hot slots per position: padding + alphabet
 
     def __len__(self) -> int:
         return len(self.labels)
 
+    def blocks(self) -> Iterator[np.ndarray]:
+        rows, window = self.codes.shape
+        width = window * self.slots
+        one_hot = np.eye(self.slots, dtype=np.uint8)
+        step = max(1, BLOCK_BYTES // width)
+        for i in range(0, rows, step):
+            yield one_hot[self.codes[i : i + step]].reshape(-1, width)
+
     def __iter__(self) -> Iterator[tuple[np.ndarray, int]]:
-        return zip(chain.from_iterable(self.blocks), self.labels.tolist())
+        return zip(chain.from_iterable(self.blocks()), self.labels.tolist())
 
 
 def extract_features(log: EventLog, include_end_marker: bool = True) -> list[FeatureRow]:
@@ -71,15 +95,16 @@ def extract_features(log: EventLog, include_end_marker: bool = True) -> list[Fea
     """
     rows: list[FeatureRow] = []
     for cid, case in log.cases.items():
-        trace = case.trace
-        if END_MARKER in trace:
+        sequence = case.trace
+        if END_MARKER in sequence:
             raise EncodingError(
                 f"case {cid!r} uses the reserved end-of-case label {END_MARKER!r}"
             )
-        for i in range(1, len(trace)):
-            rows.append(FeatureRow(trace[:i], trace[i], cid))
         if include_end_marker:
-            rows.append(FeatureRow(trace, END_MARKER, cid))
+            sequence = (*sequence, END_MARKER)
+        # tuple.__new__ builds each row without the Python frame of FeatureRow's __new__
+        fields = zip(repeat(sequence), range(1, len(sequence)), repeat(cid))
+        rows.extend(map(tuple.__new__, repeat(FeatureRow), fields))
     return rows
 
 
@@ -95,36 +120,54 @@ def encode(
 
     Prefixes longer than the window keep their last ``window`` activities;
     shorter ones are left-padded (slot 0 of each block is the padding slot).
+    Every activity of a row's sequence must be in the alphabet, and
+    END_MARKER may only be a target.
+
+    Each run of rows sharing one sequence object maps that sequence to codes
+    once, behind W padding codes; a row is then the offset of its target,
+    and numpy gathers the W codes before it and the target's code.
     """
     if window < 1:
         raise EncodingError(f"window must be >= 1, got {window}")
-    code = {act: i for i, act in enumerate(alphabet, 1)}.__getitem__
-    label_of = {act: i for i, act in enumerate(label_space(alphabet))}.__getitem__
-    pads = [array("I", bytes(4 * n)) for n in range(window + 1)]
+    end_code = len(alphabet) + 1
+    code = {act: i for i, act in enumerate(label_space(alphabet), 1)}.__getitem__
+    pad = array("I", bytes(4 * window))
 
     codes = array("I")
-    labels = array("I")
-    for row in rows:
-        tail = row.prefix[-window:]
-        codes += pads[window - len(tail)]
-        try:
-            codes.extend(map(code, tail))
-        except KeyError as exc:
-            raise EncodingError(f"activity {exc.args[0]!r} is not in the alphabet") from None
-        try:
-            labels.append(label_of(row.target))
-        except KeyError:
-            raise EncodingError(f"target {row.target!r} is not in the alphabet") from None
+    ends = array("q")
+    last = None
+    for sequence, cut, case_id in rows:
+        if sequence is not last:
+            codes += pad
+            base = len(codes)
+            try:
+                codes.extend(map(code, sequence))
+            except KeyError as exc:
+                raise EncodingError(
+                    f"activity {exc.args[0]!r} of case {case_id!r} is not in the alphabet"
+                ) from None
+            last, length = sequence, len(sequence)
+        if not 0 <= cut < length:
+            raise EncodingError(
+                f"row of case {case_id!r} cuts at {cut}, outside its {length}-item sequence"
+            )
+        ends.append(base + cut)
 
-    width = window * (len(alphabet) + 1)
-    matrix = np.frombuffer(codes, dtype=np.uintc).reshape(-1, window)
-    one_hot = np.eye(len(alphabet) + 1, dtype=np.uint8)
-    step = max(1, BLOCK_BYTES // width)
-    blocks = tuple(
-        one_hot[matrix[i : i + step]].reshape(-1, width)
-        for i in range(0, len(matrix), step)
-    )
-    return EncodedRows(blocks, np.frombuffer(labels, dtype=np.uintc))
+    if not ends:
+        return EncodedRows(np.zeros((0, window), np.uintc), np.zeros(0, np.uintc), end_code)
+    # The sliding window view of the codes: windows[s] is codes[s : s + W + 1],
+    # a row's W prefix codes and then its target's. It is built as a strided
+    # ndarray because numpy's sliding_window_view checks its arguments for
+    # about 19 us a call (numpy 2.4, 2-vCPU VM), more than the rest of the
+    # feature time of a one-case log.
+    step = codes.itemsize
+    shape = (len(codes) - window, window + 1)
+    windows = np.ndarray(shape, np.uintc, codes, strides=(step, step))
+    gathered = windows[np.frombuffer(ends, dtype=np.int64) - window]
+    matrix = gathered[:, :window]
+    if matrix.max() == end_code:
+        raise EncodingError(f"the end-of-case marker {END_MARKER!r} is inside a prefix")
+    return EncodedRows(matrix, gathered[:, window] - 1, end_code)
 
 
 def decode(
@@ -139,7 +182,7 @@ def decode(
             raise EncodingError(f"block {j} does not have exactly one hot slot")
         if slots[0] != 0:
             prefix.append(alphabet[slots[0] - 1])
-    return FeatureRow(tuple(prefix), label_space(alphabet)[label_index], "")
+    return FeatureRow((*prefix, label_space(alphabet)[label_index]), len(prefix), "")
 
 
 def export_features(
@@ -151,7 +194,8 @@ def export_features(
     """Write encoded rows as CSV: one 0/1 column per slot plus a label column.
 
     The bytes are those of ``csv.writer``. Each one-hot block is turned into
-    ``0,1,...,`` text by numpy; each label is quoted by ``csv.writer`` once.
+    ``0,1,...,`` text by numpy and written as it is expanded; each label is
+    quoted by ``csv.writer`` once.
     """
     encoded = encode(rows, alphabet, window)
     header = []
@@ -165,7 +209,7 @@ def export_features(
         csv.writer(fh).writerow(header)
         row_labels = encoded.labels.tolist()
         start = 0
-        for block in encoded.blocks:
+        for block in encoded.blocks():
             n, width = block.shape
             step = 2 * width
             # "d,d,...,d," per row: each 0/1 digit followed by its comma

@@ -236,18 +236,8 @@ class ColumnMapping:
 def _infer_kind(values: list[str]) -> str:
     if not values:
         return CATEGORICAL
-    try:
-        for v in values:
-            int(v)
+    if all(map(_is_number_text, values)):
         return NUMERIC
-    except ValueError:
-        pass
-    try:
-        # nan and inf stay text: a NaN never equals itself as a modal value
-        if all(math.isfinite(float(v)) for v in values):
-            return NUMERIC
-    except ValueError:
-        pass
     try:
         for v in values:
             parse_instant(v)
@@ -262,6 +252,19 @@ def _number(value: str) -> int | float:
         return int(value)
     except ValueError:
         return float(value)
+
+
+def _is_number_text(text: str) -> bool:
+    """Whether ``text`` is a finite number as ``str`` writes it, so write_csv gives it back.
+
+    "007", "+7" and "1e3" are numbers to int() and float() but not this text.
+    """
+    try:
+        value = _number(text)
+    except ValueError:
+        return False
+    # nan and inf stay text: a NaN never equals itself as a modal value
+    return str(value) == text and (type(value) is int or math.isfinite(value))
 
 
 _CONVERTERS = {NUMERIC: _number, INSTANT: parse_instant}

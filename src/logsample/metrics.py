@@ -50,7 +50,7 @@ def evaluate(model: SequencePredictor, test_rows: Iterable[FeatureRow]) -> Evalu
     correct predictions. Each distinct prefix is predicted once and counts
     for every row that shares it.
     """
-    pairs = Counter((row.prefix, row.target) for row in test_rows)
+    pairs = Counter((sequence[:cut], sequence[cut]) for sequence, cut, _ in test_rows)
     if not pairs:
         raise EvaluationError("cannot evaluate on an empty test set")
     predicted = {prefix: model.predict(prefix) for prefix in dict.fromkeys(p for p, _ in pairs)}

@@ -126,14 +126,14 @@ def train(
     tables: dict[Suffix, dict[str, int]] = {(): {}}
     targets: set[str] = set()
     n = 0
-    for row in rows:
+    for sequence, cut, _ in rows:
         n += 1
-        targets.add(row.target)
-        prefix = row.prefix
-        for order in range(0, min(max_order, len(prefix)) + 1):
-            suffix = prefix[len(prefix) - order :]
+        target = sequence[cut]
+        targets.add(target)
+        for order in range(0, min(max_order, cut) + 1):
+            suffix = sequence[cut - order : cut]
             table = tables.setdefault(suffix, {})
-            table[row.target] = table.get(row.target, 0) + 1
+            table[target] = table.get(target, 0) + 1
     if n == 0:
         raise TrainingError("cannot train on an empty feature set")
 

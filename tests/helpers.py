@@ -6,6 +6,7 @@ from collections import Counter
 from datetime import datetime, timedelta, timezone
 from random import Random
 
+from logsample.features import FeatureRow
 from logsample.log_model import (
     CATEGORICAL,
     EVENT_SCOPE,
@@ -16,6 +17,12 @@ from logsample.log_model import (
 )
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
+
+
+def feature_row(prefix, target: str, case_id: str = "x") -> FeatureRow:
+    """The row that predicts ``target`` after ``prefix``, as a view of ``(*prefix, target)``."""
+    prefix = tuple(prefix)
+    return FeatureRow((*prefix, target), len(prefix), case_id)
 
 
 def log_from_variants(

@@ -26,7 +26,7 @@ from logsample.features import (
 from logsample.sampling import DIVISION, RANDOM_ORDER, SamplingConfig, sample
 from logsample.variants import build_variant_index
 
-from helpers import log_from_variants, random_variant_freqs
+from helpers import feature_row, log_from_variants, random_variant_freqs
 
 
 class TestExtractFeatures:
@@ -63,36 +63,100 @@ class TestExtractFeatures:
             extract_features(log)
 
 
+def copying_extract_features(log, include_end_marker=True):
+    """The extractor that copied every prefix, kept as the oracle.
+
+    Returns (prefix, target, case id) tuples.
+    """
+    rows = []
+    for cid, case in log.cases.items():
+        trace = case.trace
+        if END_MARKER in trace:
+            raise EncodingError(
+                f"case {cid!r} uses the reserved end-of-case label {END_MARKER!r}"
+            )
+        for i in range(1, len(trace)):
+            rows.append((trace[:i], trace[i], cid))
+        if include_end_marker:
+            rows.append((trace, END_MARKER, cid))
+    return rows
+
+
+traces = st.lists(st.sampled_from("abcd"), min_size=1, max_size=8).map(tuple)
+variant_specs = st.lists(
+    st.tuples(traces, st.integers(1, 3)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(variant_specs, st.booleans())
+def test_extract_features_matches_copying_extractor(variants, with_marker):
+    log = log_from_variants(variants)
+    rows = extract_features(log, with_marker)
+    assert [(r.prefix, r.target, r.case_id) for r in rows] == copying_extract_features(
+        log, with_marker
+    )
+
+
+class TestFeatureRowViews:
+    def test_rows_of_a_case_share_one_sequence(self):
+        log = log_from_variants([(("a", "b", "c"), 2), (("d", "e"), 1)])
+        for with_marker in (True, False):
+            rows = extract_features(log, with_marker)
+            by_case = {}
+            for row in rows:
+                by_case.setdefault(row.case_id, {})[id(row.sequence)] = row.sequence
+            assert all(len(sequences) == 1 for sequences in by_case.values())
+            # linear size: the rows hold each event once, plus one end marker per case
+            stored = sum(len(s) for sequences in by_case.values() for s in sequences.values())
+            assert stored == log.num_events + (log.num_cases if with_marker else 0)
+        # without the marker, the rows view the case's own trace
+        assert all(row.sequence is log.trace(row.case_id) for row in rows)
+
+
 class TestEncode:
     def test_short_prefix_left_padded(self):
-        rows = [FeatureRow(("a",), "b", "c1")]
+        rows = [feature_row(("a",), "b", "c1")]
         [(vector, label)] = encode(rows, ["a", "b"], window=2)
         # blocks of size 3: [PAD][a]
         assert vector.tolist() == [1, 0, 0, 0, 1, 0]
         assert label == 1
 
     def test_long_prefix_keeps_last_window(self):
-        rows = [FeatureRow(("a", "b", "a"), "b", "c1")]
+        rows = [feature_row(("a", "b", "a"), "b", "c1")]
         [(vector, _)] = encode(rows, ["a", "b"], window=2)
         # last two activities are b, a
         assert vector.tolist() == [0, 0, 1, 0, 1, 0]
 
     def test_end_marker_label_is_last(self):
-        rows = [FeatureRow(("a",), END_MARKER, "c1")]
+        rows = [feature_row(("a",), END_MARKER, "c1")]
         [(_, label)] = encode(rows, ["a", "b"], window=1)
         assert label == 2
 
     def test_every_block_has_exactly_one_hot_slot(self):
-        rows = [FeatureRow(("a", "b"), "a", "c1"), FeatureRow(("b",), "b", "c2")]
+        rows = [feature_row(("a", "b"), "a", "c1"), feature_row(("b",), "b", "c2")]
         for vector, _ in encode(rows, ["a", "b"], window=3):
             blocks = vector.reshape(3, 3)
             assert (blocks.sum(axis=1) == 1).all()
 
     def test_unknown_activity_is_named_in_error(self):
         with pytest.raises(EncodingError, match="zz"):
-            encode([FeatureRow(("zz",), "a", "c1")], ["a"], window=1)
+            encode([feature_row(("zz",), "a", "c1")], ["a"], window=1)
         with pytest.raises(EncodingError, match="zz"):
-            encode([FeatureRow(("a",), "zz", "c1")], ["a"], window=1)
+            encode([feature_row(("a",), "zz", "c1")], ["a"], window=1)
+
+    def test_end_marker_inside_a_prefix_is_an_encoding_error(self):
+        with pytest.raises(EncodingError, match=END_MARKER):
+            encode([FeatureRow(("a", END_MARKER, "a"), 2, "c1")], ["a"], window=2)
+
+    @pytest.mark.parametrize("cut", [-1, 2, 3])
+    def test_cut_outside_the_sequence_is_an_encoding_error(self, cut):
+        # without the check, the gather would read a neighbouring sequence's codes
+        rows = [FeatureRow(("a", "b"), cut, "c1"), feature_row(("b", "a"), "b", "c2")]
+        with pytest.raises(EncodingError, match="c1"):
+            encode(rows, ["a", "b"], window=2)
 
     def test_window_must_be_positive(self):
         with pytest.raises(EncodingError):
@@ -101,9 +165,9 @@ class TestEncode:
     def test_decode_round_trip(self):
         alphabet = ["a", "b", "c"]
         rows = [
-            FeatureRow(("a",), "b", "x"),
-            FeatureRow(("a", "b"), "c", "x"),
-            FeatureRow(("c", "b", "a"), END_MARKER, "x"),
+            feature_row(("a",), "b", "x"),
+            feature_row(("a", "b"), "c", "x"),
+            feature_row(("c", "b", "a"), END_MARKER, "x"),
         ]
         for row, (vector, label) in zip(rows, encode(rows, alphabet, window=3)):
             back = decode(vector, label, alphabet, window=3)
@@ -113,7 +177,7 @@ class TestEncode:
     def test_encoding_injective_on_truncated_pairs(self):
         alphabet = ["a", "b"]
         rows = [
-            FeatureRow(p, t, "x")
+            feature_row(p, t, "x")
             for p in [("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
             for t in ["a", "b", END_MARKER]
         ]
@@ -127,7 +191,7 @@ class TestEncode:
     def test_empty_rows_give_no_blocks(self):
         encoded = encode([], ["a", "b"], window=3)
         assert len(encoded) == 0
-        assert encoded.blocks == ()
+        assert list(encoded.blocks()) == []
         assert list(encoded) == []
 
 
@@ -164,7 +228,7 @@ def encode_cases(draw):
     window = draw(st.integers(1, 8))
     activity = st.sampled_from(alphabet)
     row = st.builds(
-        lambda prefix, target: FeatureRow(tuple(prefix), target, "x"),
+        lambda prefix, target: feature_row(tuple(prefix), target, "x"),
         st.lists(activity, min_size=1, max_size=12),
         st.sampled_from(label_space(alphabet)),
     )
@@ -180,26 +244,42 @@ def test_encode_matches_per_row_reference(case):
     width = window * (len(alphabet) + 1)
     with mock.patch.object(features, "BLOCK_BYTES", block_bytes):
         encoded = encode(rows, alphabet, window)
+        blocks = list(encoded.blocks())
     expected = reference_encode(rows, alphabet, window)
 
     assert len(encoded) == len(rows)
     assert encoded.labels.tolist() == [label for _, label in expected]
-    matrix = np.concatenate([*encoded.blocks, np.zeros((0, width), np.uint8)])
+    matrix = np.concatenate([*blocks, np.zeros((0, width), np.uint8)])
     assert matrix.dtype == np.uint8
     assert matrix.tolist() == [vector.tolist() for vector, _ in expected]
     step = max(1, block_bytes // width)
-    assert [len(block) for block in encoded.blocks] == [
+    assert [len(block) for block in blocks] == [
         min(step, len(rows) - i) for i in range(0, len(rows), step)
     ]
+    assert [(v.tolist(), l) for v, l in encoded] == [(v.tolist(), l) for v, l in expected]
+
+
+@settings(max_examples=100, deadline=None)
+@given(variant_specs, st.booleans(), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_encode_matches_reference_on_shuffled_shared_rows(variants, with_marker, window, rnd):
+    # cases of one variant hold equal but distinct sequences; shuffling splits
+    # the rows of one sequence with rows of others
+    log = log_from_variants(variants)
+    alphabet = sorted(log.activity_alphabet)
+    rows = extract_features(log, with_marker)
+    rnd.shuffle(rows)
+    encoded = encode(rows, alphabet, window)
+    expected = reference_encode(rows, alphabet, window)
+    assert len(encoded) == len(rows)
     assert [(v.tolist(), l) for v, l in encoded] == [(v.tolist(), l) for v, l in expected]
 
 
 class TestExportFeatures:
     def test_shape(self, tmp_path):
         rows = [
-            FeatureRow(("a",), "b", "x"),
-            FeatureRow(("a", "b"), "a", "x"),
-            FeatureRow(("b",), END_MARKER, "x"),
+            feature_row(("a",), "b", "x"),
+            feature_row(("a", "b"), "a", "x"),
+            feature_row(("b",), END_MARKER, "x"),
         ]
         out = tmp_path / "features.csv"
         export_features(rows, ["a", "b"], window=2, path=out)
@@ -248,7 +328,7 @@ QUOTING_ALPHABET = ["a,b", '"q"', "two\nlines", "plain", " spaced "]
     window=st.integers(1, 5),
     rows=st.lists(
         st.builds(
-            lambda prefix, target: FeatureRow(tuple(prefix), target, "x"),
+            lambda prefix, target: feature_row(tuple(prefix), target, "x"),
             st.lists(st.sampled_from(QUOTING_ALPHABET), min_size=1, max_size=8),
             st.sampled_from(label_space(QUOTING_ALPHABET)),
         ),

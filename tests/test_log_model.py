@@ -2,6 +2,7 @@
 
 import csv
 import gzip
+import math
 import tempfile
 from datetime import datetime, timedelta, timezone
 from operator import itemgetter
@@ -9,7 +10,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logsample.errors import EmptyLogError, RowError, SchemaError, XesParseError
@@ -177,7 +178,7 @@ class TestParseCsv:
     def test_non_finite_floats_make_a_column_categorical(self, tmp_path):
         text = (
             "case_id,activity,timestamp,score,limit,ratio\n"
-            "1,a,2021-01-01T10:00:00,nan,inf,1e3\n"
+            "1,a,2021-01-01T10:00:00,nan,inf,1e+16\n"
             "2,a,2021-01-01T11:00:00,1.5,-Infinity,-2.5\n"
         )
         path = write(tmp_path / "log.csv", text)
@@ -421,8 +422,9 @@ def reference_parse_csv(path: str | Path, mapping: ColumnMapping | None = None) 
     return build_log(events, case_attributes, schema)
 
 
-# Cell texts by the kind they read as. "007" reads as the number 7, and the
-# three spellings of one instant differ as text but not as a datetime.
+# Cell texts by the kind they read as. "007" and "1e3" read as text, since
+# written back as numbers they would be "7" and "1000.0"; the three
+# spellings of one instant differ as text but not as a datetime.
 CELL_TEXTS = {
     "int": ["0", "1", "-7", "007", "42"],
     "float": ["1.0", "2.5", "-0.5", "1e3"],
@@ -598,6 +600,125 @@ class TestWriteCsv:
         write_csv(log, out)
         back = parse_csv(out)
         assert [e.attributes["cost"] for e in back.cases["1"].events] == [5, 9]
+
+
+    def test_number_like_text_survives_round_trip(self, tmp_path):
+        # int() and float() read all three, but written back they would be 7, 7 and 1000.0
+        text = (
+            "case_id,activity,timestamp,code\n"
+            "1,a,2021-01-01T10:00:00,007\n"
+            "1,b,2021-01-01T10:05:00,+7\n"
+            "2,a,2021-01-01T10:00:00,1e3\n"
+        )
+        log = parse_csv(write(tmp_path / "in.csv", text))
+        assert log.attribute_schema["code"] == AttributeSpec(CATEGORICAL, EVENT_SCOPE)
+        out = tmp_path / "out.csv"
+        write_csv(log, out)
+        back = parse_csv(out)
+        assert back.attribute_schema == log.attribute_schema
+        codes = [ev.attributes["code"] for case in back.cases.values() for ev in case.events]
+        assert codes == ["007", "+7", "1e3"]
+
+
+# Categorical texts: number-like ones that are not written the way str() writes
+# a number, and two that are ("7", "2.5").
+CATEGORY_TEXTS = ["007", "+7", "1e3", "-0", "1_000", " 7", "7", "2.5", "web", "x,y", 'say "hi"']
+ATTRIBUTE_VALUES = {
+    CATEGORICAL: st.sampled_from(CATEGORY_TEXTS),
+    NUMERIC: st.one_of(
+        st.integers(-(10**6), 10**6), st.floats(allow_nan=False, allow_infinity=False)
+    ),
+    INSTANT: st.integers(0, 10**12).map(lambda ms: T0 + timedelta(milliseconds=ms)),
+}
+
+
+def writes_as_number(text: str) -> bool:
+    """Whether ``text`` is exactly how ``str`` writes some finite int or float."""
+    for number in (int, float):
+        try:
+            value = number(text)
+        except ValueError:
+            continue
+        return math.isfinite(value) and str(value) == text
+    return False
+
+
+@st.composite
+def attributed_logs(draw):
+    """A log with attributes of every kind and scope that a CSV can carry.
+
+    Two things are beyond any CSV reader: a categorical column whose every
+    text is a number as ``str`` writes it, and an event column that, in
+    every case, sits on every event with one value (it reads as a case
+    attribute). Such logs are not drawn.
+    """
+    schema = {
+        f"c{j}": AttributeSpec(
+            draw(st.sampled_from([CATEGORICAL, NUMERIC, INSTANT])),
+            draw(st.sampled_from([CASE_SCOPE, EVENT_SCOPE])),
+        )
+        for j in range(draw(st.integers(0, 3)))
+    }
+    events, case_attributes = [], {}
+    for n in range(draw(st.integers(1, 4))):
+        cid = f"k{n}"
+        case_attributes[cid] = {
+            name: draw(ATTRIBUTE_VALUES[spec.kind])
+            for name, spec in schema.items()
+            if spec.scope == CASE_SCOPE
+        }
+        for _ in range(draw(st.integers(1, 4))):
+            attributes = {
+                name: draw(ATTRIBUTE_VALUES[spec.kind])
+                for name, spec in schema.items()
+                if spec.scope == EVENT_SCOPE and draw(st.booleans())
+            }
+            stamp = T0 + timedelta(minutes=draw(st.integers(0, 3)))
+            events.append(Event(cid, draw(st.sampled_from("abc")), stamp, attributes))
+    log = build_log(events, case_attributes, schema)
+
+    for name, spec in schema.items():
+        if spec.scope == CASE_SCOPE:
+            values = [case.attributes[name] for case in log.cases.values()]
+        else:
+            per_case = [
+                [ev.attributes.get(name) for ev in case.events] for case in log.cases.values()
+            ]
+            assume(not all(None not in vs and len(set(vs)) == 1 for vs in per_case))
+            values = [v for vs in per_case for v in vs if v is not None]
+            assume(values)
+        if spec.kind == CATEGORICAL:
+            assume(not all(map(writes_as_number, values)))
+    return log
+
+
+def log_contents(log):
+    """Cases, events, attribute values with their types, and the schema."""
+
+    def typed(attributes):
+        return {name: (type(value), repr(value)) for name, value in attributes.items()}
+
+    return (
+        [
+            (
+                cid,
+                case.trace,
+                typed(case.attributes),
+                [(ev.activity, ev.timestamp, typed(ev.attributes)) for ev in case.events],
+            )
+            for cid, case in log.cases.items()
+        ],
+        log.attribute_schema,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(attributed_logs())
+def test_write_then_parse_keeps_values_and_schema(log):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        write_csv(log, path)
+        assert log_contents(parse_csv(path)) == log_contents(log)
 
 
 class TestParseXes:

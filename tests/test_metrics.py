@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsample.errors import EvaluationError, UndefinedRatioError
-from logsample.features import FeatureRow
 from logsample.metrics import ClassTally, Stopwatch, evaluate, relative_accuracy, speedup
 from logsample.predictor import train
+
+from helpers import feature_row
 
 
 class FixedPredictor:
@@ -35,7 +36,7 @@ class CountingPredictor:
 
 
 def rows(target_sequence):
-    return [FeatureRow(("a",), t, f"c{i}") for i, t in enumerate(target_sequence)]
+    return [feature_row(("a",), t, f"c{i}") for i, t in enumerate(target_sequence)]
 
 
 def per_row_reference(model, test_rows):
@@ -92,10 +93,10 @@ class TestEvaluate:
         ),
     )
     def test_repeated_prefixes_match_per_row_tally(self, train_pairs, test_spec):
-        train_rows = [FeatureRow(p, t, f"t{i}") for i, (p, t) in enumerate(train_pairs)]
+        train_rows = [feature_row(p, t, f"t{i}") for i, (p, t) in enumerate(train_pairs)]
         model = train(train_rows, max_order=2)
         test_rows = [
-            FeatureRow(prefix, target, f"c{i}")
+            feature_row(prefix, target, f"c{i}")
             for i, ((prefix, target), times) in enumerate(test_spec)
             for _ in range(times)
         ]
@@ -108,7 +109,7 @@ class TestEvaluate:
 
     def test_predicts_each_distinct_prefix_once(self):
         test_rows = [
-            FeatureRow(prefix, target, f"c{i}")
+            feature_row(prefix, target, f"c{i}")
             for i, (prefix, target) in enumerate(
                 [(("a",), "b"), (("a",), "c"), (("a", "b"), "c"), (("a",), "b")]
             )

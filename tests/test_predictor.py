@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsample.errors import TrainingError
-from logsample.features import END_MARKER, FeatureRow, extract_features
+from logsample.features import END_MARKER, extract_features
 from logsample.predictor import load_model, save_model, train
 
-from helpers import log_from_variants, random_variant_freqs
+from helpers import feature_row, log_from_variants, random_variant_freqs
 
 
 def rows_from_pairs(pairs):
-    return [FeatureRow(tuple(prefix), target, f"c{i}") for i, (prefix, target) in enumerate(pairs)]
+    return [feature_row(tuple(prefix), target, f"c{i}") for i, (prefix, target) in enumerate(pairs)]
 
 
 class TestTrain:
