@@ -43,7 +43,14 @@ from .log_model import (
     subset_log,
     write_csv,
 )
-from .metrics import EvaluationResult, Stopwatch, evaluate, relative_accuracy, speedup
+from .metrics import (
+    EvaluationResult,
+    Stopwatch,
+    TestRows,
+    evaluate,
+    relative_accuracy,
+    speedup,
+)
 from .predictor import PrefixTreeModel, load_model, save_model, train
 from .sampling import (
     SampleReport,

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .features import default_window, encode, extract_features
 from .log_model import EventLog, subset_log
-from .metrics import Stopwatch, evaluate, relative_accuracy, speedup
+from .metrics import Stopwatch, TestRows, evaluate, relative_accuracy, speedup
 from .predictor import train
 from .sampling import RANDOM_ORDER, REPRESENTATIVE, SamplingConfig, parse_method_token, sample
 from .variants import build_variant_index
@@ -233,7 +233,7 @@ def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
     for repeat in range(config.repeats):
         splits = kfold_split(log, config.folds, derive_seed(config.seed, "folds", repeat))
         for fold, (train_log, test_log) in enumerate(splits):
-            test_rows = extract_features(test_log, config.end_marker)
+            test_rows = TestRows(extract_features(test_log, config.end_marker))
             if not test_rows:
                 raise EvaluationError(
                     f"repeat {repeat} fold {fold}: test fold yields no feature rows"

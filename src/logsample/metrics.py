@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Protocol
 
 from .errors import EvaluationError, UndefinedRatioError
@@ -20,7 +21,36 @@ from .features import FeatureRow
 
 
 class SequencePredictor(Protocol):
+    # how many trailing activities predict reads at most; None: the whole prefix
+    max_order: int | None
+
     def predict(self, prefix) -> str: ...
+
+
+class TestRows(tuple[FeatureRow, ...]):
+    """One test fold's feature rows, with their (key, target) counts per horizon.
+
+    The key of a row is its prefix cut to the last ``horizon`` activities, or
+    the whole prefix for horizon None. Every model scored on the fold shares
+    the counts of its horizon, so each horizon is counted once.
+    """
+
+    @cached_property
+    def _pairs(self) -> dict[int | None, Counter]:
+        return {}
+
+    def pairs(self, horizon: int | None) -> Counter:
+        counts = self._pairs.get(horizon)
+        if counts is None:
+            if horizon is None:
+                keys = ((sequence[:cut], sequence[cut]) for sequence, cut, _ in self)
+            else:
+                keys = (
+                    (sequence[cut - horizon if cut > horizon else 0 : cut], sequence[cut])
+                    for sequence, cut, _ in self
+                )
+            counts = self._pairs[horizon] = Counter(keys)
+        return counts
 
 
 @dataclass(frozen=True)
@@ -47,19 +77,21 @@ def evaluate(model: SequencePredictor, test_rows: Iterable[FeatureRow]) -> Evalu
     """Score a predictor on test rows.
 
     Targets never seen in training simply form their own class with zero
-    correct predictions. Each distinct prefix is predicted once and counts
-    for every row that shares it.
+    correct predictions. Rows are grouped by their prefix cut to the model's
+    ``max_order``; each group's key is predicted once and counts for every
+    row in it. Pass a :class:`TestRows` to reuse its counts across models.
     """
-    pairs = Counter((sequence[:cut], sequence[cut]) for sequence, cut, _ in test_rows)
-    if not pairs:
+    fold = test_rows if isinstance(test_rows, TestRows) else TestRows(test_rows)
+    if not fold:
         raise EvaluationError("cannot evaluate on an empty test set")
-    predicted = {prefix: model.predict(prefix) for prefix in dict.fromkeys(p for p, _ in pairs)}
+    pairs = fold.pairs(model.max_order)
+    predicted = {key: model.predict(key) for key in dict.fromkeys(k for k, _ in pairs)}
 
     counts: dict[str, list[int]] = {}
-    for (prefix, target), rows in pairs.items():
+    for (key, target), rows in pairs.items():
         tally = counts.setdefault(target, [0, 0])
         tally[0] += rows
-        if predicted[prefix] == target:
+        if predicted[key] == target:
             tally[1] += rows
     n = pairs.total()
 

@@ -12,6 +12,7 @@ full and sampled training sets exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -120,8 +121,8 @@ def train(
     """Count suffix -> next-activity transitions for all orders 0..max_order."""
     if max_order < 0:
         raise TrainingError(f"max_order must be >= 0, got {max_order}")
-    if smoothing < 0:
-        raise TrainingError(f"smoothing must be >= 0, got {smoothing}")
+    if not (smoothing >= 0 and math.isfinite(smoothing)):
+        raise TrainingError(f"smoothing must be finite and >= 0, got {smoothing}")
 
     tables: dict[Suffix, dict[str, int]] = {(): {}}
     targets: set[str] = set()
@@ -181,15 +182,18 @@ def load_model(path: str | Path) -> PrefixTreeModel:
     tables = data.get("tables")
     if not (
         type(data.get("max_order")) is int
+        and data["max_order"] >= 0
         and type(data.get("smoothing")) in (int, float)
+        and data["smoothing"] >= 0
+        and math.isfinite(data["smoothing"])
         and labels_ok
         and isinstance(tables, list)
         and all(_is_table(entry, known) for entry in tables)
         and any(entry["suffix"] == [] for entry in tables)
     ):
         raise ConfigurationError(
-            f"model file {path} is not a model: it needs an integer max_order, a number"
-            " smoothing, a list of labels and a tables list that holds the empty suffix"
-            " and counts only those labels"
+            f"model file {path} is not a model: it needs an integer max_order >= 0, a"
+            " finite number smoothing >= 0, a list of labels and a tables list that holds"
+            " the empty suffix and counts only those labels"
         )
     return PrefixTreeModel.from_dict(data)

@@ -248,6 +248,9 @@ def parse_method_token(token: str, sorting: str = RANDOM_ORDER, seed: int = 0) -
     Raises ConfigurationError naming the token when it is none of these.
     """
     token = token.strip()
+    # isdigit(), int() and float() also read non-ASCII digits such as "²" and "٣"
+    if not token.isascii():
+        raise ConfigurationError(f"cannot parse sampling method token {token!r}")
     if token == UNIQUE:
         return SamplingConfig(UNIQUE, sorting=sorting, seed=seed)
     if token.startswith("d") and token[1:].isdigit():

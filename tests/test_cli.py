@@ -123,8 +123,19 @@ def test_train_predict_evaluate(runner, small_csv, tmp_path):
         ' "tables": [{"suffix": [], "counts": {}}]}',
         '{"max_order": 1, "smoothing": 0.0, "labels": [],'
         ' "tables": [{"suffix": [], "counts": {"x": 1}}]}',
+        '{"max_order": -2, "smoothing": 0.0, "labels": [],'
+        ' "tables": [{"suffix": [], "counts": {}}]}',
+        '{"max_order": 1, "smoothing": -5, "labels": [],'
+        ' "tables": [{"suffix": [], "counts": {}}]}',
+        '{"max_order": 1, "smoothing": NaN, "labels": [],'
+        ' "tables": [{"suffix": [], "counts": {}}]}',
+        '{"max_order": 1, "smoothing": Infinity, "labels": [],'
+        ' "tables": [{"suffix": [], "counts": {}}]}',
     ],
-    ids=["truncated-json", "json-list", "max-order-str", "unknown-label"],
+    ids=[
+        "truncated-json", "json-list", "max-order-str", "unknown-label",
+        "max-order-negative", "smoothing-negative", "smoothing-nan", "smoothing-infinite",
+    ],
 )
 def test_predict_on_a_bad_model_file_exits_with_error(tmp_path, monkeypatch, capsys, text):
     model_path = tmp_path / "bad_model.json"
@@ -135,6 +146,19 @@ def test_predict_on_a_bad_model_file_exits_with_error(tmp_path, monkeypatch, cap
     assert exit_info.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: model file ") and "bad_model.json" in err
+
+
+@pytest.mark.parametrize("smoothing", ["nan", "inf"])
+def test_train_with_non_finite_smoothing_exits_with_error(small_csv, tmp_path, monkeypatch,
+                                                          capsys, smoothing):
+    model_path = tmp_path / "model.json"
+    argv = ["logsample", "train", small_csv, "--smoothing", smoothing, "-o", str(model_path)]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.startswith("error: smoothing must be finite")
+    assert not model_path.exists()
 
 
 def test_bench_writes_reports(runner, small_csv, tmp_path):
@@ -205,12 +229,19 @@ def test_bench_config_file(runner, small_csv, tmp_path):
         ([], b'{"folds": \xff}', "not valid JSON"),
         ([], {"validation_fraction": 0.1}, "unknown experiment config keys: validation_fraction"),
         ([], {"smoothing": 0.01}, "unknown experiment config keys: smoothing"),
+        (["--grid", "d\u00b2"], None, "'d\u00b2'"),
+        (["--grid", "log\u00b2"], None, "'log\u00b2'"),
+        (["--grid", "d\u0663"], None, "'d\u0663'"),
+        ([], {"grid": ["d\u00b2"]}, "'d\u00b2'"),
+        ([], {"grid": ["log\u0663"]}, "'log\u0663'"),
     ],
     ids=[
         "grid-token", "config-key", "folds-str", "window-float", "window-bool", "json-list",
         "seed-str", "repeats-bool", "end-marker-str", "grid-str",
         "grid-non-str-token", "sorting-int", "json-malformed", "json-not-utf8",
-        "validation-fraction", "smoothing",
+        "validation-fraction", "smoothing", "grid-superscript-digit",
+        "grid-log-superscript-digit", "grid-arabic-indic-digit", "config-superscript-digit",
+        "config-arabic-indic-digit",
     ],
 )
 def test_bench_bad_settings_exit_with_error(small_csv, tmp_path, monkeypatch, capsys,

@@ -3,10 +3,12 @@
 import csv
 import dataclasses
 import io
+from collections import Counter
 from random import Random
 
 import pytest
 
+from logsample import metrics
 from logsample.errors import ConfigurationError, SplitError, TrainingError
 from logsample.experiment import (
     BASELINE,
@@ -104,6 +106,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match="fold, windw"):
             config_from_dict({"fold": 3, "windw": 4, "seed": 5})
 
+    @pytest.mark.parametrize(
+        "token", ["d\u00b2", "log\u00b2", "d\u0663", "log\u0663", "random:\u0660.\u0665"]
+    )
+    def test_config_from_dict_rejects_non_ascii_digits(self, token):
+        with pytest.raises(ConfigurationError, match=repr(token)):
+            config_from_dict({"grid": [token]})
+
     def test_derive_seed_is_stable(self):
         assert derive_seed(1, "x") == derive_seed(1, "x")
         assert derive_seed(1, "x") != derive_seed(2, "x")
@@ -169,6 +178,20 @@ class TestRunExperiment:
         config = ExperimentConfig(folds=2, repeats=1, grid=grid("d2"), seed=5, end_marker=False)
         with pytest.raises(TrainingError, match="empty feature set"):
             run_experiment(log, config)
+
+    def test_counts_each_test_fold_once(self, monkeypatch):
+        counted = []
+
+        class SpyCounter(Counter):
+            def __init__(self, *args, **kwargs):
+                counted.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "Counter", SpyCounter)
+        config = ExperimentConfig(folds=3, repeats=2, grid=grid("d2", "log2", "unique"), seed=1)
+        report = run_experiment(skewed_log(), config)
+        assert len(report.rows) == 3 * 2 * 4
+        assert len(counted) == 3 * 2
 
     def test_baseline_accuracy_shared_within_fold(self):
         config = ExperimentConfig(folds=3, repeats=1, grid=grid("d2", "unique"), seed=4)

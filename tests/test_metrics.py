@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logsample import metrics
 from logsample.errors import EvaluationError, UndefinedRatioError
+from logsample.features import FeatureRow
 from logsample.metrics import ClassTally, Stopwatch, evaluate, relative_accuracy, speedup
 from logsample.predictor import train
 
@@ -15,6 +17,8 @@ from helpers import feature_row
 
 class FixedPredictor:
     """Predicts a constant label, whatever the prefix."""
+
+    max_order = None
 
     def __init__(self, label):
         self.label = label
@@ -26,6 +30,8 @@ class FixedPredictor:
 class CountingPredictor:
     """Wraps a predictor and records every prefix it is asked about."""
 
+    max_order = None
+
     def __init__(self, inner):
         self.inner = inner
         self.calls = []
@@ -33,6 +39,15 @@ class CountingPredictor:
     def predict(self, prefix):
         self.calls.append(prefix)
         return self.inner.predict(prefix)
+
+
+class LastActivityPredictor:
+    """Predicts the prefix's last activity; reads the whole prefix (max_order None)."""
+
+    max_order = None
+
+    def predict(self, prefix):
+        return prefix[-1] if prefix else "a"
 
 
 def rows(target_sequence):
@@ -91,21 +106,24 @@ class TestEvaluate:
         st.lists(
             st.tuples(labelled, st.integers(min_value=1, max_value=5)), min_size=1, max_size=15
         ),
+        st.permutations([0, 1, 2, 3, None]),
     )
-    def test_repeated_prefixes_match_per_row_tally(self, train_pairs, test_spec):
+    def test_repeated_prefixes_match_per_row_tally(self, train_pairs, test_spec, orders):
+        """One fold's rows, scored by models of every horizon in any order."""
         train_rows = [feature_row(p, t, f"t{i}") for i, (p, t) in enumerate(train_pairs)]
-        model = train(train_rows, max_order=2)
-        test_rows = [
+        test_rows = metrics.TestRows(
             feature_row(prefix, target, f"c{i}")
             for i, ((prefix, target), times) in enumerate(test_spec)
             for _ in range(times)
-        ]
-        result = evaluate(model, test_rows)
-        per_class, n, overall, balanced = per_row_reference(model, test_rows)
-        assert result.per_class == per_class
-        assert result.n == n
-        assert result.overall_accuracy == overall
-        assert result.balanced_accuracy == balanced
+        )
+        for order in orders:
+            model = LastActivityPredictor() if order is None else train(train_rows, order)
+            result = evaluate(model, test_rows)
+            per_class, n, overall, balanced = per_row_reference(model, test_rows)
+            assert result.per_class == per_class
+            assert result.n == n
+            assert result.overall_accuracy == overall
+            assert result.balanced_accuracy == balanced
 
     def test_predicts_each_distinct_prefix_once(self):
         test_rows = [
@@ -119,6 +137,52 @@ class TestEvaluate:
         assert sorted(model.calls) == [("a",), ("a", "b")]
         assert result.per_class["b"] == ClassTally(2, 2)
         assert result.per_class["c"] == ClassTally(2, 0)
+
+    def test_predicts_each_distinct_key_of_its_horizon_once(self):
+        test_rows = [
+            feature_row(prefix, "b", f"c{i}")
+            for i, prefix in enumerate([("a", "b"), ("x", "b"), ("b",), ("a", "c")])
+        ]
+        model = CountingPredictor(FixedPredictor("b"))
+        model.max_order = 1
+        result = evaluate(model, test_rows)
+        assert sorted(model.calls) == [("b",), ("c",)]
+        assert result.per_class["b"] == ClassTally(4, 4)
+
+
+# metrics.TestRows is read through the module so pytest does not collect it as a test class
+class TestFoldRows:
+    def test_two_horizons_in_turn(self):
+        test_rows = metrics.TestRows(
+            [
+                feature_row(("a", "b"), "c", "c0"),
+                feature_row(("x", "b"), "c", "c1"),
+                feature_row(("x", "b"), "d", "c2"),
+                feature_row((), "a", "c3"),
+            ]
+        )
+        assert test_rows.pairs(1) == {(("b",), "c"): 2, (("b",), "d"): 1, ((), "a"): 1}
+        assert test_rows.pairs(None) == {
+            (("a", "b"), "c"): 1,
+            (("x", "b"), "c"): 1,
+            (("x", "b"), "d"): 1,
+            ((), "a"): 1,
+        }
+        assert test_rows.pairs(0) == {((), "c"): 2, ((), "d"): 1, ((), "a"): 1}
+        assert test_rows.pairs(1) is test_rows.pairs(1)  # counted once, then reused
+
+    def test_is_a_sequence_of_feature_rows(self):
+        rows = [feature_row(("a", "b"), "c", "c0"), feature_row(("a",), "b", "c0")]
+        test_rows = metrics.TestRows(rows)
+        assert len(test_rows) == 2
+        assert list(test_rows) == rows
+        assert all(isinstance(row, FeatureRow) for row in test_rows)
+        assert [(row.prefix, row.target) for row in test_rows] == [(("a", "b"), "c"), (("a",), "b")]
+
+    def test_evaluate_accepts_any_iterable_of_rows(self):
+        test_rows = rows(["b", "b", "c"])
+        expected = evaluate(FixedPredictor("b"), metrics.TestRows(test_rows))
+        assert evaluate(FixedPredictor("b"), iter(test_rows)) == expected
 
 
 class TestRatios:

@@ -1,5 +1,6 @@
 """Suffix-frequency predictor: counting, backoff, ties, and persistence."""
 
+import json
 from collections import Counter, defaultdict
 from random import Random
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsample.errors import TrainingError
+from logsample.errors import ConfigurationError, TrainingError
 from logsample.features import END_MARKER, extract_features
 from logsample.predictor import load_model, save_model, train
 
@@ -39,6 +40,11 @@ class TestTrain:
     def test_empty_training_set(self):
         with pytest.raises(TrainingError):
             train([])
+
+    @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -1.0])
+    def test_smoothing_must_be_finite_and_non_negative(self, smoothing):
+        with pytest.raises(TrainingError, match="smoothing must be finite and >= 0"):
+            train(rows_from_pairs([("a", "b")]), smoothing=smoothing)
 
     def test_suffixes_of_all_training_rows_are_stored(self):
         rows = rows_from_pairs([("abc", "d"), ("bc", "d"), ("c", "a")])
@@ -184,3 +190,16 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         assert load_model(path).to_dict() == before
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_order", -2), ("smoothing", -5), ("smoothing", float("nan")),
+         ("smoothing", float("inf"))],
+    )
+    def test_load_rejects_parameters_predict_cannot_use(self, tmp_path, field, value):
+        model = train(rows_from_pairs([("a", "b"), ("b", "a")]), max_order=1)
+        data = {**model.to_dict(), field: value}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="model.json"):
+            load_model(path)

@@ -149,7 +149,10 @@ class TestSamplingConfig:
         assert parse_method_token("unique").method == UNIQUE
         assert parse_method_token("random:0.25").fraction == 0.25
         assert parse_method_token("random").fraction == 1.0
-        for bad in ("bogus7", "random:abc", "random:"):
+        for bad in (
+            "bogus7", "random:abc", "random:", "d\u00b2", "log\u00b2", "d\u0663",
+            "random:\u0660.\u0665",
+        ):
             with pytest.raises(ConfigurationError, match=re.escape(repr(bad))):
                 parse_method_token(bad)
 
