@@ -18,6 +18,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -118,11 +119,15 @@ class Case:
 
 @dataclass
 class EventLog:
-    """Event log: cases (which own their events), alphabet, and attribute schema."""
+    """Event log: cases (which own their events) and attribute schema."""
 
     cases: Mapping[str, Case]
-    activity_alphabet: frozenset[str]
     attribute_schema: Mapping[str, AttributeSpec] = field(default_factory=dict)
+
+    @cached_property
+    def activity_alphabet(self) -> frozenset[str]:
+        """Every activity of the log, derived from the case traces on first read."""
+        return frozenset(chain.from_iterable(case.trace for case in self.cases.values()))
 
     @property
     def num_cases(self) -> int:
@@ -139,10 +144,6 @@ class EventLog:
 
 _activity = attrgetter("activity")
 _timestamp = attrgetter("timestamp")
-
-
-def _alphabet(cases: Iterable[Case]) -> frozenset[str]:
-    return frozenset(chain.from_iterable(case.trace for case in cases))
 
 
 @contextmanager
@@ -198,7 +199,7 @@ def build_log(
                 tuple(map(_activity, members)),
             )
 
-    return EventLog(cases, _alphabet(cases.values()), dict(schema or {}))
+    return EventLog(cases, dict(schema or {}))
 
 
 def subset_log(log: EventLog, case_ids: Iterable[str]) -> EventLog:
@@ -209,7 +210,7 @@ def subset_log(log: EventLog, case_ids: Iterable[str]) -> EventLog:
     """
     keep = set(case_ids)
     cases = {cid: case for cid, case in log.cases.items() if cid in keep}
-    return EventLog(cases, _alphabet(cases.values()), dict(log.attribute_schema))
+    return EventLog(cases, dict(log.attribute_schema))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from .features import FeatureRow
 
 
 class SequencePredictor(Protocol):
-    # how many trailing activities predict reads at most; None: the whole prefix
-    max_order: int | None
+    # how many trailing activities predict reads at most
+    max_order: int
 
     def predict(self, prefix) -> str: ...
 
@@ -30,25 +30,23 @@ class SequencePredictor(Protocol):
 class TestRows(tuple[FeatureRow, ...]):
     """One test fold's feature rows, with their (key, target) counts per horizon.
 
-    The key of a row is its prefix cut to the last ``horizon`` activities, or
-    the whole prefix for horizon None. Every model scored on the fold shares
-    the counts of its horizon, so each horizon is counted once.
+    The key of a row is its prefix cut to the last ``horizon`` activities;
+    a horizon at least as long as the prefix keeps all of it. Every model
+    scored on the fold shares the counts of its horizon, so each horizon is
+    counted once.
     """
 
     @cached_property
-    def _pairs(self) -> dict[int | None, Counter]:
+    def _pairs(self) -> dict[int, Counter]:
         return {}
 
-    def pairs(self, horizon: int | None) -> Counter:
+    def pairs(self, horizon: int) -> Counter:
         counts = self._pairs.get(horizon)
         if counts is None:
-            if horizon is None:
-                keys = ((sequence[:cut], sequence[cut]) for sequence, cut, _ in self)
-            else:
-                keys = (
-                    (sequence[cut - horizon if cut > horizon else 0 : cut], sequence[cut])
-                    for sequence, cut, _ in self
-                )
+            keys = (
+                (sequence[max(cut - horizon, 0) : cut], sequence[cut])
+                for sequence, cut, _ in self
+            )
             counts = self._pairs[horizon] = Counter(keys)
         return counts
 

@@ -157,8 +157,9 @@ def _is_table(entry, labels: set[str]) -> bool:
         and isinstance(entry.get("suffix"), list)
         and all(isinstance(activity, str) for activity in entry["suffix"])
         and isinstance(entry.get("counts"), dict)
+        and len(entry["counts"]) > 0
         and entry["counts"].keys() <= labels
-        and all(type(count) is int for count in entry["counts"].values())
+        and all(type(count) is int and count > 0 for count in entry["counts"].values())
     )
 
 
@@ -166,7 +167,8 @@ def load_model(path: str | Path) -> PrefixTreeModel:
     """Read a model written by :func:`save_model`.
 
     Raises ConfigurationError naming the file when it is not UTF-8 JSON, or
-    not an object whose fields have the shape save_model writes.
+    not an object whose fields have the shape save_model writes: distinct
+    labels, and tables that each count some of them, every count positive.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -177,7 +179,11 @@ def load_model(path: str | Path) -> PrefixTreeModel:
             f"model file {path} must hold a JSON object, got {type(data).__name__}"
         )
     labels = data.get("labels")
-    labels_ok = isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+    labels_ok = (
+        isinstance(labels, list)
+        and all(isinstance(label, str) for label in labels)
+        and len(set(labels)) == len(labels)
+    )
     known = set(labels) if labels_ok else set()
     tables = data.get("tables")
     if not (
@@ -193,7 +199,8 @@ def load_model(path: str | Path) -> PrefixTreeModel:
     ):
         raise ConfigurationError(
             f"model file {path} is not a model: it needs an integer max_order >= 0, a"
-            " finite number smoothing >= 0, a list of labels and a tables list that holds"
-            " the empty suffix and counts only those labels"
+            " finite number smoothing >= 0, a list of distinct labels and a tables list that"
+            " holds the empty suffix, each table counting some of those labels with positive"
+            " integers"
         )
     return PrefixTreeModel.from_dict(data)

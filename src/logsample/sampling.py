@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .errors import ConfigurationError, EmptySampleError
-from .log_model import CASE_SCOPE, EventLog, subset_log
+from .log_model import EventLog, subset_log
 from .variants import Variant, VariantIndex
 
 UNIQUE = "unique"
@@ -137,28 +137,6 @@ def sample_count(config: SamplingConfig, frequency: int) -> int:
     raise ConfigurationError("random selection has no per-variant count")
 
 
-def _representative_score(
-    case_id: str, index: VariantIndex, variant: Variant
-) -> int:
-    """How many of the case's attribute observations hit a modal value."""
-    log = index.source_log
-    modal_values = index.modal_values[variant.activities]
-    score = 0
-    for name in index.attributes:
-        modal = modal_values[name]
-        if not modal:
-            continue
-        spec = log.attribute_schema[name]
-        if spec.scope == CASE_SCOPE:
-            if log.cases[case_id].attributes.get(name) in modal:
-                score += 1
-        else:
-            for ev in log.cases[case_id].events:
-                if ev.attributes.get(name) in modal:
-                    score += 1
-    return score
-
-
 def rank_traces(
     variant: Variant, index: VariantIndex, sorting: str, seed: int = 0
 ) -> list[str]:
@@ -172,10 +150,7 @@ def rank_traces(
             raise ConfigurationError(
                 "representative sorting needs an index built with attributes"
             )
-        return sorted(
-            variant.member_case_ids,
-            key=lambda cid: (-_representative_score(cid, index, variant), cid),
-        )
+        return sorted(variant.member_case_ids, key=lambda cid: (-index.scores[cid], cid))
     if sorting in (OLDEST_FIRST, NEWEST_FIRST):
         cases = index.source_log.cases
         ids = sorted(variant.member_case_ids)

@@ -3,8 +3,8 @@
 A variant is a distinct activity sequence; every case belongs to exactly one
 variant. The index groups cases by variant and keeps, for each requested
 attribute, the set of its most frequent values within each group (all ties,
-numeric attributes included), which is what representative trace ranking
-scores against.
+numeric attributes included). It scores every case by how many of its own
+observations hit those sets; representative trace ranking sorts by that score.
 """
 
 from __future__ import annotations
@@ -32,12 +32,18 @@ class Variant:
 
 @dataclass(frozen=True)
 class VariantIndex:
-    """Variant partition of a log plus per-variant modal attribute values."""
+    """Variant partition of a log, per-variant modal attribute values and case scores.
+
+    ``scores`` maps a case id to the number of its observations, over every
+    named attribute, that hit its variant's modal set; it is empty when the
+    index has no attributes.
+    """
 
     variants: tuple[Variant, ...]
     attributes: tuple[str, ...]
     modal_values: dict[ActivitySeq, dict[str, frozenset]]
     source_log: EventLog = field(repr=False)
+    scores: dict[str, int] = field(repr=False)
 
 
 def _modal(values: list) -> frozenset:
@@ -57,12 +63,13 @@ def default_attributes(log: EventLog) -> list[str]:
 
 
 def build_variant_index(log: EventLog, attributes: list[str] | None = None) -> VariantIndex:
-    """Group cases by variant and find the given attributes' modal values per variant.
+    """Group cases by variant, find the attributes' modal values and score each case.
 
     ``attributes`` defaults to every categorical event attribute; pass an
     empty list to skip the attribute pass entirely. Event-scoped
     attributes pool one observation per event, case-scoped ones pool one per
-    case.
+    case; a missing value is no observation. An attribute named twice counts
+    twice in the scores.
     """
     if attributes is None:
         attributes = default_attributes(log)
@@ -78,23 +85,21 @@ def build_variant_index(log: EventLog, attributes: list[str] | None = None) -> V
     variants = tuple(Variant(seq, tuple(ids)) for seq, ids in ordered)
 
     modal_values: dict[ActivitySeq, dict[str, frozenset]] = {}
+    scores = dict.fromkeys(log.cases, 0) if attributes else {}
     for variant in variants:
+        cases = [log.cases[cid] for cid in variant.member_case_ids]
         per_attr: dict[str, frozenset] = {}
         for name in attributes:
-            spec = log.attribute_schema[name]
-            values = []
-            if spec.scope == CASE_SCOPE:
-                for cid in variant.member_case_ids:
-                    value = log.cases[cid].attributes.get(name)
-                    if value is not None:
-                        values.append(value)
+            # each member's observations, read once: pooled for the modal set, then scored
+            if log.attribute_schema[name].scope == CASE_SCOPE:
+                observed = [[case.attributes.get(name)] for case in cases]
             else:
-                for cid in variant.member_case_ids:
-                    for ev in log.cases[cid].events:
-                        value = ev.attributes.get(name)
-                        if value is not None:
-                            values.append(value)
-            per_attr[name] = _modal(values)
+                observed = [[ev.attributes.get(name) for ev in case.events] for case in cases]
+            modal = per_attr[name] = _modal(
+                [value for values in observed for value in values if value is not None]
+            )
+            for cid, values in zip(variant.member_case_ids, observed):
+                scores[cid] += sum(value in modal for value in values)
         modal_values[variant.activities] = per_attr
 
     return VariantIndex(
@@ -102,4 +107,5 @@ def build_variant_index(log: EventLog, attributes: list[str] | None = None) -> V
         attributes=tuple(attributes),
         modal_values=modal_values,
         source_log=log,
+        scores=scores,
     )

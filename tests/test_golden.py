@@ -18,6 +18,11 @@ Random and representative ranking share one expected file: sampling keeps
 the same number of cases of each variant whatever the ranking, and the
 predictor sees only activity sequences.
 
+``tests/data/sample_rep_core.csv`` pins which cases representative ranking
+keeps: a ``logsample sample --sort rep`` run that scores a case-scoped and an
+event-scoped attribute, written when each ranking call still re-read every
+case's attribute observations.
+
 ``tests/data/write_core.csv`` is ``write_csv`` output from before
 timestamps were formatted without ``isoformat``.
 """
@@ -91,6 +96,44 @@ def bench_core_csv(tmp_path: Path, sort_token: str) -> bytes:
 def test_bench_core_csv_is_unchanged(tmp_path, sort_token):
     expected = (DATA / "bench_core.csv").read_bytes()
     assert bench_core_csv(tmp_path, sort_token) == expected
+
+
+def sample_core_csv(tmp_path: Path, sort_token: str) -> bytes:
+    """Keep half of each variant of a log whose attribute values vary within variants.
+
+    ``region`` holds one value per case, so it reads back case-scoped;
+    ``resource`` varies along a case and is missing from every fifth event.
+    """
+    log = log_from_variants(
+        random_variant_freqs(Random(4408), max_variants=8, max_freq=12, max_len=5),
+        event_attrs=lambda n, j: {} if (n + j) % 5 == 0 else {"resource": f"r{(n * n + j) % 3}"},
+        case_attrs=lambda n: {"region": ("north", "south", "east")[n * 7 % 5 % 3]},
+        schema={
+            "resource": AttributeSpec(CATEGORICAL, EVENT_SCOPE),
+            "region": AttributeSpec(CATEGORICAL, CASE_SCOPE),
+        },
+    )
+    log_path = tmp_path / "attributed.csv"
+    write_csv(log, log_path)
+    out = tmp_path / f"sample_{sort_token}.csv"
+    result = CliRunner().invoke(
+        cli,
+        [
+            "sample", str(log_path),
+            "--method", "div", "--k", "2",
+            "--sort", sort_token, "--attr", "region,resource",
+            "-o", str(out),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    return out.read_bytes()
+
+
+def test_representative_sample_is_unchanged(tmp_path):
+    kept = sample_core_csv(tmp_path, "rep")
+    assert kept == (DATA / "sample_rep_core.csv").read_bytes()
+    # the ranking decides the kept cases: arrival order keeps others
+    assert kept != sample_core_csv(tmp_path, "time-asc")
 
 
 def test_report_headers_are_unchanged(tmp_path):

@@ -1,5 +1,6 @@
 """Accuracy tallies and ratio metrics."""
 
+import sys
 import time
 
 import pytest
@@ -18,7 +19,7 @@ from helpers import feature_row
 class FixedPredictor:
     """Predicts a constant label, whatever the prefix."""
 
-    max_order = None
+    max_order = sys.maxsize
 
     def __init__(self, label):
         self.label = label
@@ -30,7 +31,7 @@ class FixedPredictor:
 class CountingPredictor:
     """Wraps a predictor and records every prefix it is asked about."""
 
-    max_order = None
+    max_order = sys.maxsize
 
     def __init__(self, inner):
         self.inner = inner
@@ -42,9 +43,9 @@ class CountingPredictor:
 
 
 class LastActivityPredictor:
-    """Predicts the prefix's last activity; reads the whole prefix (max_order None)."""
+    """Predicts the prefix's last activity; reads the whole prefix (max_order sys.maxsize)."""
 
-    max_order = None
+    max_order = sys.maxsize
 
     def predict(self, prefix):
         return prefix[-1] if prefix else "a"
@@ -162,7 +163,7 @@ class TestFoldRows:
             ]
         )
         assert test_rows.pairs(1) == {(("b",), "c"): 2, (("b",), "d"): 1, ((), "a"): 1}
-        assert test_rows.pairs(None) == {
+        assert test_rows.pairs(sys.maxsize) == {
             (("a", "b"), "c"): 1,
             (("x", "b"), "c"): 1,
             (("x", "b"), "d"): 1,

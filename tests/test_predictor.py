@@ -194,7 +194,14 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "field, value",
         [("max_order", -2), ("smoothing", -5), ("smoothing", float("nan")),
-         ("smoothing", float("inf"))],
+         ("smoothing", float("inf")),
+         # tables and labels train never writes; predict met them as max() of an
+         # empty table or a -0.0 probability
+         ("tables", [{"suffix": [], "counts": {}}]),
+         ("tables", [{"suffix": [], "counts": {"a": 1}}, {"suffix": ["a"], "counts": {}}]),
+         ("tables", [{"suffix": [], "counts": {"a": -1, "b": 0}}]),
+         ("tables", [{"suffix": [], "counts": {"a": 2, "b": 0}}]),
+         ("labels", ["a", "b", "b"])],
     )
     def test_load_rejects_parameters_predict_cannot_use(self, tmp_path, field, value):
         model = train(rows_from_pairs([("a", "b"), ("b", "a")]), max_order=1)

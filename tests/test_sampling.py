@@ -7,6 +7,7 @@ independent of the implementation under test.
 
 import math
 import re
+from datetime import timedelta
 from random import Random
 
 import pytest
@@ -14,6 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsample.errors import ConfigurationError, EmptySampleError
+from logsample.log_model import (
+    CASE_SCOPE,
+    CATEGORICAL,
+    EVENT_SCOPE,
+    NUMERIC,
+    AttributeSpec,
+    Event,
+    build_log,
+)
 from logsample.sampling import (
     DIVISION,
     LOGARITHMIC,
@@ -31,7 +41,7 @@ from logsample.sampling import (
 )
 from logsample.variants import build_variant_index
 
-from helpers import log_from_variants, random_variant_freqs, resource_schema, trace_counts
+from helpers import T0, log_from_variants, random_variant_freqs, resource_schema, trace_counts
 
 
 # --- independent oracle -----------------------------------------------------
@@ -209,6 +219,75 @@ class TestRankTraces:
             for variant in index.variants:
                 ranked = rank_traces(variant, index, sorting, seed=1)
                 assert sorted(ranked) == sorted(variant.member_case_ids)
+
+
+def oracle_representative_score(case_id, index, variant):
+    """Reference score: the case's observations walked against its variant's modal sets."""
+    log = index.source_log
+    modal_values = index.modal_values[variant.activities]
+    score = 0
+    for name in index.attributes:
+        modal = modal_values[name]
+        if not modal:
+            continue
+        spec = log.attribute_schema[name]
+        if spec.scope == CASE_SCOPE:
+            if log.cases[case_id].attributes.get(name) in modal:
+                score += 1
+        else:
+            for ev in log.cases[case_id].events:
+                if ev.attributes.get(name) in modal:
+                    score += 1
+    return score
+
+
+ATTRIBUTE_SCHEMA = {
+    "region": AttributeSpec(CATEGORICAL, CASE_SCOPE),
+    "resource": AttributeSpec(CATEGORICAL, EVENT_SCOPE),
+    "cost": AttributeSpec(NUMERIC, EVENT_SCOPE),
+}
+
+
+@st.composite
+def attributed_logs(draw):
+    """Small logs with a case-scoped and two event-scoped attributes, values often missing.
+
+    Value domains are tiny so scores tie often; ``cost`` mixes 1 and 1.0,
+    which are one value to a set.
+    """
+    variants = st.sampled_from([("a", "b"), ("a", "c"), ("b",)])
+    traces = draw(st.lists(variants, min_size=1, max_size=12))
+    events, case_attributes = [], {}
+    for n, trace in enumerate(traces):
+        cid = f"c{n:02d}"
+        region = draw(st.sampled_from(["north", "south", None]))
+        if region is not None:
+            case_attributes[cid] = {"region": region}
+        for j, activity in enumerate(trace):
+            attrs = {}
+            resource = draw(st.sampled_from(["r1", "r2", "r3", None]))
+            cost = draw(st.sampled_from([1, 1.0, 2, None]))
+            if resource is not None:
+                attrs["resource"] = resource
+            if cost is not None:
+                attrs["cost"] = cost
+            events.append(Event(cid, activity, T0 + timedelta(hours=n, minutes=j), attrs))
+    names = draw(st.lists(st.sampled_from(sorted(ATTRIBUTE_SCHEMA)), min_size=1, max_size=4))
+    return build_log(events, case_attributes, ATTRIBUTE_SCHEMA), names
+
+
+@settings(max_examples=150, deadline=None)
+@given(attributed_logs())
+def test_representative_ranking_matches_per_case_oracle(case):
+    """Case and event scope, missing values, ties and an attribute named twice."""
+    log, names = case
+    index = build_variant_index(log, names)
+    for variant in index.variants:
+        expected = sorted(
+            variant.member_case_ids,
+            key=lambda cid: (-oracle_representative_score(cid, index, variant), cid),
+        )
+        assert rank_traces(variant, index, REPRESENTATIVE) == expected
 
 
 # --- sample -----------------------------------------------------------------
