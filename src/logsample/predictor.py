@@ -1,8 +1,12 @@
 """Deterministic next-activity predictor based on suffix frequency tables.
 
 For every prefix suffix up to a maximum order the model keeps a frequency
-table over next activities. Prediction walks from the longest matching
-suffix down to the empty suffix (the global table), so it is total. The
+table over next activities. The tables live in a suffix trie: node 0 is the
+empty suffix (the global table), and each child adds the activity one step
+further back, so ``counts[n]`` holds the table of the suffix spelled by the
+path to node ``n``. Prediction walks back from the end of the prefix, at
+most ``max_order`` activities, and uses the deepest stored suffix it
+reaches; the empty suffix is always stored, so prediction is total. The
 predicted label is the argmax of that table's raw counts; the smoothing in
 :meth:`PrefixTreeModel.distribution` is uniform, so it would pick the same
 label. Seed-free and deterministic, which keeps accuracy comparisons between
@@ -15,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,45 +37,75 @@ def _label_order(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(plain)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrefixTreeModel:
-    """Suffix-keyed frequency tables; the empty suffix is the fallback."""
+    """A suffix trie of frequency tables; the empty suffix is the fallback.
+
+    ``counts`` and ``children`` are indexed by node id. ``children[n]`` maps
+    the activity one step further back to the child's id. A node whose
+    suffix is only a step on the way to a longer one has empty counts. The
+    lists hold only ``{str: int}`` dicts, which the cyclic garbage collector
+    never tracks. Models are equal when their tables are, whatever their
+    node numbering.
+    """
 
     max_order: int
     smoothing: float
     labels: tuple[str, ...]
-    tables: dict[Suffix, dict[str, int]]
+    counts: list[dict[str, int]]
+    children: list[dict[str, int]]
 
     @property
     def fallback(self) -> dict[str, int]:
-        return self.tables[()]
+        return self.counts[0]
+
+    @property
+    def tables(self) -> dict[Suffix, dict[str, int]]:
+        """Each stored suffix with its counts, flattened from the trie."""
+        found = {}
+        stack = [((), 0)]
+        while stack:
+            suffix, node = stack.pop()
+            if self.counts[node]:
+                found[suffix] = self.counts[node]
+            stack.extend(((a, *suffix), child) for a, child in self.children[node].items())
+        return found
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PrefixTreeModel):
+            return NotImplemented
+        return (self.max_order, self.smoothing, self.labels, self.tables) == (
+            other.max_order, other.smoothing, other.labels, other.tables
+        )
 
     @cached_property
     def _rank(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
 
     @cached_property
-    def _argmax(self) -> dict[Suffix, str]:
-        # predicted label per matched suffix, filled by predict; never serialised
+    def _argmax(self) -> dict[int, str]:
+        # predicted label per matched node id, filled by predict; never serialised
         return {}
 
-    def _match(self, prefix: Sequence[str]) -> tuple[Suffix, dict[str, int]]:
-        """The longest stored suffix of the prefix and its counts.
+    def _match(self, prefix: Sequence[str]) -> int:
+        """The node of the longest stored suffix of the prefix.
 
-        Tries at most max_order activities, down to the always-present empty
-        suffix.
+        Walks back at most max_order activities, passing over nodes without
+        counts; the root, the always-present empty suffix, ends every miss.
         """
-        prefix = tuple(prefix)
-        for order in range(min(self.max_order, len(prefix)), 0, -1):
-            suffix = prefix[len(prefix) - order :]
-            found = self.tables.get(suffix)
-            if found is not None:
-                return suffix, found
-        return (), self.fallback
+        counts, children = self.counts, self.children
+        node = found = 0
+        for activity in islice(reversed(prefix), self.max_order):
+            node = children[node].get(activity)
+            if node is None:
+                break
+            if counts[node]:
+                found = node
+        return found
 
     def distribution(self, prefix: Sequence[str]) -> dict[str, float]:
         """Smoothed next-activity distribution for a prefix."""
-        _, table = self._match(prefix)
+        table = self.counts[self._match(prefix)]
         total = sum(table.values()) + self.smoothing * len(self.labels)
         return {
             label: (table.get(label, 0) + self.smoothing) / total
@@ -81,14 +116,14 @@ class PrefixTreeModel:
         """Most likely next activity: the argmax of :meth:`distribution`.
 
         Ties go to the earliest label in alphabet order (end marker last).
-        The label is computed once per matched suffix and then memoised.
+        The label is computed once per matched node and then memoised.
         """
-        suffix, table = self._match(prefix)
+        node = self._match(prefix)
         memo = self._argmax
-        label = memo.get(suffix)
+        label = memo.get(node)
         if label is None:
-            rank = self._rank
-            label = memo[suffix] = max(table, key=lambda l: (table[l], -rank[l]))
+            table, rank = self.counts[node], self._rank
+            label = memo[node] = max(table, key=lambda l: (table[l], -rank[l]))
         return label
 
     def to_dict(self) -> dict:
@@ -104,45 +139,66 @@ class PrefixTreeModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PrefixTreeModel":
+        counts: list[dict[str, int]] = [{}]
+        children: list[dict[str, int]] = [{}]
+        for entry in data["tables"]:
+            node = 0
+            for activity in reversed(entry["suffix"]):
+                child = children[node].get(activity)
+                if child is None:
+                    child = children[node][activity] = len(counts)
+                    counts.append({})
+                    children.append({})
+                node = child
+            counts[node] = dict(entry["counts"])
         return cls(
             max_order=data["max_order"],
             smoothing=data["smoothing"],
             labels=tuple(data["labels"]),
-            tables={
-                tuple(entry["suffix"]): dict(entry["counts"])
-                for entry in data["tables"]
-            },
+            counts=counts,
+            children=children,
         )
 
 
 def train(
     rows: Iterable[FeatureRow], max_order: int = 5, smoothing: float = 0.01
 ) -> PrefixTreeModel:
-    """Count suffix -> next-activity transitions for all orders 0..max_order."""
+    """Count suffix -> next-activity transitions for all orders 0..max_order.
+
+    Each row walks back from its cut at most max_order activities, one trie
+    step per activity, and counts its target at every node it passes.
+    """
     if max_order < 0:
         raise TrainingError(f"max_order must be >= 0, got {max_order}")
     if not (smoothing >= 0 and math.isfinite(smoothing)):
         raise TrainingError(f"smoothing must be finite and >= 0, got {smoothing}")
 
-    tables: dict[Suffix, dict[str, int]] = {(): {}}
-    targets: set[str] = set()
-    n = 0
+    root: dict[str, int] = {}
+    counts = [root]
+    children: list[dict[str, int]] = [{}]
     for sequence, cut, _ in rows:
-        n += 1
         target = sequence[cut]
-        targets.add(target)
-        for order in range(0, min(max_order, cut) + 1):
-            suffix = sequence[cut - order : cut]
-            table = tables.setdefault(suffix, {})
-            table[target] = table.get(target, 0) + 1
-    if n == 0:
+        root[target] = root.get(target, 0) + 1
+        node = 0
+        for activity in reversed(sequence[max(cut - max_order, 0) : cut]):
+            kids = children[node]
+            node = kids.get(activity, 0)  # 0, the root, is nobody's child
+            if node:
+                table = counts[node]
+                table[target] = table.get(target, 0) + 1
+            else:
+                node = kids[activity] = len(counts)
+                counts.append({target: 1})
+                children.append({})
+    if not root:
         raise TrainingError("cannot train on an empty feature set")
 
     return PrefixTreeModel(
         max_order=max_order,
         smoothing=smoothing,
-        labels=_label_order(targets),
-        tables=tables,
+        labels=_label_order(root),
+        counts=counts,
+        children=children,
     )
 
 
@@ -168,7 +224,8 @@ def load_model(path: str | Path) -> PrefixTreeModel:
 
     Raises ConfigurationError naming the file when it is not UTF-8 JSON, or
     not an object whose fields have the shape save_model writes: distinct
-    labels, and tables that each count some of them, every count positive.
+    labels, and tables of distinct suffixes that each count some of them,
+    every count positive.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -196,11 +253,12 @@ def load_model(path: str | Path) -> PrefixTreeModel:
         and isinstance(tables, list)
         and all(_is_table(entry, known) for entry in tables)
         and any(entry["suffix"] == [] for entry in tables)
+        and len({tuple(entry["suffix"]) for entry in tables}) == len(tables)
     ):
         raise ConfigurationError(
             f"model file {path} is not a model: it needs an integer max_order >= 0, a"
             " finite number smoothing >= 0, a list of distinct labels and a tables list that"
-            " holds the empty suffix, each table counting some of those labels with positive"
-            " integers"
+            " holds the empty suffix and no suffix twice, each table counting some of those"
+            " labels with positive integers"
         )
     return PrefixTreeModel.from_dict(data)

@@ -139,11 +139,15 @@ def test_train_predict_evaluate(runner, small_csv, tmp_path):
         ' "tables": [{"suffix": [], "counts": {"a": -1, "b": 0}}]}',
         '{"max_order": 1, "smoothing": 0.0, "labels": ["b", "b"],'
         ' "tables": [{"suffix": [], "counts": {"b": 1}}]}',
+        '{"max_order": 1, "smoothing": 0.0, "labels": ["a", "b"],'
+        ' "tables": [{"suffix": [], "counts": {"a": 1}}, {"suffix": ["a"], "counts": {"a": 5}},'
+        ' {"suffix": ["a"], "counts": {"b": 1}}]}',
     ],
     ids=[
         "truncated-json", "json-list", "max-order-str", "unknown-label",
         "max-order-negative", "smoothing-negative", "smoothing-nan", "smoothing-infinite",
         "empty-root-counts", "empty-suffix-counts", "negative-count", "repeated-label",
+        "repeated-suffix",
     ],
 )
 def test_predict_on_a_bad_model_file_exits_with_error(tmp_path, monkeypatch, capsys, text):

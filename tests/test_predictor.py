@@ -79,6 +79,22 @@ class TestPredict:
         model = train(rows, max_order=1, smoothing=0.0)
         assert model.predict(("a",)) == "z"
 
+    def test_backoff_passes_over_a_missing_shorter_suffix(self, tmp_path):
+        # tables for () and (b, a) but none for (a,): the walk to (b, a) passes
+        # a suffix with no table, and a prefix that stops there backs off to ()
+        path = tmp_path / "gapped.json"
+        path.write_text(json.dumps({
+            "max_order": 2, "smoothing": 0.0, "labels": ["x", "y"],
+            "tables": [{"suffix": [], "counts": {"x": 5, "y": 1}},
+                       {"suffix": ["b", "a"], "counts": {"y": 2}}],
+        }), encoding="utf-8")
+        model = load_model(path)
+        for prefix, expected in [(("b", "a"), "y"), (("c", "b", "a"), "y"), (("a",), "x"),
+                                 (("c", "a"), "x"), (("a", "b"), "x")]:
+            assert model.predict(prefix) == expected
+        assert model.distribution(("b", "a")) == {"x": 0.0, "y": 1.0}
+        assert model.distribution(("a",)) == pytest.approx({"x": 5 / 6, "y": 1 / 6})
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_distribution_normalised(self, seed):
@@ -170,6 +186,49 @@ class TestFirstOrderMarkovOracle:
             assert model.predict((state,)) == expected
 
 
+def slicing_train(rows, max_order):
+    """The counting loop of the trainer before the suffix trie, which sliced
+    every suffix of every row; returns its tables and the set of targets."""
+    tables = {(): {}}
+    targets = set()
+    for sequence, cut, _ in rows:
+        target = sequence[cut]
+        targets.add(target)
+        for order in range(0, min(max_order, cut) + 1):
+            suffix = sequence[cut - order : cut]
+            table = tables.setdefault(suffix, {})
+            table[target] = table.get(target, 0) + 1
+    return tables, targets
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    max_order=st.integers(min_value=0, max_value=6),
+    with_marker=st.booleans(),
+)
+def test_trie_matches_slicing_reference(tmp_path_factory, seed, max_order, with_marker):
+    rnd = Random(seed)
+    log = log_from_variants(random_variant_freqs(rnd, max_variants=8, max_freq=4, max_len=8))
+    rows = extract_features(log, with_marker)
+    rnd.shuffle(rows)
+    if not rows:  # without the marker, one-event cases give no rows
+        return
+    model = train(rows, max_order=max_order)
+    tables, targets = slicing_train(rows, max_order)
+    # key order too: to_dict writes each counts dict in insertion order
+    as_items = lambda t: {suffix: list(counts.items()) for suffix, counts in t.items()}
+    assert as_items(model.tables) == as_items(tables)
+    assert set(model.labels) == targets
+
+    for row in rows[:20]:
+        model.predict(row.prefix)
+    model.predict(("unseen", *rows[0].prefix))
+    path = tmp_path_factory.mktemp("trie") / "model.json"
+    save_model(model, path)
+    assert load_model(path) == model
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         rows = rows_from_pairs([("ab", "c"), ("a", "b"), ("b", END_MARKER)])
@@ -201,7 +260,10 @@ class TestPersistence:
          ("tables", [{"suffix": [], "counts": {"a": 1}}, {"suffix": ["a"], "counts": {}}]),
          ("tables", [{"suffix": [], "counts": {"a": -1, "b": 0}}]),
          ("tables", [{"suffix": [], "counts": {"a": 2, "b": 0}}]),
-         ("labels", ["a", "b", "b"])],
+         ("labels", ["a", "b", "b"]),
+         # a repeated suffix: the later table would silently replace the earlier
+         ("tables", [{"suffix": [], "counts": {"a": 1}}, {"suffix": ["a"], "counts": {"a": 5}},
+                     {"suffix": ["a"], "counts": {"b": 1}}])],
     )
     def test_load_rejects_parameters_predict_cannot_use(self, tmp_path, field, value):
         model = train(rows_from_pairs([("a", "b"), ("b", "a")]), max_order=1)
