@@ -8,6 +8,7 @@ cross-validated benchmark.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,6 @@ from .sampling import (
     RANDOM_ORDER,
     REPRESENTATIVE,
     SamplingConfig,
-    parse_method_token,
     sample,
 )
 from .variants import build_variant_index
@@ -39,21 +39,22 @@ SORT_TOKENS = {
 }
 
 
-def _mapping(case_col: str, activity_col: str, time_col: str) -> ColumnMapping:
-    return ColumnMapping(case_col=case_col, activity_col=activity_col, time_col=time_col)
-
-
-log_options = [
-    click.option("--case-col", default="case_id", show_default=True, help="CSV case id column."),
-    click.option("--activity-col", default="activity", show_default=True, help="CSV activity column."),
-    click.option("--time-col", default="timestamp", show_default=True, help="CSV timestamp column."),
-]
-
-
 def with_log_options(fn):
-    for option in reversed(log_options):
-        fn = option(fn)
-    return fn
+    """Add the CSV column options; the command receives them as one ``columns`` mapping."""
+
+    @click.option("--case-col", default="case_id", show_default=True, help="CSV case id column.")
+    @click.option("--activity-col", default="activity", show_default=True, help="CSV activity column.")
+    @click.option("--time-col", default="timestamp", show_default=True, help="CSV timestamp column.")
+    @functools.wraps(fn)
+    def command(case_col, activity_col, time_col, **kwargs):
+        return fn(columns=ColumnMapping(case_col, activity_col, time_col), **kwargs)
+
+    return command
+
+
+def _items(text: str) -> list[str]:
+    """The non-blank entries of a comma-separated list, stripped."""
+    return [item.strip() for item in text.split(",") if item.strip()]
 
 
 @click.group()
@@ -65,11 +66,10 @@ def cli():
 @click.argument("log_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--attr", default=None, help="Comma-separated attribute names to summarise.")
 @with_log_options
-def variants(log_path, attr, case_col, activity_col, time_col):
+def variants(log_path, attr, columns):
     """Print the variant table (sequence, frequency, modal values) as CSV."""
-    log = load_log(log_path, _mapping(case_col, activity_col, time_col))
-    names = [a.strip() for a in attr.split(",") if a.strip()] if attr else None
-    index = build_variant_index(log, names)
+    log = load_log(log_path, columns)
+    index = build_variant_index(log, _items(attr) if attr else None)
 
     writer = csv.writer(sys.stdout)
     writer.writerow(["variant", "frequency", *(f"modal_{a}" for a in index.attributes)])
@@ -95,11 +95,10 @@ def variants(log_path, attr, case_col, activity_col, time_col):
               help="Write the sample report JSON here instead of stderr.")
 @with_log_options
 def sample_cmd(log_path, method, k, fraction, sort_token, seed, log_rounding, attr,
-               output, report_path, case_col, activity_col, time_col):
+               output, report_path, columns):
     """Sample a log and write the kept cases as CSV."""
-    log = load_log(log_path, _mapping(case_col, activity_col, time_col))
-    names = [a.strip() for a in attr.split(",") if a.strip()] if attr else None
-    index = build_variant_index(log, names)
+    log = load_log(log_path, columns)
+    index = build_variant_index(log, _items(attr) if attr else None)
     config = SamplingConfig(
         method=method,
         k=k,
@@ -109,7 +108,7 @@ def sample_cmd(log_path, method, k, fraction, sort_token, seed, log_rounding, at
         log_rounding=log_rounding,
     )
     sampled, report = sample(log, index, config)
-    write_csv(sampled, output, _mapping(case_col, activity_col, time_col))
+    write_csv(sampled, output, columns)
     payload = json.dumps(report.to_dict(), indent=2)
     if report_path:
         Path(report_path).write_text(payload + "\n", encoding="utf-8")
@@ -128,9 +127,9 @@ def sample_cmd(log_path, method, k, fraction, sort_token, seed, log_rounding, at
               help="One-hot window length; defaults to the 95th percentile trace length.")
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 @with_log_options
-def features(log_path, end_marker, window, output, case_col, activity_col, time_col):
+def features(log_path, end_marker, window, output, columns):
     """Export one-hot encoded prefix features as CSV."""
-    log = load_log(log_path, _mapping(case_col, activity_col, time_col))
+    log = load_log(log_path, columns)
     rows = extract_features(log, end_marker)
     alphabet = sorted(log.activity_alphabet)
     if window is None:
@@ -146,10 +145,9 @@ def features(log_path, end_marker, window, output, case_col, activity_col, time_
 @click.option("--smoothing", type=float, default=0.01, show_default=True)
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 @with_log_options
-def train_cmd(log_path, end_marker, max_order, smoothing, output,
-              case_col, activity_col, time_col):
+def train_cmd(log_path, end_marker, max_order, smoothing, output, columns):
     """Train the built-in next-activity predictor and save it as JSON."""
-    log = load_log(log_path, _mapping(case_col, activity_col, time_col))
+    log = load_log(log_path, columns)
     rows = extract_features(log, end_marker)
     model = train_model(rows, max_order=max_order, smoothing=smoothing)
     save_model(model, output)
@@ -162,7 +160,7 @@ def train_cmd(log_path, end_marker, max_order, smoothing, output,
 def predict_cmd(model_path, prefix):
     """Predict the next activity for an activity prefix."""
     model = load_model(model_path)
-    activities = tuple(a.strip() for a in prefix.split(",") if a.strip())
+    activities = tuple(_items(prefix))
     payload = {
         "predicted": model.predict(activities),
         "distribution": model.distribution(activities),
@@ -175,10 +173,10 @@ def predict_cmd(model_path, prefix):
 @click.argument("log_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--end-marker/--no-end-marker", default=True, show_default=True)
 @with_log_options
-def evaluate_cmd(model_path, log_path, end_marker, case_col, activity_col, time_col):
+def evaluate_cmd(model_path, log_path, end_marker, columns):
     """Evaluate a saved model on a log; prints one CSV line of accuracies."""
     model = load_model(model_path)
-    log = load_log(log_path, _mapping(case_col, activity_col, time_col))
+    log = load_log(log_path, columns)
     rows = extract_features(log, end_marker)
     result = evaluate(model, rows)
     writer = csv.writer(sys.stdout)
@@ -205,25 +203,21 @@ def evaluate_cmd(model_path, log_path, end_marker, case_col, activity_col, time_
 @click.option("--markdown", is_flag=True, help="Print the aggregate table as markdown.")
 @with_log_options
 def bench(log_path, folds, repeats, grid, sort_token, seed, end_marker, window,
-          config_path, output, markdown, case_col, activity_col, time_col):
+          config_path, output, markdown, columns):
     """Benchmark sampling strategies with repeated k-fold cross-validation."""
-    log = load_log(log_path, _mapping(case_col, activity_col, time_col))
     if config_path:
         config = exp.config_from_json(config_path)
     else:
-        sorting = SORT_TOKENS[sort_token]
-        config = exp.ExperimentConfig(
-            folds=folds,
-            repeats=repeats,
-            grid=tuple(
-                parse_method_token(tok, sorting=sorting)
-                for tok in grid.split(",")
-                if tok.strip()
-            ),
-            seed=seed,
-            end_marker=end_marker,
-            window=window,
-        )
+        config = exp.config_from_dict({
+            "folds": folds,
+            "repeats": repeats,
+            "grid": _items(grid),
+            "sorting": SORT_TOKENS[sort_token],
+            "seed": seed,
+            "end_marker": end_marker,
+            "window": window,
+        })
+    log = load_log(log_path, columns)
     report = exp.run_experiment(log, config)
     name = Path(log_path).name
     for suffix in (".gz", ".xes", ".csv"):

@@ -30,7 +30,7 @@ from .errors import (
     TrainingError,
 )
 from .features import default_window, encode, extract_features
-from .log_model import EventLog, subset_log
+from .log_model import EventLog, _gc_paused, subset_log
 from .metrics import Stopwatch, TestRows, evaluate, relative_accuracy, speedup
 from .predictor import train
 from .sampling import RANDOM_ORDER, REPRESENTATIVE, SamplingConfig, parse_method_token, sample
@@ -217,6 +217,7 @@ def kfold_split(
     return splits
 
 
+@_gc_paused()
 def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
     """Run the full repeats x folds x strategies benchmark on one log.
 
@@ -225,6 +226,11 @@ def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
     A grid entry whose sample comes out empty or cannot be trained on is
     recorded as a failed row and the run continues; a baseline that cannot
     be trained aborts the run.
+
+    The cyclic garbage collector is paused for the whole run. Its full
+    collections walk the whole heap, so they would land in whichever timed
+    cell crosses the threshold and make FE and training cost track the heap,
+    not the rows.
     """
     rows: list[ExperimentRow] = []
     # only representative ranking reads the per-variant attribute summaries

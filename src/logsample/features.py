@@ -18,7 +18,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -65,7 +65,6 @@ class EncodedRows:
     Code 0 is padding and code i the i-th activity of the alphabet, so a code
     is the hot slot of its one-hot block. :meth:`blocks` expands the codes
     into uint8 ``rows x W*slots`` matrices of at most BLOCK_BYTES each.
-    Iterating yields ``(vector, label_index)`` pairs.
     """
 
     codes: np.ndarray
@@ -82,9 +81,6 @@ class EncodedRows:
         step = max(1, BLOCK_BYTES // width)
         for i in range(0, rows, step):
             yield one_hot[self.codes[i : i + step]].reshape(-1, width)
-
-    def __iter__(self) -> Iterator[tuple[np.ndarray, int]]:
-        return zip(chain.from_iterable(self.blocks()), self.labels.tolist())
 
 
 def extract_features(log: EventLog, include_end_marker: bool = True) -> list[FeatureRow]:

@@ -148,11 +148,12 @@ _timestamp = attrgetter("timestamp")
 
 @contextmanager
 def _gc_paused() -> Iterator[None]:
-    """Hold off the cyclic garbage collector for a bulk build.
+    """Hold off the cyclic garbage collector for a bulk build or a benchmark run.
 
-    A log is millions of small acyclic objects: reference counting frees
-    them, and the collector would only re-walk the growing heap every few
-    hundred allocations.
+    A log, its feature rows and its models are millions of small acyclic
+    objects: reference counting frees them, and the collector would only
+    re-walk the growing heap every few hundred allocations. The caller's
+    collector state comes back afterwards, also when the scope raises.
     """
     was_enabled = gc.isenabled()
     gc.disable()

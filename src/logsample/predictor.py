@@ -56,10 +56,6 @@ class PrefixTreeModel:
     children: list[dict[str, int]]
 
     @property
-    def fallback(self) -> dict[str, int]:
-        return self.counts[0]
-
-    @property
     def tables(self) -> dict[Suffix, dict[str, int]]:
         """Each stored suffix with its counts, flattened from the trie."""
         found = {}
@@ -81,11 +77,6 @@ class PrefixTreeModel:
     @cached_property
     def _rank(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
-
-    @cached_property
-    def _argmax(self) -> dict[int, str]:
-        # predicted label per matched node id, filled by predict; never serialised
-        return {}
 
     def _match(self, prefix: Sequence[str]) -> int:
         """The node of the longest stored suffix of the prefix.
@@ -116,15 +107,9 @@ class PrefixTreeModel:
         """Most likely next activity: the argmax of :meth:`distribution`.
 
         Ties go to the earliest label in alphabet order (end marker last).
-        The label is computed once per matched node and then memoised.
         """
-        node = self._match(prefix)
-        memo = self._argmax
-        label = memo.get(node)
-        if label is None:
-            table, rank = self.counts[node], self._rank
-            label = memo[node] = max(table, key=lambda l: (table[l], -rank[l]))
-        return label
+        table, rank = self.counts[self._match(prefix)], self._rank
+        return max(table, key=lambda l: (table[l], -rank[l]))
 
     def to_dict(self) -> dict:
         return {

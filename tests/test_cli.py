@@ -259,6 +259,10 @@ def test_bench_config_file(runner, small_csv, tmp_path):
 )
 def test_bench_bad_settings_exit_with_error(small_csv, tmp_path, monkeypatch, capsys,
                                             args, config, named):
+    def load_log(*args, **kwargs):
+        raise AssertionError("bench read the log before it checked its settings")
+
+    monkeypatch.setattr("logsample.cli.load_log", load_log)
     if config is not None:
         config_path = tmp_path / "config.json"
         if isinstance(config, bytes):

@@ -2,13 +2,14 @@
 
 import csv
 import dataclasses
+import gc
 import io
 from collections import Counter
 from random import Random
 
 import pytest
 
-from logsample import metrics
+from logsample import experiment, metrics
 from logsample.errors import ConfigurationError, SplitError, TrainingError
 from logsample.experiment import (
     BASELINE,
@@ -178,6 +179,50 @@ class TestRunExperiment:
         config = ExperimentConfig(folds=2, repeats=1, grid=grid("d2"), seed=5, end_marker=False)
         with pytest.raises(TrainingError, match="empty feature set"):
             run_experiment(log, config)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    @pytest.mark.parametrize("run", ["clean", "empty-sample", "baseline-fails", "split-error"])
+    def test_collector_is_paused_for_the_whole_run(self, monkeypatch, enabled, run):
+        seen = []
+        for name in ("extract_features", "encode", "train", "evaluate"):
+            def spy(*args, _fn=getattr(experiment, name), _name=name, **kwargs):
+                seen.append((_name, gc.isenabled()))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(experiment, name, spy)
+        runs = {
+            "clean": (small_log(), dict(grid=grid("d2", "unique"))),
+            # every variant has f < 10, so each log10 sample is empty
+            "empty-sample": (
+                log_from_variants([((a,), 5) for a in "abcdefgh"]), dict(grid=grid("log10", "d2"))
+            ),
+            # as in test_baseline_that_cannot_train_is_fatal: raises after FE ran
+            "baseline-fails": (
+                log_from_variants([(("a",), 2), (("a", "b"), 2)]),
+                dict(grid=grid("d2"), seed=5, end_marker=False),
+            ),
+            "split-error": (log_from_variants([(("a", "b"), 3)]), dict(folds=4)),
+        }
+        log, settings = runs[run]
+        config = ExperimentConfig(**{"folds": 2, "repeats": 1, "seed": 2, **settings})
+        was_enabled = gc.isenabled()
+        gc.enable() if enabled else gc.disable()
+        try:
+            if run == "clean":
+                assert all(row.ok for row in run_experiment(log, config).rows)
+            elif run == "empty-sample":
+                failed = [row for row in run_experiment(log, config).rows if not row.ok]
+                assert failed and all(row.strategy == "log10" for row in failed)
+            else:
+                with pytest.raises(SplitError if run == "split-error" else TrainingError):
+                    run_experiment(log, config)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+        scored = {"extract_features", "encode", "train", "evaluate"}
+        called = {"split-error": set(), "baseline-fails": scored - {"evaluate"}}.get(run, scored)
+        assert {name for name, _ in seen} == called
+        assert not any(state for _, state in seen)
 
     def test_counts_each_test_fold_once(self, monkeypatch):
         counted = []

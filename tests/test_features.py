@@ -29,6 +29,12 @@ from logsample.variants import build_variant_index
 from helpers import feature_row, log_from_variants, random_variant_freqs
 
 
+def pairs(encoded):
+    """Each row's (one-hot vector, label index), read from blocks() and labels."""
+    vectors = (vector for block in encoded.blocks() for vector in block)
+    return list(zip(vectors, encoded.labels.tolist()))
+
+
 class TestExtractFeatures:
     def test_four_step_case_without_end_marker(self):
         log = log_from_variants([(("a", "b", "c", "d"), 1)])
@@ -119,25 +125,25 @@ class TestFeatureRowViews:
 class TestEncode:
     def test_short_prefix_left_padded(self):
         rows = [feature_row(("a",), "b", "c1")]
-        [(vector, label)] = encode(rows, ["a", "b"], window=2)
+        [(vector, label)] = pairs(encode(rows, ["a", "b"], window=2))
         # blocks of size 3: [PAD][a]
         assert vector.tolist() == [1, 0, 0, 0, 1, 0]
         assert label == 1
 
     def test_long_prefix_keeps_last_window(self):
         rows = [feature_row(("a", "b", "a"), "b", "c1")]
-        [(vector, _)] = encode(rows, ["a", "b"], window=2)
+        [(vector, _)] = pairs(encode(rows, ["a", "b"], window=2))
         # last two activities are b, a
         assert vector.tolist() == [0, 0, 1, 0, 1, 0]
 
     def test_end_marker_label_is_last(self):
         rows = [feature_row(("a",), END_MARKER, "c1")]
-        [(_, label)] = encode(rows, ["a", "b"], window=1)
+        [(_, label)] = pairs(encode(rows, ["a", "b"], window=1))
         assert label == 2
 
     def test_every_block_has_exactly_one_hot_slot(self):
         rows = [feature_row(("a", "b"), "a", "c1"), feature_row(("b",), "b", "c2")]
-        for vector, _ in encode(rows, ["a", "b"], window=3):
+        for vector, _ in pairs(encode(rows, ["a", "b"], window=3)):
             blocks = vector.reshape(3, 3)
             assert (blocks.sum(axis=1) == 1).all()
 
@@ -169,7 +175,7 @@ class TestEncode:
             feature_row(("a", "b"), "c", "x"),
             feature_row(("c", "b", "a"), END_MARKER, "x"),
         ]
-        for row, (vector, label) in zip(rows, encode(rows, alphabet, window=3)):
+        for row, (vector, label) in zip(rows, pairs(encode(rows, alphabet, window=3))):
             back = decode(vector, label, alphabet, window=3)
             assert back.prefix == row.prefix
             assert back.target == row.target
@@ -182,7 +188,7 @@ class TestEncode:
             for t in ["a", "b", END_MARKER]
         ]
         seen = set()
-        for vector, label in encode(rows, alphabet, window=2):
+        for vector, label in pairs(encode(rows, alphabet, window=2)):
             key = (tuple(vector.tolist()), label)
             assert key not in seen
             seen.add(key)
@@ -192,7 +198,7 @@ class TestEncode:
         encoded = encode([], ["a", "b"], window=3)
         assert len(encoded) == 0
         assert list(encoded.blocks()) == []
-        assert list(encoded) == []
+        assert pairs(encoded) == []
 
 
 def reference_encode(rows, alphabet, window):
@@ -256,7 +262,7 @@ def test_encode_matches_per_row_reference(case):
     assert [len(block) for block in blocks] == [
         min(step, len(rows) - i) for i in range(0, len(rows), step)
     ]
-    assert [(v.tolist(), l) for v, l in encoded] == [(v.tolist(), l) for v, l in expected]
+    assert [(v.tolist(), l) for v, l in pairs(encoded)] == [(v.tolist(), l) for v, l in expected]
 
 
 @settings(max_examples=100, deadline=None)
@@ -271,7 +277,7 @@ def test_encode_matches_reference_on_shuffled_shared_rows(variants, with_marker,
     encoded = encode(rows, alphabet, window)
     expected = reference_encode(rows, alphabet, window)
     assert len(encoded) == len(rows)
-    assert [(v.tolist(), l) for v, l in encoded] == [(v.tolist(), l) for v, l in expected]
+    assert [(v.tolist(), l) for v, l in pairs(encoded)] == [(v.tolist(), l) for v, l in expected]
 
 
 class TestExportFeatures:

@@ -24,7 +24,7 @@ class TestTrain:
         rows = rows_from_pairs([("a", "b")] * 3 + [("a", "c")])
         model = train(rows, max_order=1, smoothing=0.0)
         assert model.tables[("a",)] == {"b": 3, "c": 1}
-        assert model.fallback == {"b": 3, "c": 1}
+        assert model.counts[0] == {"b": 3, "c": 1}
 
     def test_single_row(self):
         model = train(rows_from_pairs([("ab", "c")]), max_order=2, smoothing=0.0)
