@@ -45,7 +45,6 @@ from .log_model import (
 )
 from .metrics import (
     EvaluationResult,
-    Stopwatch,
     TestRows,
     evaluate,
     relative_accuracy,

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from random import Random
@@ -28,10 +29,11 @@ from .errors import (
     EvaluationError,
     SplitError,
     TrainingError,
+    UndefinedRatioError,
 )
 from .features import default_window, encode, extract_features
 from .log_model import EventLog, _gc_paused, subset_log
-from .metrics import Stopwatch, TestRows, evaluate, relative_accuracy, speedup
+from .metrics import TestRows, evaluate, relative_accuracy, speedup
 from .predictor import train
 from .sampling import RANDOM_ORDER, REPRESENTATIVE, SamplingConfig, parse_method_token, sample
 from .variants import build_variant_index
@@ -223,7 +225,8 @@ def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
 
     In every fold the baseline, the strategy that keeps the whole training
     fold, runs first; each grid entry then runs on its sample of that fold.
-    A grid entry whose sample comes out empty or cannot be trained on is
+    A grid entry whose sample comes out empty or cannot be trained on, or
+    whose fold's baseline scored 0 so that no relative accuracy exists, is
     recorded as a failed row and the run continues; a baseline that cannot
     be trained aborts the run.
 
@@ -262,37 +265,38 @@ def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
                         cfg = replace(
                             entry, seed=derive_seed(config.seed, "sample", repeat, fold, label)
                         )
-                        with Stopwatch() as sample_watch:
-                            fit_log, report = sample(train_log, index, cfg)
-                        sampling_seconds = sample_watch.seconds
+                        start = time.perf_counter()
+                        fit_log, report = sample(train_log, index, cfg)
+                        sampling_seconds = time.perf_counter() - start
                         kept = dict(
                             sampled_cases=report.sampled_cases,
                             sampled_variants=report.sampled_variants,
                             reduction_rate=report.reduction_rate,
                         )
-                    with Stopwatch() as fe_watch:
-                        feature_rows = extract_features(fit_log, config.end_marker)
-                        for _ in encode(feature_rows, alphabet, window).blocks():
-                            pass  # a trainer would read each one-hot mini-batch here
-                    with Stopwatch() as train_watch:
-                        model = train(feature_rows, config.max_order)
-                except (EmptySampleError, TrainingError) as exc:
+                    start = time.perf_counter()
+                    feature_rows = extract_features(fit_log, config.end_marker)
+                    for _ in encode(feature_rows, alphabet, window).blocks():
+                        pass  # a trainer would read each one-hot mini-batch here
+                    fe_done = time.perf_counter()
+                    model = train(feature_rows, config.max_order)
+                    fe_seconds, train_seconds = fe_done - start, time.perf_counter() - fe_done
+                    accuracy = evaluate(model, test_rows).overall_accuracy
+                    if entry is None:
+                        base_accuracy, base_fe, base_train = accuracy, fe_seconds, train_seconds
+                        ratios = dict(rel_accuracy=1.0, fe_speedup=1.0, train_speedup=1.0)
+                    else:
+                        ratios = dict(
+                            rel_accuracy=relative_accuracy(accuracy, base_accuracy),
+                            fe_speedup=speedup(base_fe, fe_seconds),
+                            train_speedup=speedup(base_train, train_seconds),
+                        )
+                except (EmptySampleError, TrainingError, UndefinedRatioError) as exc:
                     if entry is None:
                         raise  # no cell of the fold can be scored without the baseline
-                    # an annihilated training set fails this cell, not the run
+                    # an annihilated training set, or a baseline that scored 0,
+                    # fails this cell, not the run
                     rows.append(ExperimentRow(label, ok=False, error=str(exc), **fold_fields))
                     continue
-                accuracy = evaluate(model, test_rows).overall_accuracy
-                fe_seconds, train_seconds = fe_watch.seconds, train_watch.seconds
-                if entry is None:
-                    base_accuracy, base_fe, base_train = accuracy, fe_seconds, train_seconds
-                    ratios = dict(rel_accuracy=1.0, fe_speedup=1.0, train_speedup=1.0)
-                else:
-                    ratios = dict(
-                        rel_accuracy=relative_accuracy(accuracy, base_accuracy),
-                        fe_speedup=speedup(base_fe, fe_seconds),
-                        train_speedup=speedup(base_train, train_seconds),
-                    )
                 rows.append(
                     ExperimentRow(
                         label,

@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import EmptyLogError, RowError, SchemaError, XesParseError
 
@@ -101,7 +101,6 @@ class AttributeSpec:
 class Event:
     """One recorded process step, owned by exactly one case."""
 
-    case_id: str
     activity: str
     timestamp: datetime
     attributes: Mapping[str, object] = field(default_factory=dict)
@@ -148,7 +147,7 @@ _timestamp = attrgetter("timestamp")
 
 @contextmanager
 def _gc_paused() -> Iterator[None]:
-    """Hold off the cyclic garbage collector for a bulk build or a benchmark run.
+    """Hold off the cyclic garbage collector for a parse, a bulk build or a benchmark run.
 
     A log, its feature rows and its models are millions of small acyclic
     objects: reference counting frees them, and the collector would only
@@ -164,43 +163,32 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
+@_gc_paused()
 def build_log(
-    events: Sequence[Event],
+    cases: Mapping[str, list[Event]],
     case_attributes: Mapping[str, Mapping[str, object]] | None = None,
     schema: Mapping[str, AttributeSpec] | None = None,
 ) -> EventLog:
-    """Assemble an EventLog from parsed events, which the log then owns.
+    """Assemble an EventLog from each case's parsed events; the log then owns the lists.
 
-    Events are grouped by case id in order of first appearance; within a case
-    they are sorted by timestamp, ties keeping input order. Raises RowError
-    for an event with an empty activity.
+    Cases keep the mapping's order. Each case's events are sorted by
+    timestamp in place, ties keeping input order. Raises RowError for a case
+    with no events or an event with an empty activity.
     """
-    if not events:
+    if not cases:
         raise EmptyLogError("no events to assemble into a log")
     case_attributes = case_attributes or {}
 
-    by_case: dict[str, list[Event]] = {}
-    with _gc_paused():
-        for idx, event in enumerate(events):
-            if not event.activity:
-                raise RowError(f"event {idx} of case {event.case_id!r} has an empty activity")
-            members = by_case.get(event.case_id)
-            if members is None:
-                by_case[event.case_id] = [event]
-            else:
-                members.append(event)
-
-        cases: dict[str, Case] = {}
-        for case_id, members in by_case.items():
-            members.sort(key=_timestamp)  # stable: ties keep input order
-            cases[case_id] = Case(
-                case_id,
-                members,
-                dict(case_attributes.get(case_id, {})),
-                tuple(map(_activity, members)),
-            )
-
-    return EventLog(cases, dict(schema or {}))
+    built: dict[str, Case] = {}
+    for case_id, events in cases.items():
+        if not events:
+            raise RowError(f"case {case_id!r} has no events")
+        events.sort(key=_timestamp)  # stable: ties keep input order
+        trace = tuple(map(_activity, events))
+        if "" in trace:
+            raise RowError(f"event {trace.index('')} of case {case_id!r} has an empty activity")
+        built[case_id] = Case(case_id, events, dict(case_attributes.get(case_id, {})), trace)
+    return EventLog(built, dict(schema or {}))
 
 
 def subset_log(log: EventLog, case_ids: Iterable[str]) -> EventLog:
@@ -290,6 +278,7 @@ def _records(fh, path: Path) -> Iterator[tuple[int, list[str]]]:
         raise
 
 
+@_gc_paused()
 def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:
     """Parse a CSV event log (UTF-8 with or without a BOM, header row, RFC-4180 quoting).
 
@@ -302,7 +291,7 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
     """
     mapping = mapping or ColumnMapping()
     path = Path(path)
-    events: list[Event] = []
+    cases: dict[str, list[Event]] = {}
     with path.open(newline="", encoding="utf-8-sig") as fh:
         records = _records(fh, path)
         try:
@@ -368,43 +357,49 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
                         raise RowError(
                             f"column {name!r} holds unreadable {kind} value {row[i]!r}", line
                         ) from None
-            attrs = {name: row[i] for i, name in attr_cols if row[i] != ""}
-            events.append(Event(case_id, activity, ts, attrs))
+            event = Event(activity, ts, {name: row[i] for i, name in attr_cols if row[i] != ""})
+            events = cases.get(case_id)
+            if events is None:
+                cases[case_id] = [event]
+            else:
+                events.append(event)
 
-    if not events:
+    if not cases:
         raise EmptyLogError(f"{path}: no data rows")
-    log = build_log(events)
 
-    # Each column is settled once, in header order: its kind is declared or
-    # inferred from every value; it moves to the cases when every event holds
-    # it with one text per case; numeric and instant values are converted,
-    # categorical ones stay the text read.
-    cases = log.cases.values()
+    # Each column is settled once, in header order, before the log is built:
+    # its kind is declared or inferred from every value; it moves to the
+    # cases when every event holds it with one text per case; numeric and
+    # instant values are converted, categorical ones stay the text read.
+    num_events = sum(map(len, cases.values()))
+    case_attributes: dict[str, dict[str, object]] = {case_id: {} for case_id in cases}
+    schema: dict[str, AttributeSpec] = {}
     for _, name in attr_cols:
         values = [
-            ev.attributes[name] for case in cases for ev in case.events if name in ev.attributes
+            ev.attributes[name] for events in cases.values() for ev in events
+            if name in ev.attributes
         ]
         if not values:
             continue
         kind = mapping.attribute_kinds.get(name) or _infer_kind(values)
         convert = _CONVERTERS.get(kind)
-        if len(values) == len(events) and all(
-            len({ev.attributes[name] for ev in case.events}) == 1 for case in cases
+        if len(values) == num_events and all(
+            len({ev.attributes[name] for ev in events}) == 1 for events in cases.values()
         ):
-            log.attribute_schema[name] = AttributeSpec(kind, CASE_SCOPE)
-            for case in cases:
-                value = case.events[0].attributes[name]
-                case.attributes[name] = value if convert is None else convert(value)
-                for ev in case.events:
+            schema[name] = AttributeSpec(kind, CASE_SCOPE)
+            for case_id, events in cases.items():
+                value = events[0].attributes[name]
+                case_attributes[case_id][name] = value if convert is None else convert(value)
+                for ev in events:
                     del ev.attributes[name]
         else:
-            log.attribute_schema[name] = AttributeSpec(kind, EVENT_SCOPE)
+            schema[name] = AttributeSpec(kind, EVENT_SCOPE)
             if convert is not None:
-                for case in cases:
-                    for ev in case.events:
+                for events in cases.values():
+                    for ev in events:
                         if name in ev.attributes:
                             ev.attributes[name] = convert(ev.attributes[name])
-    return log
+    return build_log(cases, case_attributes, schema)
 
 
 def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = None) -> None:
@@ -513,6 +508,7 @@ def _xes_traces(path: Path) -> Iterator[ET.Element]:
         raise XesParseError(f"{path}: corrupt gzip data: {exc}") from None
 
 
+@_gc_paused()
 def parse_xes(path: str | Path) -> EventLog:
     """Parse an XES file (plain or .gz): log -> trace -> event.
 
@@ -521,7 +517,7 @@ def parse_xes(path: str | Path) -> EventLog:
     string/int/float/date/boolean attributes are kept with their tag kinds.
     """
     path = Path(path)
-    events: list[Event] = []
+    cases: dict[str, list[Event]] = {}
     case_attributes: dict[str, dict[str, object]] = {}
     schema: dict[str, AttributeSpec] = {}
 
@@ -556,9 +552,10 @@ def parse_xes(path: str | Path) -> EventLog:
             case_id = f"case_{t_idx}"
         if not event_elems:
             raise XesParseError(f"{path}: trace {case_id!r} has no events")
-        if case_id in case_attributes:
+        if case_id in cases:
             raise XesParseError(f"{path}: duplicate case id {case_id!r}")
         case_attributes[case_id] = trace_attrs
+        cases[case_id] = events = []
 
         for e_idx, event in enumerate(event_elems):
             activity = None
@@ -588,11 +585,11 @@ def parse_xes(path: str | Path) -> EventLog:
                 raise XesParseError(f"{where}: missing concept:name")
             if timestamp is None:
                 raise XesParseError(f"{where}: missing time:timestamp")
-            events.append(Event(case_id, activity, timestamp, attrs))
+            events.append(Event(activity, timestamp, attrs))
 
-    if not events:
+    if not cases:
         raise EmptyLogError(f"{path}: log has no traces")
-    return build_log(events, case_attributes, schema)
+    return build_log(cases, case_attributes, schema)
 
 
 def load_log(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:

@@ -10,9 +10,8 @@ speedup.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Protocol
 
@@ -113,23 +112,3 @@ def speedup(full_seconds: float, sampled_seconds: float) -> float:
             f"sampled duration must be positive, got {sampled_seconds}"
         )
     return full_seconds / sampled_seconds
-
-
-@dataclass
-class Stopwatch:
-    """Monotonic timer wrapping exactly one operation.
-
-    >>> with Stopwatch() as watch:
-    ...     work()
-    >>> watch.seconds
-    """
-
-    seconds: float = 0.0
-    _start: float = field(default=0.0, repr=False)
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.seconds = time.perf_counter() - self._start

@@ -38,7 +38,7 @@ def log_from_variants(
     after ``start`` and its events are a minute apart, so arrival order
     equals case-id order.
     """
-    events = []
+    cases = {}
     case_attributes = {}
     case_n = 0
     hour = timedelta(hours=1)
@@ -47,6 +47,7 @@ def log_from_variants(
     for activities, freq in variant_freqs:
         for _ in range(freq):
             cid = f"c{case_n:06d}"
+            events = cases[cid] = []
             for j, act in enumerate(activities):
                 if j == 0:
                     ts = case_start
@@ -54,12 +55,12 @@ def log_from_variants(
                     off = minute_offsets[j] if j < 64 else timedelta(minutes=j)
                     ts = case_start + off
                 attrs = event_attrs(case_n, j) if event_attrs else {}
-                events.append(Event(cid, act, ts, attrs))
+                events.append(Event(act, ts, attrs))
             if case_attrs:
                 case_attributes[cid] = case_attrs(case_n)
             case_n += 1
             case_start = case_start + hour
-    return build_log(events, case_attributes, schema)
+    return build_log(cases, case_attributes, schema)
 
 
 def trace_counts(log: EventLog) -> Counter:

@@ -279,6 +279,35 @@ def test_bench_bad_settings_exit_with_error(small_csv, tmp_path, monkeypatch, ca
     assert err.startswith("error: ") and named in err
 
 
+def test_bench_fold_with_zero_accuracy_baseline_records_failed_cells(
+    tmp_path, monkeypatch, capsys
+):
+    # each fold trains on one case and tests on the other, which shares no activity
+    path = tmp_path / "two.csv"
+    path.write_text(
+        "case_id,activity,timestamp\n"
+        "c1,a,2021-01-01T10:00:00\nc1,b,2021-01-01T11:00:00\n"
+        "c2,x,2021-01-02T10:00:00\nc2,y,2021-01-02T11:00:00\n"
+    )
+    out = tmp_path / "report.csv"
+    argv = ["logsample", "bench", str(path), "--folds", "2", "--repeats", "1",
+            "--grid", "d2", "-o", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    main()
+    assert "error" not in capsys.readouterr().err
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["strategy"], r["fold"], r["ok"]) for r in rows] == [
+        ("baseline", "0", "True"), ("d2", "0", "False"),
+        ("baseline", "1", "True"), ("d2", "1", "False"),
+    ]
+    for row in rows:
+        if row["strategy"] == "baseline":
+            assert float(row["accuracy_full"]) == 0.0
+        else:
+            assert row["error"] == "baseline accuracy must be positive, got 0.0"
+
+
 def test_missing_file_fails(runner):
     result = runner.invoke(cli, ["variants", "no-such-file.csv"])
     assert result.exit_code != 0

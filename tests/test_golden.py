@@ -25,6 +25,10 @@ case's attribute observations.
 
 ``tests/data/write_core.csv`` is ``write_csv`` output from before
 timestamps were formatted without ``isoformat``.
+
+``tests/data/xes_core.csv`` is ``write_csv`` of ``tests/data/xes_core.xes``,
+written while ``parse_xes`` still handed ``build_log`` one flat event list
+tagged with case ids.
 """
 
 import csv
@@ -57,6 +61,7 @@ from logsample.log_model import (
     AttributeSpec,
     Event,
     build_log,
+    parse_xes,
     write_csv,
 )
 
@@ -189,21 +194,27 @@ def write_core_log():
     east = timezone(timedelta(hours=5, minutes=30))
     west = timezone(timedelta(hours=-8))
     named_utc = timezone(timedelta(0), "GMT")
-    events = [
-        Event("c1", "a", datetime(2021, 3, 1, 9, 0, 0, 123456, tzinfo=east),
-              {"cost": 12, "note": "x,y", "due": datetime(2021, 3, 2, tzinfo=west)}),
-        Event("c1", "b", datetime(2021, 3, 1, 4, 0, 0, 999, tzinfo=timezone.utc),
-              {"cost": 0.1, "note": 'say "hi"', "priority": 7}),
-        Event("c1", "c", datetime(2021, 3, 1, 23, 59, 59, 999999, tzinfo=west),
-              {"cost": -1e-07, "note": "two\nlines"}),
-        Event("c2", "a", datetime(2021, 3, 1, 10, 0),
-              {"due": datetime(2021, 3, 3, 12, 30, 15, 500)}),
-        Event("c2", "c", datetime(2021, 3, 1, 10, 0), {"cost": 1e16}),
-        Event("c2", "b", datetime(2021, 3, 1, 9, 59, 59, 1000), {"note": ""}),
-        Event("c3", "b", datetime(1, 1, 1, 0, 0, 0, 7000, tzinfo=named_utc), {}),
-        Event("c3", "a", datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=east),
-              {"cost": True}),
-    ]
+    cases = {
+        "c1": [
+            Event("a", datetime(2021, 3, 1, 9, 0, 0, 123456, tzinfo=east),
+                  {"cost": 12, "note": "x,y", "due": datetime(2021, 3, 2, tzinfo=west)}),
+            Event("b", datetime(2021, 3, 1, 4, 0, 0, 999, tzinfo=timezone.utc),
+                  {"cost": 0.1, "note": 'say "hi"', "priority": 7}),
+            Event("c", datetime(2021, 3, 1, 23, 59, 59, 999999, tzinfo=west),
+                  {"cost": -1e-07, "note": "two\nlines"}),
+        ],
+        "c2": [
+            Event("a", datetime(2021, 3, 1, 10, 0),
+                  {"due": datetime(2021, 3, 3, 12, 30, 15, 500)}),
+            Event("c", datetime(2021, 3, 1, 10, 0), {"cost": 1e16}),
+            Event("b", datetime(2021, 3, 1, 9, 59, 59, 1000), {"note": ""}),
+        ],
+        "c3": [
+            Event("b", datetime(1, 1, 1, 0, 0, 0, 7000, tzinfo=named_utc), {}),
+            Event("a", datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=east),
+                  {"cost": True}),
+        ],
+    }
     case_attributes = {
         "c1": {"region": "north", "priority": 2},
         "c2": {"region": "so,uth", "opened": datetime(2020, 2, 29, 12, tzinfo=east)},
@@ -216,10 +227,33 @@ def write_core_log():
         "region": AttributeSpec(CATEGORICAL, CASE_SCOPE),
         "opened": AttributeSpec(INSTANT, CASE_SCOPE),
     }
-    return build_log(events, case_attributes, schema)
+    return build_log(cases, case_attributes, schema)
 
 
 def test_write_csv_is_unchanged(tmp_path):
     out = tmp_path / "log.csv"
     write_csv(write_core_log(), out)
     assert out.read_bytes() == (DATA / "write_core.csv").read_bytes()
+
+
+def test_parse_xes_is_unchanged(tmp_path):
+    """Every XES value tag on traces and events, a NaN float, a trace without
+    ``concept:name``, events out of time order and timestamp ties."""
+    log = parse_xes(DATA / "xes_core.xes")
+    assert list(log.cases) == ["t1", "case_1", "t3"]
+    # a NaN next to finite floats makes the attribute categorical
+    assert log.attribute_schema == {
+        "region": AttributeSpec(CATEGORICAL, CASE_SCOPE),
+        "priority": AttributeSpec(NUMERIC, CASE_SCOPE),
+        "budget": AttributeSpec(CATEGORICAL, CASE_SCOPE),
+        "opened": AttributeSpec(INSTANT, CASE_SCOPE),
+        "urgent": AttributeSpec(CATEGORICAL, CASE_SCOPE),
+        "org:resource": AttributeSpec(CATEGORICAL, EVENT_SCOPE),
+        "items": AttributeSpec(NUMERIC, EVENT_SCOPE),
+        "cost": AttributeSpec(CATEGORICAL, EVENT_SCOPE),
+        "checked": AttributeSpec(CATEGORICAL, EVENT_SCOPE),
+        "due": AttributeSpec(INSTANT, EVENT_SCOPE),
+    }
+    out = tmp_path / "log.csv"
+    write_csv(log, out)
+    assert out.read_bytes() == (DATA / "xes_core.csv").read_bytes()

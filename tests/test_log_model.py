@@ -1,6 +1,7 @@
 """CSV / XES parsing, CSV writing, and the structural log invariants."""
 
 import csv
+import gc
 import gzip
 import math
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logsample.errors import EmptyLogError, RowError, SchemaError, XesParseError
+from logsample import log_model
 from logsample.log_model import (
     CASE_SCOPE,
     CATEGORICAL,
@@ -400,15 +402,10 @@ def reference_parse_csv(path: str | Path, mapping: ColumnMapping | None = None) 
             if name in attrs:
                 attrs[name] = convert(attrs[name])
 
-    events = [
-        Event(
-            case_id,
-            activity,
-            ts,
-            {name: value for name, value in attrs.items() if name not in promoted},
-        )
-        for case_id, activity, ts, attrs in raw_rows
-    ]
+    cases: dict[str, list[Event]] = {}
+    for case_id, activity, ts, attrs in raw_rows:
+        own = {name: value for name, value in attrs.items() if name not in promoted}
+        cases.setdefault(case_id, []).append(Event(activity, ts, own))
     case_attributes = {
         case_id: {name: attr_rows[0][name] for name in promoted}
         for case_id, attr_rows in rows_per_case.items()
@@ -419,7 +416,7 @@ def reference_parse_csv(path: str | Path, mapping: ColumnMapping | None = None) 
         for _, name in attr_cols
         if any(name in attrs for _, _, _, attrs in raw_rows)
     }
-    return build_log(events, case_attributes, schema)
+    return build_log(cases, case_attributes, schema)
 
 
 # Cell texts by the kind they read as. "007" and "1e3" read as text, since
@@ -527,7 +524,7 @@ def parsed(parse, path, mapping):
                 case.trace,
                 items(case.attributes),
                 [
-                    (ev.case_id, ev.activity, repr(ev.timestamp), items(ev.attributes))
+                    (ev.activity, repr(ev.timestamp), items(ev.attributes))
                     for ev in case.events
                 ],
             )
@@ -659,9 +656,10 @@ def attributed_logs(draw):
         )
         for j in range(draw(st.integers(0, 3)))
     }
-    events, case_attributes = [], {}
+    cases, case_attributes = {}, {}
     for n in range(draw(st.integers(1, 4))):
         cid = f"k{n}"
+        events = cases[cid] = []
         case_attributes[cid] = {
             name: draw(ATTRIBUTE_VALUES[spec.kind])
             for name, spec in schema.items()
@@ -674,8 +672,8 @@ def attributed_logs(draw):
                 if spec.scope == EVENT_SCOPE and draw(st.booleans())
             }
             stamp = T0 + timedelta(minutes=draw(st.integers(0, 3)))
-            events.append(Event(cid, draw(st.sampled_from("abc")), stamp, attributes))
-    log = build_log(events, case_attributes, schema)
+            events.append(Event(draw(st.sampled_from("abc")), stamp, attributes))
+    log = build_log(cases, case_attributes, schema)
 
     for name, spec in schema.items():
         if spec.scope == CASE_SCOPE:
@@ -841,6 +839,55 @@ class TestParseXes:
         assert log.attribute_schema["customer"].scope == CASE_SCOPE
 
 
+GC_CSV = CSV_BASIC.replace("timestamp\n", "timestamp,due\n").replace(":00\n", ":00,2021-02-01\n")
+GC_CSV_BAD = GC_CSV + "3,a,not-a-time,\n4,b,2021-01-01T12:00:00,\n"
+GC_XES_BAD = XES_BASIC.replace(
+    "</log>",
+    '<trace><event><string key="concept:name" value="a"/>'
+    '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/>'
+    '<int key="cost" value="five"/></event></trace>\n' + XES_BASIC[XES_BASIC.index("  <trace>"):],
+)
+
+
+class TestCollectorPause:
+    """Every event and attribute map is allocated with the cyclic collector off."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    @pytest.mark.parametrize(
+        "parse, text, error",
+        [
+            (parse_csv, GC_CSV, None),
+            (parse_csv, GC_CSV_BAD, RowError),
+            (parse_xes, XES_BASIC, None),
+            (parse_xes, GC_XES_BAD, XesParseError),
+        ],
+        ids=["csv", "csv-row-error", "xes", "xes-parse-error"],
+    )
+    def test_parsers_pause_the_collector(self, tmp_path, monkeypatch, parse, text, error,
+                                         enabled):
+        seen = []
+
+        def recording_parse_instant(stamp):
+            seen.append(gc.isenabled())
+            return parse_instant(stamp)
+
+        monkeypatch.setattr(log_model, "parse_instant", recording_parse_instant)
+        path = write(tmp_path / ("log.csv" if parse is parse_csv else "log.xes"), text)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                parse(path)
+            else:
+                with pytest.raises(error):
+                    parse(path)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert len(seen) >= 2 and not any(seen)
+        assert after is enabled
+
+
 class TestInvariants:
     def test_trace_counts_size_equals_case_count(self, tmp_path):
         log = parse_csv(write(tmp_path / "log.csv", CSV_BASIC))
@@ -849,7 +896,8 @@ class TestInvariants:
     def test_event_case_cross_references(self, tmp_path):
         log = parse_csv(write(tmp_path / "log.csv", CSV_BASIC))
         assert all(c.case_id == cid for cid, c in log.cases.items())
-        assert all(e.case_id == cid for cid, c in log.cases.items() for e in c.events)
+        events = [e for c in log.cases.values() for e in c.events]
+        assert len({id(e) for e in events}) == len(events)  # no event is shared by two cases
         assert log.num_events == CSV_BASIC.count("\n") - 1
 
     def test_alphabet_matches_events(self, tmp_path):
@@ -867,9 +915,13 @@ class TestInvariants:
         assert sub.activity_alphabet == {e.activity for e in events}
 
     def test_build_log_rejects_empty_activity(self):
-        events = [Event("c1", "a", T0), Event("c2", "b", T0), Event("c2", "", T0)]
-        with pytest.raises(RowError, match="event 2 of case 'c2'"):
-            build_log(events)
+        cases = {"c1": [Event("a", T0)], "c2": [Event("b", T0), Event("", T0)]}
+        with pytest.raises(RowError, match="event 1 of case 'c2'"):
+            build_log(cases)
+
+    def test_build_log_rejects_case_without_events(self):
+        with pytest.raises(RowError, match="case 'c2' has no events"):
+            build_log({"c1": [Event("a", T0)], "c2": []})
 
 
 @settings(max_examples=60, deadline=None)
@@ -883,17 +935,22 @@ def test_model_invariants(seed, extra):
     """Cases own their time-sorted events; trace, counts and alphabet follow from them."""
     rnd = Random(seed)
     source = log_from_variants(random_variant_freqs(rnd, max_variants=5, max_freq=5))
-    events = [e for c in source.cases.values() for e in c.events]
+    pairs = [(cid, e) for cid, c in source.cases.items() for e in c.events]
     # few distinct minutes, so cases of extra events hold timestamp ties
-    events += [Event(f"x{c}", act, T0 + timedelta(minutes=m)) for c, act, m in extra]
-    rnd.shuffle(events)
-    position = {id(e): i for i, e in enumerate(events)}
+    pairs += [(f"x{c}", Event(act, T0 + timedelta(minutes=m))) for c, act, m in extra]
+    rnd.shuffle(pairs)
+    position = {id(e): i for i, (_, e) in enumerate(pairs)}
+    cases = {}
+    for cid, e in pairs:
+        cases.setdefault(cid, []).append(e)
+    members = {cid: {id(e) for e in events} for cid, events in cases.items()}
 
-    log = build_log(events)
-    assert log.num_events == len(events)
+    log = build_log(cases)
+    assert log.num_events == len(pairs)
+    assert list(log.cases) == list(dict.fromkeys(cid for cid, _ in pairs))
     for cid, case in log.cases.items():
         assert case.trace == tuple(e.activity for e in case.events)
-        assert all(e.case_id == cid for e in case.events)
+        assert {id(e) for e in case.events} == members[cid]
         order = [(e.timestamp, position[id(e)]) for e in case.events]
         assert order == sorted(order)  # by time, ties in input order
     assert log.activity_alphabet == set().union(*(c.trace for c in log.cases.values()))

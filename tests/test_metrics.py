@@ -1,7 +1,6 @@
 """Accuracy tallies and ratio metrics."""
 
 import sys
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from logsample import metrics
 from logsample.errors import EvaluationError, UndefinedRatioError
 from logsample.features import FeatureRow
-from logsample.metrics import ClassTally, Stopwatch, evaluate, relative_accuracy, speedup
+from logsample.metrics import ClassTally, evaluate, relative_accuracy, speedup
 from logsample.predictor import train
 
 from helpers import feature_row
@@ -219,12 +218,3 @@ class TestRatios:
         scaled = speedup(numerator * scale, denominator * scale)
         assert scaled == pytest.approx(base, rel=1e-9)
 
-
-class TestStopwatch:
-    def test_measures_only_the_wrapped_block(self):
-        with Stopwatch() as outer:
-            time.sleep(0.02)
-        with Stopwatch() as inner:
-            pass
-        assert outer.seconds >= 0.015
-        assert inner.seconds < outer.seconds

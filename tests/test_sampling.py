@@ -257,9 +257,10 @@ def attributed_logs(draw):
     """
     variants = st.sampled_from([("a", "b"), ("a", "c"), ("b",)])
     traces = draw(st.lists(variants, min_size=1, max_size=12))
-    events, case_attributes = [], {}
+    cases, case_attributes = {}, {}
     for n, trace in enumerate(traces):
         cid = f"c{n:02d}"
+        events = cases[cid] = []
         region = draw(st.sampled_from(["north", "south", None]))
         if region is not None:
             case_attributes[cid] = {"region": region}
@@ -271,9 +272,9 @@ def attributed_logs(draw):
                 attrs["resource"] = resource
             if cost is not None:
                 attrs["cost"] = cost
-            events.append(Event(cid, activity, T0 + timedelta(hours=n, minutes=j), attrs))
+            events.append(Event(activity, T0 + timedelta(hours=n, minutes=j), attrs))
     names = draw(st.lists(st.sampled_from(sorted(ATTRIBUTE_SCHEMA)), min_size=1, max_size=4))
-    return build_log(events, case_attributes, ATTRIBUTE_SCHEMA), names
+    return build_log(cases, case_attributes, ATTRIBUTE_SCHEMA), names
 
 
 @settings(max_examples=150, deadline=None)
