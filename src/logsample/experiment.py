@@ -55,7 +55,11 @@ def default_grid(sorting: str = RANDOM_ORDER) -> tuple[SamplingConfig, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Benchmark settings: folds, repeats, sampling grid, and model knobs."""
+    """Benchmark settings: folds, repeats, sampling grid, and model knobs.
+
+    Construction checks each field's type and least value, so a config built
+    in Python is checked as a ``bench --config`` file is.
+    """
 
     folds: int = 5
     repeats: int = 5
@@ -66,16 +70,18 @@ class ExperimentConfig:
     max_order: int = 5
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ConfigurationError(f"folds must be >= 2, got {self.folds}")
-        if self.repeats < 1:
-            raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
-        if not self.grid:
-            raise ConfigurationError("the sampling grid must not be empty")
-        if self.window is not None and self.window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {self.window}")
-        if self.max_order < 0:
-            raise ConfigurationError(f"max_order must be >= 0, got {self.max_order}")
+        for key, (valid, expected, least) in _SETTINGS.items():
+            value = getattr(self, key)
+            if not valid(value):
+                raise ConfigurationError(
+                    f"experiment config {key!r} must be {expected}, got {value!r}"
+                )
+            if None not in (value, least) and value < least:
+                raise ConfigurationError(f"{key} must be >= {least}, got {value}")
+        if not (self.grid and all(isinstance(entry, SamplingConfig) for entry in self.grid)):
+            raise ConfigurationError(
+                f"the sampling grid must hold one or more SamplingConfigs, got {self.grid!r}"
+            )
         labels = [entry.label for entry in self.grid]
         if len(labels) != len(set(labels)):
             raise ConfigurationError(f"duplicate strategies in grid: {labels}")
@@ -85,19 +91,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Every key a config dict may hold, with the check its value must pass.
-_CONFIG_KEYS = {
-    "folds": (_is_int, "an integer"),
-    "repeats": (_is_int, "an integer"),
-    "seed": (_is_int, "an integer"),
-    "max_order": (_is_int, "an integer"),
-    "end_marker": (lambda v: isinstance(v, bool), "true or false"),
-    "window": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "grid": (
-        lambda v: v is None or (isinstance(v, list) and all(isinstance(t, str) for t in v)),
-        "a list of strings",
-    ),
-    "sorting": (lambda v: isinstance(v, str), "a string"),
+# The type check, its wording and the least value (None: any) of each scalar setting.
+_SETTINGS = {
+    "folds": (_is_int, "an integer", 2),
+    "repeats": (_is_int, "an integer", 1),
+    "seed": (_is_int, "an integer", None),
+    "end_marker": (lambda v: isinstance(v, bool), "true or false", None),
+    "window": (lambda v: v is None or _is_int(v), "an integer or null", 1),
+    "max_order": (_is_int, "an integer", 0),
 }
 
 
@@ -105,28 +106,29 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a JSON-style dict (grid given as method tokens).
 
     Raises ConfigurationError when ``data`` is not a dict, or naming the keys
-    that are not config fields, or the first key whose value has the wrong type.
+    that are not config fields, or a key whose value has the wrong type or
+    range; ExperimentConfig checks every key but ``grid`` and ``sorting``.
     """
     if not isinstance(data, dict):
         raise ConfigurationError(
             f"an experiment config must be a JSON object, got {type(data).__name__}"
         )
-    unknown = sorted(data.keys() - _CONFIG_KEYS.keys())
+    unknown = sorted(data.keys() - {f.name for f in fields(ExperimentConfig)} - {"sorting"})
     if unknown:
         raise ConfigurationError(f"unknown experiment config keys: {', '.join(unknown)}")
-    for key, value in data.items():
-        valid, expected = _CONFIG_KEYS[key]
-        if not valid(value):
-            raise ConfigurationError(
-                f"experiment config {key!r} must be {expected}, got {value!r}"
-            )
     kwargs = dict(data)
     sorting = kwargs.pop("sorting", RANDOM_ORDER)
     tokens = kwargs.pop("grid", None)
-    if tokens is not None:
+    if not isinstance(sorting, str):
+        raise ConfigurationError(f"experiment config 'sorting' must be a string, got {sorting!r}")
+    if tokens is None:
+        kwargs["grid"] = default_grid(sorting)
+    elif isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens):
         kwargs["grid"] = tuple(parse_method_token(tok, sorting=sorting) for tok in tokens)
     else:
-        kwargs["grid"] = default_grid(sorting)
+        raise ConfigurationError(
+            f"experiment config 'grid' must be a list of strings, got {tokens!r}"
+        )
     return ExperimentConfig(**kwargs)
 
 

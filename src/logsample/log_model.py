@@ -515,10 +515,13 @@ def parse_xes(path: str | Path) -> EventLog:
     ``concept:name`` supplies the case id on traces and the activity on
     events; ``time:timestamp`` supplies the event timestamp. Remaining
     string/int/float/date/boolean attributes are kept with their tag kinds.
+    A trace without a name is case ``case_<index>``, or, when a named trace
+    holds that id, ``case_<index>_<n>`` with the least free n >= 1.
     """
     path = Path(path)
-    cases: dict[str, list[Event]] = {}
-    case_attributes: dict[str, dict[str, object]] = {}
+    # an unnamed trace is keyed by its index until every name is known
+    cases: dict[str | int, list[Event]] = {}
+    case_attributes: dict[str | int, dict[str, object]] = {}
     schema: dict[str, AttributeSpec] = {}
 
     def note_schema(name: str, kind: str, scope: str) -> None:
@@ -532,7 +535,7 @@ def parse_xes(path: str | Path) -> EventLog:
             schema[name] = AttributeSpec(prev.kind, EVENT_SCOPE)
 
     for t_idx, trace in enumerate(_xes_traces(path)):
-        case_id = None
+        case_id: str | int = t_idx
         trace_attrs: dict[str, object] = {}
         event_elems = []
         for child in trace:
@@ -548,10 +551,9 @@ def parse_xes(path: str | Path) -> EventLog:
             else:
                 trace_attrs[key] = value
                 note_schema(key, kind, CASE_SCOPE)
-        if case_id is None:
-            case_id = f"case_{t_idx}"
+        label = f"trace {t_idx}" if case_id == t_idx else f"case {case_id!r}"
         if not event_elems:
-            raise XesParseError(f"{path}: trace {case_id!r} has no events")
+            raise XesParseError(f"{path}: {label} has no events")
         if case_id in cases:
             raise XesParseError(f"{path}: duplicate case id {case_id!r}")
         case_attributes[case_id] = trace_attrs
@@ -561,7 +563,7 @@ def parse_xes(path: str | Path) -> EventLog:
             activity = None
             timestamp = None
             attrs: dict[str, object] = {}
-            where = f"{path}: case {case_id!r} event {e_idx}"
+            where = f"{path}: {label} event {e_idx}"
             for child in event:
                 key, parsed = _xes_value(child, where)
                 if key is None:
@@ -589,7 +591,14 @@ def parse_xes(path: str | Path) -> EventLog:
 
     if not cases:
         raise EmptyLogError(f"{path}: log has no traces")
-    return build_log(cases, case_attributes, schema)
+    ids = {key: key for key in cases if isinstance(key, str)}
+    for key in cases.keys() - ids.keys():
+        ids[key], n = f"case_{key}", 0
+        while ids[key] in cases:  # held by a named trace
+            n += 1
+            ids[key] = f"case_{key}_{n}"
+    rekey = lambda by_key: {ids[key]: value for key, value in by_key.items()}
+    return build_log(rekey(cases), rekey(case_attributes), schema)
 
 
 def load_log(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:

@@ -45,8 +45,7 @@ class PrefixTreeModel:
     the activity one step further back to the child's id. A node whose
     suffix is only a step on the way to a longer one has empty counts. The
     lists hold only ``{str: int}`` dicts, which the cyclic garbage collector
-    never tracks. Models are equal when their tables are, whatever their
-    node numbering.
+    never tracks. Models have no value equality; compare :meth:`to_dict`.
     """
 
     max_order: int
@@ -66,13 +65,6 @@ class PrefixTreeModel:
                 found[suffix] = self.counts[node]
             stack.extend(((a, *suffix), child) for a, child in self.children[node].items())
         return found
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PrefixTreeModel):
-            return NotImplemented
-        return (self.max_order, self.smoothing, self.labels, self.tables) == (
-            other.max_order, other.smoothing, other.labels, other.tables
-        )
 
     @cached_property
     def _rank(self) -> dict[str, int]:
@@ -122,28 +114,6 @@ class PrefixTreeModel:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PrefixTreeModel":
-        counts: list[dict[str, int]] = [{}]
-        children: list[dict[str, int]] = [{}]
-        for entry in data["tables"]:
-            node = 0
-            for activity in reversed(entry["suffix"]):
-                child = children[node].get(activity)
-                if child is None:
-                    child = children[node][activity] = len(counts)
-                    counts.append({})
-                    children.append({})
-                node = child
-            counts[node] = dict(entry["counts"])
-        return cls(
-            max_order=data["max_order"],
-            smoothing=data["smoothing"],
-            labels=tuple(data["labels"]),
-            counts=counts,
-            children=children,
-        )
-
 
 def train(
     rows: Iterable[FeatureRow], max_order: int = 5, smoothing: float = 0.01
@@ -191,26 +161,15 @@ def save_model(model: PrefixTreeModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(model.to_dict(), indent=2), encoding="utf-8")
 
 
-def _is_table(entry, labels: set[str]) -> bool:
-    """Whether a model file's table entry has the shape save_model writes."""
-    return (
-        isinstance(entry, dict)
-        and isinstance(entry.get("suffix"), list)
-        and all(isinstance(activity, str) for activity in entry["suffix"])
-        and isinstance(entry.get("counts"), dict)
-        and len(entry["counts"]) > 0
-        and entry["counts"].keys() <= labels
-        and all(type(count) is int and count > 0 for count in entry["counts"].values())
-    )
-
-
 def load_model(path: str | Path) -> PrefixTreeModel:
     """Read a model written by :func:`save_model`.
 
     Raises ConfigurationError naming the file when it is not UTF-8 JSON, or
     not an object whose fields have the shape save_model writes: distinct
     labels, and tables of distinct suffixes that each count some of them,
-    every count positive.
+    every count positive. Each table is checked as it goes into the trie: a
+    node that already has counts is a repeated suffix, and a root left
+    without counts means the empty suffix is missing.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -220,30 +179,50 @@ def load_model(path: str | Path) -> PrefixTreeModel:
         raise ConfigurationError(
             f"model file {path} must hold a JSON object, got {type(data).__name__}"
         )
-    labels = data.get("labels")
-    labels_ok = (
-        isinstance(labels, list)
-        and all(isinstance(label, str) for label in labels)
-        and len(set(labels)) == len(labels)
+    not_a_model = ConfigurationError(
+        f"model file {path} is not a model: it needs an integer max_order >= 0, a"
+        " finite number smoothing >= 0, a list of distinct labels and a tables list that"
+        " holds the empty suffix and no suffix twice, each table counting some of those"
+        " labels with positive integers"
     )
-    known = set(labels) if labels_ok else set()
-    tables = data.get("tables")
+    labels, tables = data.get("labels"), data.get("tables")
     if not (
         type(data.get("max_order")) is int
         and data["max_order"] >= 0
         and type(data.get("smoothing")) in (int, float)
         and data["smoothing"] >= 0
         and math.isfinite(data["smoothing"])
-        and labels_ok
+        and isinstance(labels, list)
+        and all(isinstance(label, str) for label in labels)
+        and len(set(labels)) == len(labels)
         and isinstance(tables, list)
-        and all(_is_table(entry, known) for entry in tables)
-        and any(entry["suffix"] == [] for entry in tables)
-        and len({tuple(entry["suffix"]) for entry in tables}) == len(tables)
     ):
-        raise ConfigurationError(
-            f"model file {path} is not a model: it needs an integer max_order >= 0, a"
-            " finite number smoothing >= 0, a list of distinct labels and a tables list that"
-            " holds the empty suffix and no suffix twice, each table counting some of those"
-            " labels with positive integers"
-        )
-    return PrefixTreeModel.from_dict(data)
+        raise not_a_model
+    known = set(labels)
+    counts: list[dict[str, int]] = [{}]
+    children: list[dict[str, int]] = [{}]
+    for entry in tables:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("suffix"), list)
+            and all(isinstance(activity, str) for activity in entry["suffix"])
+            and isinstance(entry.get("counts"), dict)
+            and len(entry["counts"]) > 0
+            and entry["counts"].keys() <= known
+            and all(type(count) is int and count > 0 for count in entry["counts"].values())
+        ):
+            raise not_a_model
+        node = 0
+        for activity in reversed(entry["suffix"]):
+            child = children[node].get(activity)
+            if child is None:
+                child = children[node][activity] = len(counts)
+                counts.append({})
+                children.append({})
+            node = child
+        if counts[node]:
+            raise not_a_model
+        counts[node] = dict(entry["counts"])
+    if not counts[0]:
+        raise not_a_model
+    return PrefixTreeModel(data["max_order"], data["smoothing"], tuple(labels), counts, children)

@@ -55,13 +55,17 @@ class SamplingConfig:
             raise ConfigurationError(f"unknown sorting strategy {self.sorting!r}")
         if self.log_rounding not in (FLOOR, NEAREST):
             raise ConfigurationError(f"unknown log rounding {self.log_rounding!r}")
+        k, fraction = self.k, self.fraction
         if self.method in (LOGARITHMIC, DIVISION):
-            if self.k is None or self.k < 2:
-                raise ConfigurationError(f"{self.method} selection needs k >= 2, got {self.k}")
-        if self.method == RANDOM:
-            if self.fraction is None or not (0.0 < self.fraction <= 1.0):
+            if not (isinstance(k, int) and not isinstance(k, bool) and k >= 2):
                 raise ConfigurationError(
-                    f"random selection needs a fraction in (0, 1], got {self.fraction}"
+                    f"{self.method} selection needs an integer k >= 2, got {k!r}"
+                )
+        if self.method == RANDOM:
+            number = isinstance(fraction, (int, float)) and not isinstance(fraction, bool)
+            if not (number and 0.0 < fraction <= 1.0):
+                raise ConfigurationError(
+                    f"random selection needs a number fraction in (0, 1], got {fraction!r}"
                 )
 
     @property

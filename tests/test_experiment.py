@@ -4,13 +4,14 @@ import csv
 import dataclasses
 import gc
 import io
+import re
 from collections import Counter
 from random import Random
 
 import pytest
 
 from logsample import experiment, metrics
-from logsample.errors import ConfigurationError, SplitError, TrainingError
+from logsample.errors import ConfigurationError, EvaluationError, SplitError, TrainingError
 from logsample.experiment import (
     BASELINE,
     ExperimentConfig,
@@ -90,12 +91,34 @@ class TestExperimentConfig:
             ExperimentConfig(folds=1)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(repeats=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"one or more SamplingConfigs, got \(\)"):
             ExperimentConfig(grid=())
+        with pytest.raises(ConfigurationError, match=r"SamplingConfigs, got \('d2',\)"):
+            ExperimentConfig(grid=("d2",))
         with pytest.raises(ConfigurationError):
             ExperimentConfig(max_order=-1)
+        with pytest.raises(ConfigurationError, match="window must be >= 1, got 0"):
+            ExperimentConfig(window=0)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(grid=grid("d2", "d2"))
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("folds", 2.5, "an integer"),
+            ("repeats", False, "an integer"),
+            ("seed", "1", "an integer"),
+            ("end_marker", "no", "true or false"),
+            ("window", True, "an integer or null"),
+            ("max_order", 1.5, "an integer"),
+        ],
+    )
+    def test_types_are_checked_when_built_in_python(self, key, value, expected):
+        message = f"experiment config {key!r} must be {expected}, got {value!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**{key: value})
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            config_from_dict({key: value})
 
     def test_config_from_dict(self):
         config = config_from_dict(
@@ -120,6 +143,13 @@ class TestExperimentConfig:
 
 
 class TestRunExperiment:
+    def test_test_fold_without_rows_is_an_error(self):
+        # without the end marker a one-event case yields no feature row
+        log = log_from_variants([(("a",), 4)])
+        config = ExperimentConfig(folds=2, repeats=1, grid=grid("unique"), end_marker=False)
+        with pytest.raises(EvaluationError, match="repeat 0 fold 0: test fold yields no"):
+            run_experiment(log, config)
+
     def test_row_counting(self):
         config = ExperimentConfig(
             folds=3, repeats=2, grid=grid("d2", "unique"), seed=1

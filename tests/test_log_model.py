@@ -772,8 +772,9 @@ class TestParseXes:
             f'<date key="time:timestamp" value="{OUT_OF_RANGE}"/>',
             '<string key="time:timestamp" value="garbage"/>',
             '<int key="time:timestamp" value="5"/>',
+            "",
         ],
-        ids=["date-out-of-range", "string-garbage", "int"],
+        ids=["date-out-of-range", "string-garbage", "int", "missing"],
     )
     def test_unreadable_timestamp_names_case_and_event(self, tmp_path, stamp):
         text = (
@@ -793,6 +794,71 @@ class TestParseXes:
         )
         with pytest.raises(XesParseError, match="empty-one"):
             parse_xes(write(tmp_path / "bad.xes", text))
+
+    def test_duplicate_named_case_id_rejected(self, tmp_path):
+        trace = XES_BASIC[XES_BASIC.index("  <trace>") : XES_BASIC.index("</log>")]
+        text = f"<log>{trace}{trace}</log>"
+        with pytest.raises(XesParseError, match="duplicate case id 't1'"):
+            parse_xes(write(tmp_path / "bad.xes", text))
+
+    def test_log_without_traces_rejected(self, tmp_path):
+        with pytest.raises(EmptyLogError, match="no traces"):
+            parse_xes(write(tmp_path / "empty.xes", '<log><string key="k" value="v"/></log>'))
+
+    @pytest.mark.parametrize(
+        "names, ids",
+        [
+            # a named trace before the unnamed trace whose index gives the same id
+            (["case_1", None], ["case_1", "case_1_1"]),
+            # an unnamed trace before the named trace that holds its id
+            ([None, "case_0"], ["case_0_1", "case_0"]),
+            ([None, "case_0_1", "case_0"], ["case_0_2", "case_0_1", "case_0"]),
+            ([None, "x", None], ["case_0", "x", "case_2"]),
+        ],
+        ids=["named-first", "unnamed-first", "next-free", "no-collision"],
+    )
+    def test_unnamed_traces_get_ids_no_named_trace_holds(self, tmp_path, names, ids):
+        traces = "".join(
+            "<trace>"
+            + ("" if name is None else f'<string key="concept:name" value="{name}"/>')
+            + f'<event><string key="concept:name" value="a{i}"/>'
+            '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/></event></trace>'
+            for i, name in enumerate(names)
+        )
+        log = parse_xes(write(tmp_path / "log.xes", f"<log>{traces}</log>"))
+        assert list(log.cases) == ids  # file order
+        assert [log.trace(cid) for cid in ids] == [(f"a{i}",) for i in range(len(names))]
+
+    def test_keyless_and_unsupported_elements_are_skipped(self, tmp_path):
+        text = (
+            "<log><trace>"
+            '<string key="concept:name" value="t"/>'
+            '<string value="no key"/><string key="no-value"/>'
+            '<list key="nested"><string key="inner" value="x"/></list>'
+            '<event><string key="concept:name" value="a"/>'
+            '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/>'
+            '<container key="box"/><int value="7"/></event>'
+            "</trace></log>"
+        )
+        log = parse_xes(write(tmp_path / "log.xes", text))
+        assert log.cases["t"].attributes == {}
+        assert log.cases["t"].events[0].attributes == {}
+        assert log.attribute_schema == {}
+
+    def test_key_on_trace_and_event_has_event_scope(self, tmp_path):
+        text = (
+            "<log><trace>"
+            '<string key="concept:name" value="t"/>'
+            '<string key="org:resource" value="owner"/>'
+            '<event><string key="concept:name" value="a"/>'
+            '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/>'
+            '<string key="org:resource" value="r1"/></event>'
+            "</trace></log>"
+        )
+        log = parse_xes(write(tmp_path / "log.xes", text))
+        assert log.attribute_schema["org:resource"] == AttributeSpec(CATEGORICAL, EVENT_SCOPE)
+        assert log.cases["t"].attributes["org:resource"] == "owner"
+        assert log.cases["t"].events[0].attributes["org:resource"] == "r1"
 
     def test_event_missing_activity_rejected(self, tmp_path):
         text = (
@@ -918,6 +984,10 @@ class TestInvariants:
         cases = {"c1": [Event("a", T0)], "c2": [Event("b", T0), Event("", T0)]}
         with pytest.raises(RowError, match="event 1 of case 'c2'"):
             build_log(cases)
+
+    def test_build_log_rejects_no_cases(self):
+        with pytest.raises(EmptyLogError, match="no events"):
+            build_log({})
 
     def test_build_log_rejects_case_without_events(self):
         with pytest.raises(RowError, match="case 'c2' has no events"):

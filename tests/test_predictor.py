@@ -1,6 +1,7 @@
 """Suffix-frequency predictor: counting, backoff, ties, and persistence."""
 
 import json
+import math
 from collections import Counter, defaultdict
 from random import Random
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from logsample.errors import ConfigurationError, TrainingError
 from logsample.features import END_MARKER, extract_features
-from logsample.predictor import load_model, save_model, train
+from logsample.predictor import PrefixTreeModel, load_model, save_model, train
 
 from helpers import feature_row, log_from_variants, random_variant_freqs
 
@@ -155,7 +156,7 @@ class TestPredict:
         rows = rows_from_pairs([("ab", "c"), ("b", "c"), ("a", "b")] * 4)
         a = train(rows, max_order=4)
         b = train(rows, max_order=4)
-        assert a == b
+        assert a.to_dict() == b.to_dict()
         assert a.predict(("a", "b")) == b.predict(("a", "b"))
 
 
@@ -226,7 +227,7 @@ def test_trie_matches_slicing_reference(tmp_path_factory, seed, max_order, with_
     model.predict(("unseen", *rows[0].prefix))
     path = tmp_path_factory.mktemp("trie") / "model.json"
     save_model(model, path)
-    assert load_model(path) == model
+    assert load_model(path).to_dict() == model.to_dict()
 
 
 class TestPersistence:
@@ -236,7 +237,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
-        assert back == model
+        assert back.to_dict() == model.to_dict()
         assert back.predict(("a", "b")) == model.predict(("a", "b"))
 
     def test_predict_leaves_serialised_form_unchanged(self, tmp_path):
@@ -272,3 +273,169 @@ class TestPersistence:
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ConfigurationError, match="model.json"):
             load_model(path)
+
+
+# The model-file loader before tables went straight into the trie, kept as the
+# oracle of the property below: its checks walked the tables four times, then
+# ``PrefixTreeModel.from_dict`` walked them again to build the trie.
+
+
+def parent_from_dict(data: dict) -> PrefixTreeModel:
+    counts: list[dict[str, int]] = [{}]
+    children: list[dict[str, int]] = [{}]
+    for entry in data["tables"]:
+        node = 0
+        for activity in reversed(entry["suffix"]):
+            child = children[node].get(activity)
+            if child is None:
+                child = children[node][activity] = len(counts)
+                counts.append({})
+                children.append({})
+            node = child
+        counts[node] = dict(entry["counts"])
+    return PrefixTreeModel(
+        max_order=data["max_order"],
+        smoothing=data["smoothing"],
+        labels=tuple(data["labels"]),
+        counts=counts,
+        children=children,
+    )
+
+
+def parent_is_table(entry, labels: set[str]) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("suffix"), list)
+        and all(isinstance(activity, str) for activity in entry["suffix"])
+        and isinstance(entry.get("counts"), dict)
+        and len(entry["counts"]) > 0
+        and entry["counts"].keys() <= labels
+        and all(type(count) is int and count > 0 for count in entry["counts"].values())
+    )
+
+
+def parent_load_model(path) -> PrefixTreeModel:
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigurationError(f"model file {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"model file {path} must hold a JSON object, got {type(data).__name__}"
+        )
+    labels = data.get("labels")
+    labels_ok = (
+        isinstance(labels, list)
+        and all(isinstance(label, str) for label in labels)
+        and len(set(labels)) == len(labels)
+    )
+    known = set(labels) if labels_ok else set()
+    tables = data.get("tables")
+    if not (
+        type(data.get("max_order")) is int
+        and data["max_order"] >= 0
+        and type(data.get("smoothing")) in (int, float)
+        and data["smoothing"] >= 0
+        and math.isfinite(data["smoothing"])
+        and labels_ok
+        and isinstance(tables, list)
+        and all(parent_is_table(entry, known) for entry in tables)
+        and any(entry["suffix"] == [] for entry in tables)
+        and len({tuple(entry["suffix"]) for entry in tables}) == len(tables)
+    ):
+        raise ConfigurationError(
+            f"model file {path} is not a model: it needs an integer max_order >= 0, a"
+            " finite number smoothing >= 0, a list of distinct labels and a tables list that"
+            " holds the empty suffix and no suffix twice, each table counting some of those"
+            " labels with positive integers"
+        )
+    return parent_from_dict(data)
+
+
+# Values a mutation may put in place of a count, a label list, max_order or smoothing.
+BAD_COUNTS = [0, -1, 1.5, True, "1", None]
+ODD_SCALARS = [-1, 0, 3, 1.5, True, False, "2", None, float("nan"), float("inf"), 0.0]
+
+
+def mutate(data: dict, draw) -> bool:
+    """Apply one drawn change to a model file's data, in place.
+
+    Returns whether the data keeps the shape the next change needs: after a
+    field or a table entry is replaced or dropped, no change may follow.
+    """
+    tables, labels = data["tables"], data["labels"]
+    kind = draw(st.sampled_from([
+        "drop-table", "repeat-table", "count", "drop-count", "unknown-label", "suffix-item",
+        "drop-label", "repeat-label", "empty-counts", "entry", "label-type", "labels",
+        "tables", "max_order", "smoothing", "drop-field",
+    ]))
+    pick = lambda seq: draw(st.integers(min_value=0, max_value=len(seq) - 1))
+    table = tables[pick(tables)] if tables else None
+    label = labels[pick(labels)] if labels else None
+    if kind == "drop-table" and tables:
+        tables.remove(table)
+    elif kind == "repeat-table" and tables:
+        copy = json.loads(json.dumps(table))
+        if label is not None and draw(st.booleans()):
+            copy["counts"] = {label: 1}
+        tables.insert(pick(tables), copy)
+    elif kind in ("count", "drop-count") and table and table["counts"]:
+        key = draw(st.sampled_from(sorted(table["counts"])))
+        if kind == "count":
+            table["counts"][key] = draw(st.sampled_from(BAD_COUNTS))
+        else:
+            del table["counts"][key]
+    elif kind == "unknown-label" and table:
+        table["counts"]["zz"] = 1
+    elif kind == "suffix-item" and table:
+        table["suffix"].append(draw(st.sampled_from([3, None, "a", "zz"])))
+    elif kind == "drop-label" and labels:
+        labels.remove(label)
+    elif kind == "repeat-label" and labels:
+        labels.append(label)
+    elif kind in ("max_order", "smoothing"):
+        data[kind] = draw(st.sampled_from(ODD_SCALARS))
+    elif kind == "empty-counts" and table:
+        table["counts"] = {}
+        return False
+    elif kind == "entry" and tables:
+        junk = [[], "t", None, {"suffix": []}, {"counts": {}}]
+        tables[pick(tables)] = draw(st.sampled_from(junk))
+        return False
+    elif kind == "label-type" and labels:
+        labels[pick(labels)] = draw(st.sampled_from([1, None, ["a"]]))
+        return False
+    elif kind in ("labels", "tables"):
+        data[kind] = draw(st.sampled_from([None, "ab", {}, []]))
+        return False
+    elif kind == "drop-field":
+        del data[draw(st.sampled_from(sorted(data)))]
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    max_order=st.integers(min_value=0, max_value=3),
+    changes=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_loader_agrees_with_the_two_pass_loader(tmp_path_factory, seed, max_order, changes,
+                                                data):
+    rnd = Random(seed)
+    log = log_from_variants(random_variant_freqs(rnd, max_variants=4, max_freq=3, max_len=5))
+    model_data = train(extract_features(log), max_order=max_order).to_dict()
+    for _ in range(changes):
+        if not mutate(model_data, data.draw):
+            break
+    path = tmp_path_factory.mktemp("oracle") / "model.json"
+    path.write_text(json.dumps(model_data), encoding="utf-8")
+
+    outcomes = []
+    for load in (parent_load_model, load_model):
+        try:
+            outcomes.append(("model", load(path).to_dict()))
+        except ConfigurationError as exc:
+            outcomes.append(("error", str(exc)))
+    assert outcomes[0] == outcomes[1]

@@ -139,6 +139,25 @@ class TestSamplingConfig:
         with pytest.raises(ConfigurationError):
             SamplingConfig(LOGARITHMIC, k=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            (dict(method=DIVISION, k=2.5), "k"),
+            (dict(method=LOGARITHMIC, k=3.0), "k"),
+            (dict(method=DIVISION, k=True), "k"),
+            (dict(method=RANDOM, fraction=True), "fraction"),
+            (dict(method=RANDOM, fraction="0.5"), "fraction"),
+            (dict(method="bogus"), "selection method 'bogus'"),
+            (dict(method=UNIQUE, sorting="bogus"), "sorting strategy 'bogus'"),
+            (dict(method=UNIQUE, log_rounding="bogus"), "log rounding 'bogus'"),
+        ],
+        ids=["k-float", "k-whole-float", "k-bool", "fraction-bool", "fraction-str",
+             "method", "sorting", "rounding"],
+    )
+    def test_bad_settings_are_named(self, kwargs, named):
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            SamplingConfig(**kwargs)
+
     def test_fraction_bounds(self):
         with pytest.raises(ConfigurationError):
             SamplingConfig(RANDOM, fraction=0.0)
@@ -362,6 +381,11 @@ class TestSample:
         log = log_from_variants([(("a",), 5), (("b",), 3)])
         with pytest.raises(EmptySampleError, match="log10"):
             run_sample(log, SamplingConfig(LOGARITHMIC, k=10, sorting=RANDOM_ORDER))
+
+    def test_index_of_another_log_is_rejected(self, skewed):
+        other = log_from_variants([(("a",), 2)])
+        with pytest.raises(ConfigurationError, match="different log"):
+            sample(skewed, build_variant_index(other), SamplingConfig(UNIQUE))
 
     def test_representative_sampling_keeps_top_scored(self, resource_log):
         index = build_variant_index(resource_log, ["resource"])
