@@ -406,7 +406,8 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
     """Write a log as CSV; parse_csv reads the result back structurally intact.
 
     Case attributes are replicated on every row of their case; absent event
-    attributes become empty fields.
+    attributes become empty fields. Raises SchemaError, before the file is
+    opened, when an attribute has the name of one of the mapping's columns.
     """
     mapping = mapping or ColumnMapping()
     attr_names = sorted(
@@ -414,6 +415,12 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
         | {name for case in log.cases.values() for name in case.attributes}
     )
     header = [mapping.case_col, mapping.activity_col, mapping.time_col, *attr_names]
+    for role, column in zip(("case id", "activity", "timestamp"), header):
+        if column in attr_names:
+            raise SchemaError(
+                f"attribute {column!r} has the name of the {role} column {column!r},"
+                " so the CSV could not be read back; rename the attribute or the column"
+            )
 
     def render(value) -> str:
         if isinstance(value, datetime):

@@ -225,4 +225,5 @@ def load_model(path: str | Path) -> PrefixTreeModel:
         counts[node] = dict(entry["counts"])
     if not counts[0]:
         raise not_a_model
-    return PrefixTreeModel(data["max_order"], data["smoothing"], tuple(labels), counts, children)
+    labels = _label_order(labels)  # predict breaks ties by this order, not the file's
+    return PrefixTreeModel(data["max_order"], data["smoothing"], labels, counts, children)

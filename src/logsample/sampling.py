@@ -89,17 +89,12 @@ class SampleReport:
     original_variants: int
     sampled_variants: int
     reduction_rate: float
-    per_variant: tuple[tuple[tuple[str, ...], int, int], ...]  # (variant, kept, total)
     variant_preserving: bool
+    per_variant: tuple[tuple[tuple[str, ...], int, int], ...]  # (variant, kept, total)
 
     def to_dict(self) -> dict:
         return {
-            "original_cases": self.original_cases,
-            "sampled_cases": self.sampled_cases,
-            "original_variants": self.original_variants,
-            "sampled_variants": self.sampled_variants,
-            "reduction_rate": self.reduction_rate,
-            "variant_preserving": self.variant_preserving,
+            **vars(self),  # shallow: asdict would deep-copy per_variant only to drop it
             "per_variant": [
                 {"variant": list(seq), "kept": kept, "total": total}
                 for seq, kept, total in self.per_variant

@@ -161,6 +161,34 @@ def test_predict_on_a_bad_model_file_exits_with_error(tmp_path, monkeypatch, cap
     assert err.startswith("error: model file ") and "bad_model.json" in err
 
 
+def test_predict_breaks_ties_alphabetically_whatever_the_file_label_order(tmp_path, runner):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(
+        '{"max_order": 0, "smoothing": 0.0, "labels": ["b", "a"],'
+        ' "tables": [{"suffix": [], "counts": {"a": 1, "b": 1}}]}'
+    )
+    result = runner.invoke(cli, ["predict", str(model_path), "--prefix", "x"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["predicted"] == "a"
+
+
+def test_sample_refuses_an_attribute_named_like_a_column(tmp_path, monkeypatch, capsys):
+    xes = tmp_path / "log.xes"
+    xes.write_text(
+        '<log><trace><string key="concept:name" value="t1"/><event>'
+        '<string key="concept:name" value="a"/><string key="activity" value="x"/>'
+        '<date key="time:timestamp" value="2021-01-01T10:00:00Z"/></event></trace></log>'
+    )
+    out = tmp_path / "o.csv"
+    argv = ["logsample", "sample", str(xes), "--method", "unique", "-o", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.startswith("error: attribute 'activity' has the name of")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("smoothing", ["nan", "inf"])
 def test_train_with_non_finite_smoothing_exits_with_error(small_csv, tmp_path, monkeypatch,
                                                           capsys, smoothing):

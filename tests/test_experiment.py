@@ -254,6 +254,41 @@ class TestRunExperiment:
         assert {name for name, _ in seen} == called
         assert not any(state for _, state in seen)
 
+    def test_timing_fields_and_calls_per_cell(self, monkeypatch):
+        calls = Counter()
+        for name in ("extract_features", "train", "evaluate"):
+            def spy(*args, _fn=getattr(experiment, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(experiment, name, spy)
+        # every variant but a-b has f = 2, so each log10 sample is empty and never
+        # reaches FE; with the end marker off, a random:0.03 draw of one
+        # single-activity case yields no feature rows and fails in train
+        log = log_from_variants([((c,), 2) for c in "cdefghijklmnop"] + [(("a", "b"), 4)])
+        config = ExperimentConfig(
+            folds=2, repeats=2, grid=grid("random:0.03", "log10", "d2"), seed=0, end_marker=False
+        )
+        report = run_experiment(log, config)
+        by_cell = {(r.repeat, r.fold, r.strategy): r for r in report.rows}
+        ok = [r for r in report.rows if r.ok]
+        failed_in_train = sum("empty feature set" in r.error for r in report.rows)
+        empty_samples = sum("keeps zero" in r.error for r in report.rows)
+        assert failed_in_train and empty_samples == 4
+        assert len(ok) + failed_in_train + empty_samples == len(report.rows)
+        assert {BASELINE, "d2"} <= {r.strategy for r in ok}
+        for row in ok:
+            base = by_cell[row.repeat, row.fold, BASELINE]
+            if row.strategy == BASELINE:
+                assert row.sampling_seconds == 0.0
+                assert row.fe_speedup == row.train_speedup == 1.0
+            else:
+                assert row.fe_speedup == base.fe_seconds / row.fe_seconds
+                assert row.train_speedup == base.train_seconds / row.train_seconds
+        fitted = len(ok) + failed_in_train  # the cells that reach FE and train
+        folds = config.folds * config.repeats
+        assert calls == {"extract_features": fitted + folds, "train": fitted, "evaluate": len(ok)}
+
     def test_counts_each_test_fold_once(self, monkeypatch):
         counted = []
 

@@ -598,6 +598,18 @@ class TestWriteCsv:
         back = parse_csv(out)
         assert [e.attributes["cost"] for e in back.cases["1"].events] == [5, 9]
 
+    @pytest.mark.parametrize("key", ["case_id", "activity", "timestamp"])
+    def test_attribute_named_like_a_column_is_refused(self, tmp_path, key):
+        # the header would read case_id,activity,timestamp,<key>, which parse_csv rejects
+        xes = XES_BASIC.replace('key="org:resource"', f'key="{key}"')
+        log = parse_xes(write(tmp_path / "log.xes", xes))
+        out = tmp_path / "out.csv"
+        with pytest.raises(SchemaError, match=f"attribute '{key}' has the name of the .* column"):
+            write_csv(log, out)
+        assert not out.exists()
+        renamed = ColumnMapping(case_col="case", activity_col="act", time_col="time")
+        write_csv(log, out, renamed)
+        assert parse_csv(out, renamed).num_events == log.num_events
 
     def test_number_like_text_survives_round_trip(self, tmp_path):
         # int() and float() read all three, but written back they would be 7, 7 and 1000.0

@@ -240,6 +240,16 @@ class TestPersistence:
         assert back.to_dict() == model.to_dict()
         assert back.predict(("a", "b")) == model.predict(("a", "b"))
 
+    def test_loaded_labels_follow_the_tie_order_not_the_file_order(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "max_order": 0, "smoothing": 0.0, "labels": [END_MARKER, "b", "a"],
+            "tables": [{"suffix": [], "counts": {"a": 1, "b": 1, END_MARKER: 1}}],
+        }))
+        model = load_model(path)
+        assert model.labels == ("a", "b", END_MARKER)
+        assert model.predict(()) == "a"
+
     def test_predict_leaves_serialised_form_unchanged(self, tmp_path):
         rows = rows_from_pairs([("ab", "c"), ("a", "b"), ("b", END_MARKER), ("cb", "a")])
         model = train(rows, max_order=2, smoothing=0.05)
