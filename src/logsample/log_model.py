@@ -215,12 +215,24 @@ class ColumnMapping:
     may be declared in ``attribute_kinds``; undeclared columns are inferred
     (all finite numbers -> numeric, all-timestamp values -> instant,
     everything else -> categorical).
+
+    Raises SchemaError naming the column when two of the three share a name:
+    a CSV written with that header could not be read back.
     """
 
     case_col: str = "case_id"
     activity_col: str = "activity"
     time_col: str = "timestamp"
     attribute_kinds: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        columns = [self.case_col, self.activity_col, self.time_col]
+        for column in columns:
+            if columns.count(column) > 1:
+                raise SchemaError(
+                    f"column {column!r} is given for more than one of the case id, activity"
+                    " and timestamp roles; each needs its own column"
+                )
 
 
 def _infer_kind(values: list[str]) -> str:

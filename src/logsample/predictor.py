@@ -7,7 +7,9 @@ further back, so ``counts[n]`` holds the table of the suffix spelled by the
 path to node ``n``. Prediction walks back from the end of the prefix, at
 most ``max_order`` activities, and uses the deepest stored suffix it
 reaches; the empty suffix is always stored, so prediction is total. The
-predicted label is the argmax of that table's raw counts; the smoothing in
+predicted label is the argmax of that table's raw counts
+(:meth:`PrefixTreeModel.argmax`, which also serves
+:func:`logsample.metrics.evaluate`); the smoothing in
 :meth:`PrefixTreeModel.distribution` is uniform, so it would pick the same
 label. Seed-free and deterministic, which keeps accuracy comparisons between
 full and sampled training sets exact.
@@ -95,13 +97,21 @@ class PrefixTreeModel:
             for label in self.labels
         }
 
-    def predict(self, prefix: Sequence[str]) -> str:
-        """Most likely next activity: the argmax of :meth:`distribution`.
+    def argmax(self, node: int) -> str:
+        """The label with the largest count at a node that has counts.
 
         Ties go to the earliest label in alphabet order (end marker last).
         """
-        table, rank = self.counts[self._match(prefix)], self._rank
-        return max(table, key=lambda l: (table[l], -rank[l]))
+        table = self.counts[node]
+        if len(table) == 1:
+            return next(iter(table))
+        top = max(table.values())
+        tied = [label for label, count in table.items() if count == top]
+        return tied[0] if len(tied) == 1 else min(tied, key=self._rank.__getitem__)
+
+    def predict(self, prefix: Sequence[str]) -> str:
+        """Most likely next activity: the argmax of :meth:`distribution`."""
+        return self.argmax(self._match(prefix))
 
     def to_dict(self) -> dict:
         return {

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +13,8 @@ from logsample.cli import cli, main
 from logsample.log_model import write_csv
 
 from helpers import log_from_variants, skewed_log
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -114,6 +117,29 @@ def test_train_predict_evaluate(runner, small_csv, tmp_path):
     assert float(dict(zip(table[0], table[1]))["overall_accuracy"]) > 0.5
 
 
+def run_main(monkeypatch, capsys, *args):
+    """Run the installed entry point in-process; its standard output."""
+    monkeypatch.setattr(sys, "argv", ["logsample", *map(str, args)])
+    main()
+    return capsys.readouterr().out
+
+
+def test_evaluate_pins_a_root_only_walk_and_an_unseen_activity(tmp_path, monkeypatch, capsys):
+    core = DATA / "write_core.csv"
+    # max_order 0: every key is empty, so the walk never leaves the root
+    run_main(monkeypatch, capsys, "train", core, "--max-order", "0", "-o", tmp_path / "m0.json")
+    out = run_main(monkeypatch, capsys, "evaluate", tmp_path / "m0.json", core)
+    assert out.splitlines() == ["n,overall_accuracy,balanced_accuracy", "8,0.375,0.25"]
+
+    # the XES-derived log has activity d, which the model never saw
+    run_main(monkeypatch, capsys, "train", core, "-o", tmp_path / "m.json")
+    xes_sample = tmp_path / "x.csv"
+    run_main(monkeypatch, capsys, "sample", DATA / "xes_core.xes", "--method", "unique",
+             "-o", xes_sample)
+    out = run_main(monkeypatch, capsys, "evaluate", tmp_path / "m.json", xes_sample)
+    assert out.splitlines()[1] == "8,0.625,0.6333333333333333"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -187,6 +213,18 @@ def test_sample_refuses_an_attribute_named_like_a_column(tmp_path, monkeypatch, 
     assert exit_info.value.code == 1
     assert capsys.readouterr().err.startswith("error: attribute 'activity' has the name of")
     assert not out.exists()
+
+
+def test_repeated_column_option_exits_before_the_log_is_read(tmp_path, monkeypatch, capsys):
+    not_a_log = tmp_path / "log.csv"
+    not_a_log.write_bytes(b"\xff")  # reading it would fail with a different error
+    argv = ["logsample", "variants", str(not_a_log), "--case-col", "k", "--activity-col", "k"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "column 'k'" in err
 
 
 @pytest.mark.parametrize("smoothing", ["nan", "inf"])

@@ -611,6 +611,20 @@ class TestWriteCsv:
         write_csv(log, out, renamed)
         assert parse_csv(out, renamed).num_events == log.num_events
 
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"case_col": "k", "activity_col": "k"},
+            {"case_col": "k", "time_col": "k"},
+            {"activity_col": "k", "time_col": "k"},
+            {"case_col": "k", "activity_col": "k", "time_col": "k"},
+        ],
+    )
+    def test_mapping_that_repeats_a_column_is_refused(self, columns):
+        # write_csv would write the header k,k,…, which parse_csv rejects
+        with pytest.raises(SchemaError, match="column 'k'"):
+            ColumnMapping(**columns)
+
     def test_number_like_text_survives_round_trip(self, tmp_path):
         # int() and float() read all three, but written back they would be 7, 7 and 1000.0
         text = (

@@ -1,6 +1,10 @@
 """Accuracy tallies and ratio metrics."""
 
+import json
 import sys
+import tempfile
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -8,46 +12,36 @@ from hypothesis import strategies as st
 
 from logsample import metrics
 from logsample.errors import EvaluationError, UndefinedRatioError
-from logsample.features import FeatureRow
+from logsample.features import END_MARKER, FeatureRow, extract_features
 from logsample.metrics import ClassTally, evaluate, relative_accuracy, speedup
-from logsample.predictor import train
+from logsample.predictor import PrefixTreeModel, load_model, train
 
-from helpers import feature_row
-
-
-class FixedPredictor:
-    """Predicts a constant label, whatever the prefix."""
-
-    max_order = sys.maxsize
-
-    def __init__(self, label):
-        self.label = label
-
-    def predict(self, prefix):
-        return self.label
+from helpers import feature_row, log_from_variants
 
 
-class CountingPredictor:
-    """Wraps a predictor and records every prefix it is asked about."""
+def loaded_model(max_order, tables):
+    """The model load_model reads from a file holding these ``{suffix: counts}`` tables."""
+    labels = sorted({label for counts in tables.values() for label in counts})
+    data = {
+        "max_order": max_order,
+        "smoothing": 0.0,
+        "labels": labels,
+        "tables": [{"suffix": list(suffix), "counts": counts} for suffix, counts in tables.items()],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return load_model(path)
 
-    max_order = sys.maxsize
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = []
-
-    def predict(self, prefix):
-        self.calls.append(prefix)
-        return self.inner.predict(prefix)
+def fixed(label):
+    """Predicts ``label`` whatever the prefix; its horizon is the whole prefix."""
+    return loaded_model(sys.maxsize, {(): {label: 1}})
 
 
-class LastActivityPredictor:
-    """Predicts the prefix's last activity; reads the whole prefix (max_order sys.maxsize)."""
-
-    max_order = sys.maxsize
-
-    def predict(self, prefix):
-        return prefix[-1] if prefix else "a"
+def last_activity():
+    """Predicts the prefix's last activity ("a" for the empty prefix); reads the whole prefix."""
+    return loaded_model(sys.maxsize, {(): {"a": 1}, **{(x,): {x: 1} for x in "abcd"}})
 
 
 def rows(target_sequence):
@@ -69,35 +63,73 @@ def per_row_reference(model, test_rows):
     return per_class, n, overall, balanced
 
 
+def argmax_spy():
+    """Patch PrefixTreeModel.argmax with a spy that records each call and still answers."""
+    argmax = PrefixTreeModel.argmax
+    return patch.object(PrefixTreeModel, "argmax", autospec=True, side_effect=argmax)
+
+
+def assert_matches_per_row(model, test_rows):
+    """evaluate agrees with a per-row tally and takes each node's argmax at most once."""
+    with argmax_spy() as spy:
+        result = evaluate(model, test_rows)
+    nodes = [call.args[1] for call in spy.call_args_list]
+    assert len(nodes) == len(set(nodes))
+    per_class, n, overall, balanced = per_row_reference(model, test_rows)
+    assert result.per_class == per_class
+    assert result.n == n
+    assert result.overall_accuracy == overall
+    assert result.balanced_accuracy == balanced
+
+
+def without_some_tables(model, drop):
+    """The model reloaded without the tables of the non-empty suffixes ``drop`` picks.
+
+    Such a file stores longer suffixes without their shorter ones, so some of
+    the loaded trie's nodes have no counts.
+    """
+    tables = {
+        tuple(entry["suffix"]): entry["counts"]
+        for i, entry in enumerate(model.to_dict()["tables"])
+        if not (entry["suffix"] and drop(i))
+    }
+    return loaded_model(model.max_order, tables)
+
+
 prefixes = st.lists(st.sampled_from("abc"), max_size=4).map(tuple)
 labelled = st.tuples(prefixes, st.sampled_from("abcd"))
+# traces over a small alphabet, so keys repeat and counts tie
+traces = st.lists(st.sampled_from("abc"), min_size=1, max_size=8).map(tuple)
+variants = st.lists(
+    st.tuples(traces, st.integers(min_value=1, max_value=3)), min_size=1, max_size=8
+)
 
 
 class TestEvaluate:
     def test_all_correct(self):
-        result = evaluate(FixedPredictor("b"), rows(["b"] * 10))
+        result = evaluate(fixed("b"), rows(["b"] * 10))
         assert result.overall_accuracy == 1.0
         assert result.balanced_accuracy == 1.0
         assert result.n == 10
 
     def test_skewed_classes(self):
-        result = evaluate(FixedPredictor("b"), rows(["b"] * 9 + ["c"]))
+        result = evaluate(fixed("b"), rows(["b"] * 9 + ["c"]))
         assert result.overall_accuracy == pytest.approx(0.9)
         assert result.balanced_accuracy == pytest.approx(0.5)
         assert result.per_class["b"].support == 9
         assert result.per_class["c"].correct == 0
 
     def test_all_wrong(self):
-        result = evaluate(FixedPredictor("x"), rows(["b", "c"]))
+        result = evaluate(fixed("x"), rows(["b", "c"]))
         assert result.overall_accuracy == 0.0
         assert result.balanced_accuracy == 0.0
 
     def test_empty_test_set(self):
         with pytest.raises(EvaluationError):
-            evaluate(FixedPredictor("b"), [])
+            evaluate(fixed("b"), [])
 
     def test_supports_sum_to_n(self):
-        result = evaluate(FixedPredictor("b"), rows(["b", "c", "c", "d"]))
+        result = evaluate(fixed("b"), rows(["b", "c", "c", "d"]))
         assert sum(t.support for t in result.per_class.values()) == result.n
 
     @settings(max_examples=60, deadline=None)
@@ -117,13 +149,29 @@ class TestEvaluate:
             for _ in range(times)
         )
         for order in orders:
-            model = LastActivityPredictor() if order is None else train(train_rows, order)
-            result = evaluate(model, test_rows)
-            per_class, n, overall, balanced = per_row_reference(model, test_rows)
-            assert result.per_class == per_class
-            assert result.n == n
-            assert result.overall_accuracy == overall
-            assert result.balanced_accuracy == balanced
+            model = last_activity() if order is None else train(train_rows, order)
+            assert_matches_per_row(model, test_rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(variants, variants, st.integers(min_value=0, max_value=6), st.randoms())
+    def test_walk_matches_per_row_predict_on_random_logs(self, train_spec, test_spec, order, rnd):
+        """Trained and reloaded models, keys shorter than the horizon, and an unseen activity.
+
+        The test log may hold activity d, which the training log never has.
+        """
+        test_spec = [
+            (tuple(a.replace("c", "d") for a in trace) if i % 2 else trace, n)
+            for i, (trace, n) in enumerate(test_spec)
+        ]
+        model = train(extract_features(log_from_variants(train_spec)), order)
+        test_rows = metrics.TestRows(extract_features(log_from_variants(test_spec)))
+        assert_matches_per_row(model, test_rows)
+        assert_matches_per_row(without_some_tables(model, lambda i: rnd.random() < 0.5), test_rows)
+
+    def test_tied_counts_go_to_the_earliest_label(self):
+        model = loaded_model(1, {(): {"c": 2, "b": 2}, ("a",): {END_MARKER: 1, "d": 1}})
+        result = evaluate(model, [feature_row(("a",), "d"), feature_row(("b",), "b")])
+        assert result.per_class == {"b": ClassTally(1, 1), "d": ClassTally(1, 1)}
 
     def test_predicts_each_distinct_prefix_once(self):
         test_rows = [
@@ -132,22 +180,42 @@ class TestEvaluate:
                 [(("a",), "b"), (("a",), "c"), (("a", "b"), "c"), (("a",), "b")]
             )
         ]
-        model = CountingPredictor(FixedPredictor("b"))
-        result = evaluate(model, test_rows)
-        assert sorted(model.calls) == [("a",), ("a", "b")]
+        model = loaded_model(sys.maxsize, {(): {"c": 1}, ("a",): {"b": 1}, ("a", "b"): {"b": 1}})
+        with argmax_spy() as spy:
+            result = evaluate(model, test_rows)
+        nodes = [call.args[1] for call in spy.call_args_list]
+        assert sorted(nodes) == sorted({model._match(("a",)), model._match(("a", "b"))})
+        assert 0 not in nodes
         assert result.per_class["b"] == ClassTally(2, 2)
         assert result.per_class["c"] == ClassTally(2, 0)
 
     def test_predicts_each_distinct_key_of_its_horizon_once(self):
+        # horizon 1: the keys are (b,), (b,), (b,) and (c,)
         test_rows = [
             feature_row(prefix, "b", f"c{i}")
             for i, prefix in enumerate([("a", "b"), ("x", "b"), ("b",), ("a", "c")])
         ]
-        model = CountingPredictor(FixedPredictor("b"))
-        model.max_order = 1
-        result = evaluate(model, test_rows)
-        assert sorted(model.calls) == [("b",), ("c",)]
-        assert result.per_class["b"] == ClassTally(4, 4)
+        model = loaded_model(1, {(): {"c": 1}, ("b",): {"b": 1}})
+        with argmax_spy() as spy:
+            result = evaluate(model, test_rows)
+        assert sorted(call.args[1] for call in spy.call_args_list) == [0, 1]
+        assert result.per_class["b"] == ClassTally(4, 3)
+
+    def test_argmax_is_taken_once_per_credited_node(self):
+        test_rows = [
+            feature_row(prefix, target, f"c{i}")
+            for i, (prefix, target) in enumerate(
+                [(("a",), "b"), (("a",), "c"), (("a", "b"), "c"), (("a",), "b"), ((), "b")]
+            )
+        ]
+        model = loaded_model(sys.maxsize, {(): {"b": 1}, ("x", "a"): {"c": 1}})
+        with argmax_spy() as spy:
+            result = evaluate(model, test_rows)
+            evaluate(model, test_rows)
+        # node 1, the suffix (a,), has no counts: every key backs off to the root
+        assert [call.args[1] for call in spy.call_args_list] == [0, 0]
+        assert result.per_class["b"] == ClassTally(3, 3)
+        assert result.per_class["c"] == ClassTally(2, 0)
 
 
 # metrics.TestRows is read through the module so pytest does not collect it as a test class
@@ -171,6 +239,27 @@ class TestFoldRows:
         assert test_rows.pairs(0) == {((), "c"): 2, ((), "d"): 1, ((), "a"): 1}
         assert test_rows.pairs(1) is test_rows.pairs(1)  # counted once, then reused
 
+    def test_key_trie_reads_keys_newest_first(self):
+        test_rows = metrics.TestRows(
+            [
+                feature_row(("a", "b"), "c", "c0"),
+                feature_row(("x", "b"), "c", "c1"),
+                feature_row(("x", "b"), "d", "c2"),
+                feature_row((), "a", "c3"),
+            ]
+        )
+        children, ends, below = test_rows.trie(sys.maxsize)
+        b = children[0]["b"]
+        assert children[0] == {"b": b} and set(children[b]) == {"a", "x"}
+        assert (ends[0], below[0]) == ({"a": 1}, {"a": 1, "c": 2, "d": 1})
+        assert (ends[b], below[b]) == ({}, {"c": 2, "d": 1})
+        assert ends[children[b]["a"]] == below[children[b]["a"]] == {"c": 1}
+        assert ends[children[b]["x"]] == below[children[b]["x"]] == {"c": 1, "d": 1}
+
+        children, ends, below = test_rows.trie(1)
+        assert (len(children), ends[children[0]["b"]]) == (2, {"c": 2, "d": 1})
+        assert test_rows.trie(1) is test_rows.trie(1)  # built once, then reused
+
     def test_is_a_sequence_of_feature_rows(self):
         rows = [feature_row(("a", "b"), "c", "c0"), feature_row(("a",), "b", "c0")]
         test_rows = metrics.TestRows(rows)
@@ -181,8 +270,8 @@ class TestFoldRows:
 
     def test_evaluate_accepts_any_iterable_of_rows(self):
         test_rows = rows(["b", "b", "c"])
-        expected = evaluate(FixedPredictor("b"), metrics.TestRows(test_rows))
-        assert evaluate(FixedPredictor("b"), iter(test_rows)) == expected
+        expected = evaluate(fixed("b"), metrics.TestRows(test_rows))
+        assert evaluate(fixed("b"), iter(test_rows)) == expected
 
 
 class TestRatios:

@@ -303,10 +303,12 @@ def parent_from_dict(data: dict) -> PrefixTreeModel:
                 children.append({})
             node = child
         counts[node] = dict(entry["counts"])
+    # loaded labels take the tie order, activities sorted and the end marker last
+    labels = sorted(data["labels"], key=lambda label: (label == END_MARKER, label))
     return PrefixTreeModel(
         max_order=data["max_order"],
         smoothing=data["smoothing"],
-        labels=tuple(data["labels"]),
+        labels=tuple(labels),
         counts=counts,
         children=children,
     )
