@@ -295,7 +295,8 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
     """Parse a CSV event log (UTF-8 with or without a BOM, header row, RFC-4180 quoting).
 
     Raises SchemaError when a mandatory column is missing, a column name
-    repeats or a column is declared with an unknown kind, RowError with the
+    repeats, or an ``attribute_kinds`` entry names an unknown kind or a
+    column that is not an attribute column of the header, RowError with the
     line number for unusable rows (including rows with more fields than the
     header, values a column declared numeric or instant cannot read, bytes
     that are not UTF-8 and fields over the csv module's size limit), and
@@ -328,9 +329,12 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
             for i, name in enumerate(header)
             if i not in (case_idx, act_idx, time_idx)
         ]
-        for _, name in attr_cols:
-            declared = mapping.attribute_kinds.get(name)
-            if declared is not None and declared not in (CATEGORICAL, NUMERIC, INSTANT):
+        attr_names = {name for _, name in attr_cols}
+        for name, declared in mapping.attribute_kinds.items():
+            if name not in attr_names:
+                role = "a mandatory column" if name in header else "a column the header lacks"
+                raise SchemaError(f"{path}: attribute_kinds entry {name!r} names {role}")
+            if declared not in (CATEGORICAL, NUMERIC, INSTANT):
                 raise SchemaError(f"unknown attribute kind {declared!r} for column {name!r}")
 
         # Values of a column declared numeric or instant are checked as they

@@ -40,40 +40,29 @@ class KeyTrie(NamedTuple):
 
 
 class TestRows(tuple[FeatureRow, ...]):
-    """One test fold's feature rows, with their keys counted once per horizon.
+    """One test fold's feature rows and one key trie per horizon.
 
     The key of a row is its prefix cut to the last ``horizon`` activities;
     a horizon at least as long as the prefix keeps all of it. Every model
-    scored on the fold shares the (key, target) counts and the key trie of
-    its horizon, so each horizon is counted and built once.
+    scored on the fold shares the key trie of its horizon, so each horizon
+    is built once; the (key, target) counts it is built from are not kept.
     """
-
-    @cached_property
-    def _pairs(self) -> dict[int, Counter]:
-        return {}
 
     @cached_property
     def _tries(self) -> dict[int, KeyTrie]:
         return {}
 
-    def pairs(self, horizon: int) -> Counter:
-        counts = self._pairs.get(horizon)
-        if counts is None:
-            keys = (
-                (sequence[max(cut - horizon, 0) : cut], sequence[cut])
-                for sequence, cut, _ in self
-            )
-            counts = self._pairs[horizon] = Counter(keys)
-        return counts
-
     def trie(self, horizon: int) -> KeyTrie:
-        """The fold's keys at ``horizon`` as a :class:`KeyTrie`, built from :meth:`pairs`."""
+        """The fold's keys at ``horizon`` as a :class:`KeyTrie`."""
         trie = self._tries.get(horizon)
         if trie is None:
             trie = self._tries[horizon] = KeyTrie([{}], [{}], [{}])
             children, ends, below = trie
             support = below[0]
-            for (key, target), rows in self.pairs(horizon).items():
+            pairs = (
+                (sequence[max(cut - horizon, 0) : cut], sequence[cut]) for sequence, cut, _ in self
+            )
+            for (key, target), rows in Counter(pairs).items():
                 support[target] = support.get(target, 0) + rows
                 node = 0
                 for activity in reversed(key):

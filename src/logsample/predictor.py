@@ -176,10 +176,10 @@ def load_model(path: str | Path) -> PrefixTreeModel:
 
     Raises ConfigurationError naming the file when it is not UTF-8 JSON, or
     not an object whose fields have the shape save_model writes: distinct
-    labels, and tables of distinct suffixes that each count some of them,
-    every count positive. Each table is checked as it goes into the trie: a
-    node that already has counts is a repeated suffix, and a root left
-    without counts means the empty suffix is missing.
+    labels, and tables of distinct suffixes no longer than max_order that
+    each count some of them, every count positive. Each table is checked as
+    it goes into the trie: a node that already has counts is a repeated
+    suffix, and a root left without counts means the empty suffix is missing.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -192,8 +192,8 @@ def load_model(path: str | Path) -> PrefixTreeModel:
     not_a_model = ConfigurationError(
         f"model file {path} is not a model: it needs an integer max_order >= 0, a"
         " finite number smoothing >= 0, a list of distinct labels and a tables list that"
-        " holds the empty suffix and no suffix twice, each table counting some of those"
-        " labels with positive integers"
+        " holds the empty suffix and no suffix twice or longer than max_order, each table"
+        " counting some of those labels with positive integers"
     )
     labels, tables = data.get("labels"), data.get("tables")
     if not (
@@ -216,6 +216,7 @@ def load_model(path: str | Path) -> PrefixTreeModel:
             isinstance(entry, dict)
             and isinstance(entry.get("suffix"), list)
             and all(isinstance(activity, str) for activity in entry["suffix"])
+            and len(entry["suffix"]) <= data["max_order"]
             and isinstance(entry.get("counts"), dict)
             and len(entry["counts"]) > 0
             and entry["counts"].keys() <= known

@@ -227,6 +227,30 @@ def test_repeated_column_option_exits_before_the_log_is_read(tmp_path, monkeypat
     assert err.startswith("error: ") and "column 'k'" in err
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["sample", "--method", "unique"], 1),  # --sort rep is the default
+        (["bench", "--folds", "2", "--repeats", "1", "--grid", "d2", "--sort", "rep"], 1),
+        (["bench", "--folds", "2", "--repeats", "1", "--grid", "d2", "--sort", "random"], 0),
+    ],
+)
+def test_representative_sorting_needs_an_attribute_column(small_csv, tmp_path, monkeypatch,
+                                                          capsys, args, code):
+    assert Path(small_csv).read_text().startswith("case_id,activity,timestamp\n")
+    argv = ["logsample", args[0], small_csv, *args[1:], "-o", str(tmp_path / "out.csv")]
+    monkeypatch.setattr(sys, "argv", argv)
+    if code:
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == code
+        expected = "error: representative sorting needs an index built with attributes\n"
+        assert capsys.readouterr().err == expected
+    else:
+        main()
+        assert (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("smoothing", ["nan", "inf"])
 def test_train_with_non_finite_smoothing_exits_with_error(small_csv, tmp_path, monkeypatch,
                                                           capsys, smoothing):

@@ -254,6 +254,16 @@ class TestParseCsv:
         with pytest.raises(SchemaError, match="'money' for column 'cost'"):
             parse_csv(write(tmp_path / "log.csv", text), mapping)
 
+    @pytest.mark.parametrize(
+        "column, role",
+        [("activity", "a mandatory column"), ("nosuch", "a column the header lacks")],
+    )
+    def test_declared_kind_for_no_attribute_column_is_refused(self, tmp_path, column, role):
+        text = "case_id,activity,timestamp,cost\n1,a,not-a-time,5\n"  # refused before row 2
+        mapping = ColumnMapping(attribute_kinds={"cost": NUMERIC, column: NUMERIC})
+        with pytest.raises(SchemaError, match=f"attribute_kinds entry '{column}' names {role}"):
+            parse_csv(write(tmp_path / "log.csv", text), mapping)
+
     def test_byte_that_is_not_utf8_reports_its_line(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_bytes(CSV_BASIC.encode("utf-8").replace(b"2,a,", b"2,\xff,"))

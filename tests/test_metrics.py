@@ -34,6 +34,17 @@ def loaded_model(max_order, tables):
         return load_model(path)
 
 
+def keys_of(trie):
+    """The ``{(key, target): rows}`` that end at the nodes of a key trie, keys oldest first."""
+    children, ends, _ = trie
+    found, stack = {}, [(0, ())]
+    while stack:
+        node, key = stack.pop()
+        found.update(((key, target), rows) for target, rows in ends[node].items())
+        stack.extend((child, (activity, *key)) for activity, child in children[node].items())
+    return found
+
+
 def fixed(label):
     """Predicts ``label`` whatever the prefix; its horizon is the whole prefix."""
     return loaded_model(sys.maxsize, {(): {label: 1}})
@@ -229,15 +240,17 @@ class TestFoldRows:
                 feature_row((), "a", "c3"),
             ]
         )
-        assert test_rows.pairs(1) == {(("b",), "c"): 2, (("b",), "d"): 1, ((), "a"): 1}
-        assert test_rows.pairs(sys.maxsize) == {
+        assert keys_of(test_rows.trie(1)) == {(("b",), "c"): 2, (("b",), "d"): 1, ((), "a"): 1}
+        assert keys_of(test_rows.trie(sys.maxsize)) == {
             (("a", "b"), "c"): 1,
             (("x", "b"), "c"): 1,
             (("x", "b"), "d"): 1,
             ((), "a"): 1,
         }
-        assert test_rows.pairs(0) == {((), "c"): 2, ((), "d"): 1, ((), "a"): 1}
-        assert test_rows.pairs(1) is test_rows.pairs(1)  # counted once, then reused
+        children, ends, below = test_rows.trie(0)
+        assert children == [{}]
+        assert ends[0] == below[0] == {"a": 1, "c": 2, "d": 1}
+        assert test_rows.trie(1) is test_rows.trie(1)  # built once, then reused
 
     def test_key_trie_reads_keys_newest_first(self):
         test_rows = metrics.TestRows(

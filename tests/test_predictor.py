@@ -274,7 +274,10 @@ class TestPersistence:
          ("labels", ["a", "b", "b"]),
          # a repeated suffix: the later table would silently replace the earlier
          ("tables", [{"suffix": [], "counts": {"a": 1}}, {"suffix": ["a"], "counts": {"a": 5}},
-                     {"suffix": ["a"], "counts": {"b": 1}}])],
+                     {"suffix": ["a"], "counts": {"b": 1}}]),
+         # a suffix longer than max_order 1, which predict and evaluate never reach
+         ("tables", [{"suffix": [], "counts": {"a": 1}},
+                     {"suffix": ["a", "a"], "counts": {"b": 1}}])],
     )
     def test_load_rejects_parameters_predict_cannot_use(self, tmp_path, field, value):
         model = train(rows_from_pairs([("a", "b"), ("b", "a")]), max_order=1)
@@ -352,14 +355,15 @@ def parent_load_model(path) -> PrefixTreeModel:
         and labels_ok
         and isinstance(tables, list)
         and all(parent_is_table(entry, known) for entry in tables)
+        and all(len(entry["suffix"]) <= data["max_order"] for entry in tables)
         and any(entry["suffix"] == [] for entry in tables)
         and len({tuple(entry["suffix"]) for entry in tables}) == len(tables)
     ):
         raise ConfigurationError(
             f"model file {path} is not a model: it needs an integer max_order >= 0, a"
             " finite number smoothing >= 0, a list of distinct labels and a tables list that"
-            " holds the empty suffix and no suffix twice, each table counting some of those"
-            " labels with positive integers"
+            " holds the empty suffix and no suffix twice or longer than max_order, each table"
+            " counting some of those labels with positive integers"
         )
     return parent_from_dict(data)
 
