@@ -301,10 +301,15 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
     header, values a column declared numeric or instant cannot read, bytes
     that are not UTF-8 and fields over the csv module's size limit), and
     EmptyLogError when there are no data rows.
+
+    Activities and attribute texts pass, before any conversion, through a
+    table local to the parse, so the log holds one string object per
+    distinct label, column name and text value.
     """
     mapping = mapping or ColumnMapping()
     path = Path(path)
     cases: dict[str, list[Event]] = {}
+    canon = {}.setdefault  # one str object per distinct text
     with path.open(newline="", encoding="utf-8-sig") as fh:
         records = _records(fh, path)
         try:
@@ -354,6 +359,7 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
                 row = row + [""] * (len(header) - len(row))
             case_id = row[case_idx].strip()
             activity = row[act_idx].strip()
+            activity = canon(activity, activity)
             if not case_id:
                 raise RowError("empty case id", line)
             if not activity:
@@ -373,7 +379,9 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
                         raise RowError(
                             f"column {name!r} holds unreadable {kind} value {row[i]!r}", line
                         ) from None
-            event = Event(activity, ts, {name: row[i] for i, name in attr_cols if row[i] != ""})
+            event = Event(
+                activity, ts, {name: canon(row[i], row[i]) for i, name in attr_cols if row[i] != ""}
+            )
             events = cases.get(case_id)
             if events is None:
                 cases[case_id] = [event]
@@ -423,13 +431,24 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
 
     Case attributes are replicated on every row of their case; absent event
     attributes become empty fields. Raises SchemaError, before the file is
-    opened, when an attribute has the name of one of the mapping's columns.
+    opened, when an attribute has the name of one of the mapping's columns,
+    or when every event of a case has an attribute of the name of one of
+    the case's own, which would leave the case's value on no row.
     """
     mapping = mapping or ColumnMapping()
-    attr_names = sorted(
-        {name for case in log.cases.values() for ev in case.events for name in ev.attributes}
-        | {name for case in log.cases.values() for name in case.attributes}
-    )
+    event_names = {
+        name for case in log.cases.values() for ev in case.events for name in ev.attributes
+    }
+    case_names = {name for case in log.cases.values() for name in case.attributes}
+    for name in sorted(event_names & case_names):
+        for case in log.cases.values():
+            if name in case.attributes and all(name in ev.attributes for ev in case.events):
+                raise SchemaError(
+                    f"case {case.case_id!r} has attribute {name!r} and so does each of its"
+                    " events, so the case's value would be on no row of the CSV; rename"
+                    " one of them"
+                )
+    attr_names = sorted(event_names | case_names)
     header = [mapping.case_col, mapping.activity_col, mapping.time_col, *attr_names]
     for role, column in zip(("case id", "activity", "timestamp"), header):
         if column in attr_names:
@@ -482,7 +501,12 @@ def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _xes_value(elem: ET.Element, context: str):
+def _xes_value(elem: ET.Element):
+    """``(key, (kind, value))`` of one attribute element, or ``(None, None)`` to skip it.
+
+    Raises ValueError naming the tag, the value and the key when the value
+    does not read as its tag's type; the caller adds where it stands.
+    """
     tag = _local_name(elem.tag)
     kind = _XES_KINDS.get(tag)
     if kind is None:
@@ -501,7 +525,7 @@ def _xes_value(elem: ET.Element, context: str):
         if tag == "date":
             return key, (kind, parse_instant(raw))
     except ValueError:
-        raise XesParseError(f"{context}: bad {tag} value {raw!r} for key {key!r}") from None
+        raise ValueError(f"bad {tag} value {raw!r} for key {key!r}") from None
     return key, (kind, raw)
 
 
@@ -531,6 +555,11 @@ def _xes_traces(path: Path) -> Iterator[ET.Element]:
         raise XesParseError(f"{path}: corrupt gzip data: {exc}") from None
 
 
+def _trace_label(t_idx: int, case_id: str | int) -> str:
+    """How an error names a trace: by its case id, or by its index when it has none."""
+    return f"trace {t_idx}" if case_id == t_idx else f"case {case_id!r}"
+
+
 @_gc_paused()
 def parse_xes(path: str | Path) -> EventLog:
     """Parse an XES file (plain or .gz): log -> trace -> event.
@@ -540,8 +569,13 @@ def parse_xes(path: str | Path) -> EventLog:
     string/int/float/date/boolean attributes are kept with their tag kinds.
     A trace without a name is case ``case_<index>``, or, when a named trace
     holds that id, ``case_<index>_<n>`` with the least free n >= 1.
+
+    Activities, attribute keys and text values pass through a table local
+    to the parse, so the log holds one string object per distinct label,
+    key and text value; numbers, dates and case ids stay as read.
     """
     path = Path(path)
+    canon = {}.setdefault  # one str object per distinct text
     # an unnamed trace is keyed by its index until every name is known
     cases: dict[str | int, list[Event]] = {}
     case_attributes: dict[str | int, dict[str, object]] = {}
@@ -565,18 +599,21 @@ def parse_xes(path: str | Path) -> EventLog:
             if _local_name(child.tag) == "event":
                 event_elems.append(child)
                 continue
-            key, parsed = _xes_value(child, f"{path}: trace {t_idx}")
+            try:
+                key, parsed = _xes_value(child)
+            except ValueError as exc:
+                raise XesParseError(f"{path}: trace {t_idx}: {exc}") from None
             if key is None:
                 continue
             kind, value = parsed
             if key == "concept:name":
                 case_id = str(value)
             else:
-                trace_attrs[key] = value
+                key = canon(key, key)
+                trace_attrs[key] = canon(value, value) if kind is CATEGORICAL else value
                 note_schema(key, kind, CASE_SCOPE)
-        label = f"trace {t_idx}" if case_id == t_idx else f"case {case_id!r}"
         if not event_elems:
-            raise XesParseError(f"{path}: {label} has no events")
+            raise XesParseError(f"{path}: {_trace_label(t_idx, case_id)} has no events")
         if case_id in cases:
             raise XesParseError(f"{path}: duplicate case id {case_id!r}")
         case_attributes[case_id] = trace_attrs
@@ -586,31 +623,36 @@ def parse_xes(path: str | Path) -> EventLog:
             activity = None
             timestamp = None
             attrs: dict[str, object] = {}
-            where = f"{path}: {label} event {e_idx}"
-            for child in event:
-                key, parsed = _xes_value(child, where)
-                if key is None:
-                    continue
-                kind, value = parsed
-                if key == "concept:name":
-                    activity = str(value)
-                elif key == "time:timestamp":
-                    if not isinstance(value, datetime):
-                        try:
-                            value = parse_instant(str(value))
-                        except ValueError:
-                            raise XesParseError(
-                                f"{where}: unreadable time:timestamp {value!r}"
-                            ) from None
-                    timestamp = value
-                else:
-                    attrs[key] = value
-                    note_schema(key, kind, EVENT_SCOPE)
-            if not activity:
-                raise XesParseError(f"{where}: missing concept:name")
-            if timestamp is None:
-                raise XesParseError(f"{where}: missing time:timestamp")
-            events.append(Event(activity, timestamp, attrs))
+            try:
+                for child in event:
+                    key, parsed = _xes_value(child)
+                    if key is None:
+                        continue
+                    kind, value = parsed
+                    if key == "concept:name":
+                        activity = str(value)
+                    elif key == "time:timestamp":
+                        if not isinstance(value, datetime):
+                            try:
+                                value = parse_instant(str(value))
+                            except ValueError:
+                                raise ValueError(
+                                    f"unreadable time:timestamp {value!r}"
+                                ) from None
+                        timestamp = value
+                    else:
+                        key = canon(key, key)
+                        attrs[key] = canon(value, value) if kind is CATEGORICAL else value
+                        note_schema(key, kind, EVENT_SCOPE)
+                if not activity:
+                    raise ValueError("missing concept:name")
+                if timestamp is None:
+                    raise ValueError("missing time:timestamp")
+            except ValueError as exc:
+                raise XesParseError(
+                    f"{path}: {_trace_label(t_idx, case_id)} event {e_idx}: {exc}"
+                ) from None
+            events.append(Event(canon(activity, activity), timestamp, attrs))
 
     if not cases:
         raise EmptyLogError(f"{path}: log has no traces")

@@ -65,6 +65,11 @@ XES_BASIC = """<?xml version="1.0" encoding="UTF-8"?>
 """
 
 
+EVENT_A = (
+    '<event><string key="concept:name" value="a"/>'
+    '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/></event>'
+)
+
 # A valid ISO-8601 stamp whose UTC time is past the end of year 9999.
 OUT_OF_RANGE = "9999-12-31T23:59:59-01:00"
 
@@ -621,6 +626,29 @@ class TestWriteCsv:
         write_csv(log, out, renamed)
         assert parse_csv(out, renamed).num_events == log.num_events
 
+    def test_case_attribute_every_event_shadows_is_refused(self, tmp_path):
+        # the column x would hold the events' 2 on every row of t1, and the case's 1 on none
+        xes = XES_BASIC.replace(
+            '<string key="concept:name" value="t1"/>',
+            '<string key="concept:name" value="t1"/><string key="x" value="1"/>',
+        ).replace("</event>", '<string key="x" value="2"/></event>')
+        log = parse_xes(write(tmp_path / "log.xes", xes))
+        out = tmp_path / "out.csv"
+        with pytest.raises(SchemaError, match="case 't1' has attribute 'x'"):
+            write_csv(log, out)
+        assert not out.exists()
+
+    def test_case_attribute_some_events_shadow_is_written(self, tmp_path):
+        # the case's value stays on the rows of the events without their own
+        xes = XES_BASIC.replace(
+            '<string key="concept:name" value="t1"/>',
+            '<string key="concept:name" value="t1"/><string key="x" value="own"/>',
+        ).replace('<int key="cost" value="5"/>', '<string key="x" value="event"/>')
+        out = tmp_path / "out.csv"
+        write_csv(parse_xes(write(tmp_path / "log.xes", xes)), out)
+        back = parse_csv(out)
+        assert [ev.attributes["x"] for ev in back.cases["t1"].events] == ["own", "event"]
+
     @pytest.mark.parametrize(
         "columns",
         [
@@ -824,6 +852,29 @@ class TestParseXes:
         with pytest.raises(XesParseError, match=r"case 't' event 1: .*time:timestamp"):
             parse_xes(write(tmp_path / "bad.xes", text))
 
+    @pytest.mark.parametrize(
+        "trace, message",
+        [
+            ('<int key="k" value="x"/>' + EVENT_A, "trace 0: bad int value 'x' for key 'k'"),
+            (
+                '<string key="concept:name" value="t"/>'
+                + EVENT_A.replace("</event>", '<float key="f" value="1,5"/></event>'),
+                "case 't' event 0: bad float value '1,5' for key 'f'",
+            ),
+            (
+                EVENT_A + EVENT_A.replace('<string key="concept:name" value="a"/>', ""),
+                "trace 0 event 1: missing concept:name",
+            ),
+            ("", "trace 0 has no events"),
+        ],
+        ids=["trace-value", "event-value", "event-activity", "no-events"],
+    )
+    def test_error_names_the_trace_and_event(self, tmp_path, trace, message):
+        path = write(tmp_path / "bad.xes", f"<log><trace>{trace}</trace></log>")
+        with pytest.raises(XesParseError) as caught:
+            parse_xes(path)
+        assert str(caught.value) == f"{path}: {message}"
+
     def test_trace_without_events_rejected_with_case_id(self, tmp_path):
         text = (
             '<log><trace><string key="concept:name" value="empty-one"/></trace></log>'
@@ -926,6 +977,22 @@ class TestParseXes:
         assert log.attribute_schema["cost"].kind == CATEGORICAL
         assert log.cases["t"].attributes["weight"] == "inf"
         assert log.attribute_schema["weight"].kind == CATEGORICAL
+
+    def test_zero_under_every_tag_keeps_its_type_and_repr(self, tmp_path):
+        # 0, 0.0, -0.0 and False are one dict key, so only text may go through the parse's table
+        zeros = [("int", "0"), ("float", "0.0"), ("float", "-0.0"), ("boolean", "false")]
+        events = "".join(
+            f'<event><string key="concept:name" value="a"/>'
+            f'<date key="time:timestamp" value="2021-01-01T00:0{i}:00Z"/>'
+            f'<{tag} key="z" value="{value}"/></event>'
+            for i, (tag, value) in enumerate(zeros)
+        )
+        text = f'<log><trace><string key="concept:name" value="t"/>{events}</trace></log>'
+        log = parse_xes(write(tmp_path / "log.xes", text))
+        values = [ev.attributes["z"] for ev in log.cases["t"].events]
+        assert [(type(v), repr(v)) for v in values] == [
+            (int, "0"), (float, "0.0"), (float, "-0.0"), (str, "'false'"),
+        ]
 
     def test_trace_attributes_become_case_attributes(self, tmp_path):
         text = (
@@ -1187,3 +1254,28 @@ def test_parse_instant_matches_old_implementation(text):
     actual = outcome(parse_instant, text)
     assert actual == expected
     assert repr(actual) == repr(expected)
+
+
+def texts_of(log):
+    """Every activity, attribute key and text value of a log, one entry per occurrence."""
+    texts = []
+    for case in log.cases.values():
+        texts += case.trace
+        for attributes in (case.attributes, *(ev.attributes for ev in case.events)):
+            texts += attributes
+            texts += [v for v in attributes.values() if isinstance(v, str)]
+    return texts
+
+
+@pytest.mark.parametrize(
+    "parse, name", [(parse_csv, "write_core.csv"), (parse_xes, "xes_core.xes")], ids=["csv", "xes"]
+)
+def test_equal_texts_are_one_object(parse, name):
+    log = parse(Path(__file__).parent / "data" / name)
+    texts = texts_of(log)
+    assert len(texts) > len(set(texts))  # the fixture repeats texts
+    assert len({id(t) for t in texts}) == len(set(texts))
+    # the activities of the events and of the traces are the same objects
+    assert all(
+        ev.activity is act for case in log.cases.values() for ev, act in zip(case.events, case.trace)
+    )
