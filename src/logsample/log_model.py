@@ -302,14 +302,13 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
     that are not UTF-8 and fields over the csv module's size limit), and
     EmptyLogError when there are no data rows.
 
-    Activities and attribute texts pass, before any conversion, through a
-    table local to the parse, so the log holds one string object per
-    distinct label, column name and text value.
+    Activities pass through a table local to the parse, so the log holds
+    one string object per distinct label; each column name is one object.
     """
     mapping = mapping or ColumnMapping()
     path = Path(path)
     cases: dict[str, list[Event]] = {}
-    canon = {}.setdefault  # one str object per distinct text
+    canon = {}.setdefault  # one str object per distinct activity
     with path.open(newline="", encoding="utf-8-sig") as fh:
         records = _records(fh, path)
         try:
@@ -379,9 +378,7 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
                         raise RowError(
                             f"column {name!r} holds unreadable {kind} value {row[i]!r}", line
                         ) from None
-            event = Event(
-                activity, ts, {name: canon(row[i], row[i]) for i, name in attr_cols if row[i] != ""}
-            )
+            event = Event(activity, ts, {name: row[i] for i, name in attr_cols if row[i] != ""})
             events = cases.get(case_id)
             if events is None:
                 cases[case_id] = [event]
@@ -433,20 +430,30 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
     attributes become empty fields. Raises SchemaError, before the file is
     opened, when an attribute has the name of one of the mapping's columns,
     or when every event of a case has an attribute of the name of one of
-    the case's own, which would leave the case's value on no row.
+    the case's own with another value, which would leave the case's value
+    on no row.
     """
     mapping = mapping or ColumnMapping()
+
+    def render(value) -> str:
+        if isinstance(value, datetime):
+            return format_instant(value)
+        return str(value)
+
     event_names = {
         name for case in log.cases.values() for ev in case.events for name in ev.attributes
     }
     case_names = {name for case in log.cases.values() for name in case.attributes}
-    for name in sorted(event_names & case_names):
-        for case in log.cases.values():
-            if name in case.attributes and all(name in ev.attributes for ev in case.events):
+    for case in log.cases.values():
+        for name, value in case.attributes.items():
+            if name in event_names and all(
+                name in ev.attributes and render(ev.attributes[name]) != render(value)
+                for ev in case.events
+            ):
                 raise SchemaError(
-                    f"case {case.case_id!r} has attribute {name!r} and so does each of its"
-                    " events, so the case's value would be on no row of the CSV; rename"
-                    " one of them"
+                    f"case {case.case_id!r} has attribute {name!r} and each of its events"
+                    " has another value of it, so the case's value would be on no row of"
+                    " the CSV; rename one of them"
                 )
     attr_names = sorted(event_names | case_names)
     header = [mapping.case_col, mapping.activity_col, mapping.time_col, *attr_names]
@@ -456,11 +463,6 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
                 f"attribute {column!r} has the name of the {role} column {column!r},"
                 " so the CSV could not be read back; rename the attribute or the column"
             )
-
-    def render(value) -> str:
-        if isinstance(value, datetime):
-            return format_instant(value)
-        return str(value)
 
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -570,12 +572,12 @@ def parse_xes(path: str | Path) -> EventLog:
     A trace without a name is case ``case_<index>``, or, when a named trace
     holds that id, ``case_<index>_<n>`` with the least free n >= 1.
 
-    Activities, attribute keys and text values pass through a table local
-    to the parse, so the log holds one string object per distinct label,
-    key and text value; numbers, dates and case ids stay as read.
+    Activities and attribute keys pass through a table local to the parse,
+    so the log holds one string object per distinct label and key;
+    attribute values and case ids stay as read.
     """
     path = Path(path)
-    canon = {}.setdefault  # one str object per distinct text
+    canon = {}.setdefault  # one str object per distinct activity or key
     # an unnamed trace is keyed by its index until every name is known
     cases: dict[str | int, list[Event]] = {}
     case_attributes: dict[str | int, dict[str, object]] = {}
@@ -610,7 +612,7 @@ def parse_xes(path: str | Path) -> EventLog:
                 case_id = str(value)
             else:
                 key = canon(key, key)
-                trace_attrs[key] = canon(value, value) if kind is CATEGORICAL else value
+                trace_attrs[key] = value
                 note_schema(key, kind, CASE_SCOPE)
         if not event_elems:
             raise XesParseError(f"{path}: {_trace_label(t_idx, case_id)} has no events")
@@ -642,7 +644,7 @@ def parse_xes(path: str | Path) -> EventLog:
                         timestamp = value
                     else:
                         key = canon(key, key)
-                        attrs[key] = canon(value, value) if kind is CATEGORICAL else value
+                        attrs[key] = value
                         note_schema(key, kind, EVENT_SCOPE)
                 if not activity:
                     raise ValueError("missing concept:name")

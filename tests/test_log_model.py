@@ -70,6 +70,17 @@ EVENT_A = (
     '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/></event>'
 )
 
+
+def shadowed_xes(case_value, event_values):
+    """XES_BASIC with case attribute x, and event attribute x where a value is given."""
+    parts = XES_BASIC.replace(
+        '<string key="concept:name" value="t1"/>',
+        f'<string key="concept:name" value="t1"/><string key="x" value="{case_value}"/>',
+    ).split("</event>")
+    own = ['' if v is None else f'<string key="x" value="{v}"/>' for v in event_values]
+    return "".join(part + x + "</event>" for part, x in zip(parts, own)) + parts[-1]
+
+
 # A valid ISO-8601 stamp whose UTC time is past the end of year 9999.
 OUT_OF_RANGE = "9999-12-31T23:59:59-01:00"
 
@@ -626,28 +637,28 @@ class TestWriteCsv:
         write_csv(log, out, renamed)
         assert parse_csv(out, renamed).num_events == log.num_events
 
-    def test_case_attribute_every_event_shadows_is_refused(self, tmp_path):
-        # the column x would hold the events' 2 on every row of t1, and the case's 1 on none
-        xes = XES_BASIC.replace(
-            '<string key="concept:name" value="t1"/>',
-            '<string key="concept:name" value="t1"/><string key="x" value="1"/>',
-        ).replace("</event>", '<string key="x" value="2"/></event>')
-        log = parse_xes(write(tmp_path / "log.xes", xes))
+    @pytest.mark.parametrize("event_values", [("2", "2"), ("2", "3")], ids=["same", "mixed"])
+    def test_case_attribute_every_event_shadows_is_refused(self, tmp_path, event_values):
+        # column x would hold the events' values on every row of t1, and the case's 1 on none
+        log = parse_xes(write(tmp_path / "log.xes", shadowed_xes("1", event_values)))
         out = tmp_path / "out.csv"
         with pytest.raises(SchemaError, match="case 't1' has attribute 'x'"):
             write_csv(log, out)
         assert not out.exists()
 
-    def test_case_attribute_some_events_shadow_is_written(self, tmp_path):
-        # the case's value stays on the rows of the events without their own
-        xes = XES_BASIC.replace(
-            '<string key="concept:name" value="t1"/>',
-            '<string key="concept:name" value="t1"/><string key="x" value="own"/>',
-        ).replace('<int key="cost" value="5"/>', '<string key="x" value="event"/>')
+    @pytest.mark.parametrize(
+        "event_values",
+        [(None, "2"), ("1", "1"), ("1", "2")],
+        ids=["one-event", "every-event-equal", "one-event-equal"],
+    )
+    def test_case_attribute_on_some_row_is_written(self, tmp_path, event_values):
+        # a row whose event has no x, or the case's own value of it, carries the case's 1
+        log = parse_xes(write(tmp_path / "log.xes", shadowed_xes("1", event_values)))
         out = tmp_path / "out.csv"
-        write_csv(parse_xes(write(tmp_path / "log.xes", xes)), out)
-        back = parse_csv(out)
-        assert [ev.attributes["x"] for ev in back.cases["t1"].events] == ["own", "event"]
+        write_csv(log, out)
+        with out.open(newline="") as fh:
+            column = [row["x"] for row in csv.DictReader(fh)]
+        assert column == ["1" if v is None else v for v in event_values]
 
     @pytest.mark.parametrize(
         "columns",
@@ -979,7 +990,7 @@ class TestParseXes:
         assert log.attribute_schema["weight"].kind == CATEGORICAL
 
     def test_zero_under_every_tag_keeps_its_type_and_repr(self, tmp_path):
-        # 0, 0.0, -0.0 and False are one dict key, so only text may go through the parse's table
+        # 0, 0.0, -0.0 and False are one dict key; each value keeps its tag's type and repr
         zeros = [("int", "0"), ("float", "0.0"), ("float", "-0.0"), ("boolean", "false")]
         events = "".join(
             f'<event><string key="concept:name" value="a"/>'
@@ -1257,13 +1268,12 @@ def test_parse_instant_matches_old_implementation(text):
 
 
 def texts_of(log):
-    """Every activity, attribute key and text value of a log, one entry per occurrence."""
+    """Every activity and attribute key of a log, one entry per occurrence."""
     texts = []
     for case in log.cases.values():
         texts += case.trace
         for attributes in (case.attributes, *(ev.attributes for ev in case.events)):
             texts += attributes
-            texts += [v for v in attributes.values() if isinstance(v, str)]
     return texts
 
 
@@ -1279,3 +1289,11 @@ def test_equal_texts_are_one_object(parse, name):
     assert all(
         ev.activity is act for case in log.cases.values() for ev, act in zip(case.events, case.trace)
     )
+
+
+def test_equal_csv_activities_are_one_object(tmp_path):
+    # csv.reader makes a new str for each field, sharing only one-character ones
+    log = parse_csv(write(tmp_path / "log.csv", CSV_BASIC.replace(",a,", ",check ticket,")))
+    first, second = (case.trace[0] for case in log.cases.values())
+    assert first == "check ticket"
+    assert first is second
