@@ -12,8 +12,6 @@ matrices of at most ``BLOCK_BYTES`` each.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from array import array
 from dataclasses import dataclass
@@ -24,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EncodingError
-from .log_model import EventLog
+from .log_model import EventLog, csv_field
 
 END_MARKER = "<END>"
 
@@ -191,7 +189,7 @@ def export_features(
 
     The bytes are those of ``csv.writer``. Each one-hot block is turned into
     ``0,1,...,`` text by numpy and written as it is expanded; each label is
-    quoted by ``csv.writer`` once.
+    quoted by :func:`~logsample.log_model.csv_field` once.
     """
     encoded = encode(rows, alphabet, window)
     header = []
@@ -199,10 +197,10 @@ def export_features(
         header.append(f"p{j}_PAD")
         header.extend(f"p{j}_{act}" for act in alphabet)
     header.append("label")
-    endings = [_last_field(label) for label in label_space(alphabet)]
+    endings = [csv_field(label) + "\r\n" for label in label_space(alphabet)]
 
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
+        fh.write(",".join(map(csv_field, header)) + "\r\n")
         row_labels = encoded.labels.tolist()
         start = 0
         for block in encoded.blocks():
@@ -217,13 +215,6 @@ def export_features(
                 for i, label in enumerate(row_labels[start : start + n])
             ]))
             start += n
-
-
-def _last_field(value: str) -> str:
-    """``value`` as the last field of a ``csv.writer`` row, with the terminator."""
-    buffer = io.StringIO()
-    csv.writer(buffer).writerow(["", value])
-    return buffer.getvalue()[1:]
 
 
 def default_window(trace_lengths: Sequence[int]) -> int:

@@ -17,12 +17,14 @@ import xml.etree.ElementTree as ET
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import EmptyLogError, RowError, SchemaError, XesParseError
 
@@ -423,33 +425,181 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
     return build_log(cases, case_attributes, schema)
 
 
+# write_csv gathers whole cases into blocks of at least this many rows and
+# writes each block column by column. Bounded blocks keep the block's lists
+# and text small: blocks of 16,000 rows (about 2,000 cases) took the peak RSS
+# of the sample-export benchmark from 55.2 to 59.6 MiB, and no time off.
+WRITE_BLOCK_ROWS = 2000
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MS = timedelta(milliseconds=1)
+# epoch milliseconds of the first and the last millisecond a datetime can hold
+_MIN_MS = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // _MS
+_MAX_MS = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _MS
+
+
+def _needs_quotes(text: str) -> bool:
+    # on a block's joined column (14 KB) these four scans take about 1 us and
+    # one regular-expression search 130 us
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def csv_field(value) -> str:
+    """``value`` as one field of a ``csv.writer`` row with the default dialect.
+
+    A value that is not ``str`` becomes ``""`` (None), its ``repr`` (float)
+    or its ``str``. Under QUOTE_MINIMAL a text holding ``,``, ``"``, CR or LF
+    is wrapped in quotes with each ``"`` doubled; any other text, NUL
+    included, is written as it is.
+    """
+    if not isinstance(value, str):
+        value = "" if value is None else repr(value) if isinstance(value, float) else str(value)
+    if not _needs_quotes(value):
+        return value
+    return '"' + value.replace('"', '""') + '"'
+
+
+def _quoted(texts: list[str]) -> list[str]:
+    """A column of texts as fields: quoted one by one only when some text needs it."""
+    if not _needs_quotes("".join(texts)):
+        return texts
+    return list(map(csv_field, texts))
+
+
+def _instant_texts(stamps: list[datetime]) -> list[str]:
+    """:func:`format_instant` of each datetime, formatted by numpy in one pass.
+
+    A naive datetime (or one whose tzinfo gives no offset) sends the whole
+    list through format_instant instead. Raises OverflowError when some UTC
+    time falls outside the years 1-9999.
+    """
+    try:
+        ms = np.array([(dt - _EPOCH) // _MS for dt in stamps], np.int64)
+    except TypeError:
+        return list(map(format_instant, stamps))
+    if ms.min() < _MIN_MS or ms.max() > _MAX_MS:
+        raise OverflowError("an instant is outside the years 1-9999 in UTC")
+    texts = np.datetime_as_string(ms.view("datetime64[ms]"), "ms").tolist()
+    return [text + "+00:00" for text in texts]
+
+
+def _render(value) -> str:
+    """An attribute value as write_csv writes it."""
+    if isinstance(value, datetime):
+        return format_instant(value)
+    return str(value)
+
+
+def _out_of_range(log: EventLog) -> SchemaError:
+    """The error naming the first case that holds an instant write_csv cannot write.
+
+    That is an instant whose UTC time is outside the years 1-9999, on which
+    format_instant raises OverflowError.
+    """
+    for case in log.cases.values():
+        named = [(None, ev.timestamp) for ev in case.events]
+        named += case.attributes.items()
+        named += [item for ev in case.events for item in ev.attributes.items()]
+        for name, value in named:
+            if isinstance(value, datetime):
+                try:
+                    format_instant(value)
+                except OverflowError:
+                    held = (
+                        "an event timestamp" if name is None
+                        else f"attribute {name!r} with an instant"
+                    )
+                    return SchemaError(
+                        f"case {case.case_id!r} has {held} outside the years 1-9999 in UTC,"
+                        " which the CSV could not write"
+                    )
+
+
+def _blocks(cases: Iterable[Case]) -> Iterator[list[Case]]:
+    """Consecutive runs of whole cases, each of at least WRITE_BLOCK_ROWS events but the last.
+
+    No block is without events: cases with none after the last block write no row.
+    """
+    block, rows = [], 0
+    for case in cases:
+        block.append(case)
+        rows += len(case.events)
+        if rows >= WRITE_BLOCK_ROWS:
+            yield block
+            block, rows = [], 0
+    if rows:
+        yield block
+
+
+def _block_text(
+    block: list[Case], attr_names: list[str], event_names: set[str], case_names: set[str]
+) -> str:
+    """The CSV rows of a block of cases, built one column at a time."""
+    counts = [len(case.events) for case in block]
+    case_ids = list(chain.from_iterable(map(repeat, [case.case_id for case in block], counts)))
+    events = list(chain.from_iterable(case.events for case in block))
+    activities = list(chain.from_iterable(case.trace for case in block))
+    stamps = list(map(_timestamp, events))
+    columns = []
+    for texts in (case_ids, activities):
+        try:
+            columns.append(_quoted(texts))
+        except TypeError:  # not all str: converted as csv.writer converts them
+            columns.append(list(map(csv_field, texts)))
+    columns.append(_instant_texts(stamps))
+
+    own = [ev.attributes for ev in events]
+    for name in attr_names:
+        if name in case_names:
+            shared = chain.from_iterable(
+                map(repeat, [case.attributes.get(name, "") for case in block], counts)
+            )
+            if name in event_names:
+                values = [attributes.get(name, value) for attributes, value in zip(own, shared)]
+            else:
+                values = list(shared)
+        else:
+            values = [attributes.get(name, "") for attributes in own]
+        try:
+            columns.append(_quoted(values))
+        except TypeError:  # not all str
+            columns.append(_quoted([v if type(v) is str else _render(v) for v in values]))
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+
 def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = None) -> None:
     """Write a log as CSV; parse_csv reads the result back structurally intact.
 
     Case attributes are replicated on every row of their case; absent event
-    attributes become empty fields. Raises SchemaError, before the file is
-    opened, when an attribute has the name of one of the mapping's columns,
-    or when every event of a case has an attribute of the name of one of
-    the case's own with another value, which would leave the case's value
-    on no row.
+    attributes become empty fields. The bytes are those of ``csv.writer``
+    with the default dialect (QUOTE_MINIMAL, CRLF line ends; see
+    :func:`csv_field`), except that a NUL character is written as it is on
+    every Python version, where Python 3.10's ``csv.writer`` refuses it.
+    Timestamps and instant values are written by :func:`format_instant`.
+
+    Raises SchemaError, before the file is opened, when an attribute has the
+    name of one of the mapping's columns, or when every event of a case has
+    an attribute of the name of one of the case's own with another value,
+    which would leave the case's value on no row. Raises SchemaError naming
+    the case, and the attribute when it is one, for a timestamp or instant
+    value whose UTC time falls outside the years 1-9999; the file is then
+    removed.
     """
     mapping = mapping or ColumnMapping()
-
-    def render(value) -> str:
-        if isinstance(value, datetime):
-            return format_instant(value)
-        return str(value)
-
     event_names = {
         name for case in log.cases.values() for ev in case.events for name in ev.attributes
     }
     case_names = {name for case in log.cases.values() for name in case.attributes}
     for case in log.cases.values():
         for name, value in case.attributes.items():
-            if name in event_names and all(
-                name in ev.attributes and render(ev.attributes[name]) != render(value)
-                for ev in case.events
-            ):
+            try:
+                shadowed = name in event_names and all(
+                    name in ev.attributes and _render(ev.attributes[name]) != _render(value)
+                    for ev in case.events
+                )
+            except OverflowError:
+                raise _out_of_range(log) from None
+            if shadowed:
                 raise SchemaError(
                     f"case {case.case_id!r} has attribute {name!r} and each of its events"
                     " has another value of it, so the case's value would be on no row of"
@@ -464,25 +614,15 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
                 " so the CSV could not be read back; rename the attribute or the column"
             )
 
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for case in log.cases.values():
-            case_id = case.case_id
-            shared = {name: render(value) for name, value in case.attributes.items()}
-            rows = []
-            for ev in case.events:
-                own = ev.attributes
-                rows.append([
-                    case_id,
-                    ev.activity,
-                    format_instant(ev.timestamp),
-                    *[
-                        render(own[name]) if name in own else shared.get(name, "")
-                        for name in attr_names
-                    ],
-                ])
-            writer.writerows(rows)
+    path = Path(path)
+    try:
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(map(csv_field, header)) + "\r\n")
+            for block in _blocks(log.cases.values()):
+                fh.write(_block_text(block, attr_names, event_names, case_names))
+    except OverflowError:
+        path.unlink()
+        raise _out_of_range(log) from None
 
 
 # ---------------------------------------------------------------------------

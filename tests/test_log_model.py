@@ -3,12 +3,15 @@
 import csv
 import gc
 import gzip
+import io
 import math
+import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,12 +26,14 @@ from logsample.log_model import (
     INSTANT,
     NUMERIC,
     AttributeSpec,
+    Case,
     ColumnMapping,
     Event,
     EventLog,
     _CONVERTERS,
     _infer_kind,
     build_log,
+    csv_field,
     format_instant,
     load_log,
     parse_csv,
@@ -792,6 +797,205 @@ def test_write_then_parse_keeps_values_and_schema(log):
         path = Path(tmp) / "log.csv"
         write_csv(log, path)
         assert log_contents(parse_csv(path)) == log_contents(log)
+
+
+def reference_write_csv(
+    log: EventLog, path: str | Path, mapping: ColumnMapping | None = None
+) -> None:
+    """The per-row ``csv.writer`` ``write_csv`` the block writer replaced, kept as the oracle."""
+    mapping = mapping or ColumnMapping()
+
+    def render(value) -> str:
+        if isinstance(value, datetime):
+            return format_instant(value)
+        return str(value)
+
+    event_names = {
+        name for case in log.cases.values() for ev in case.events for name in ev.attributes
+    }
+    case_names = {name for case in log.cases.values() for name in case.attributes}
+    for case in log.cases.values():
+        for name, value in case.attributes.items():
+            if name in event_names and all(
+                name in ev.attributes and render(ev.attributes[name]) != render(value)
+                for ev in case.events
+            ):
+                raise SchemaError(
+                    f"case {case.case_id!r} has attribute {name!r} and each of its events"
+                    " has another value of it, so the case's value would be on no row of"
+                    " the CSV; rename one of them"
+                )
+    attr_names = sorted(event_names | case_names)
+    header = [mapping.case_col, mapping.activity_col, mapping.time_col, *attr_names]
+    for role, column in zip(("case id", "activity", "timestamp"), header):
+        if column in attr_names:
+            raise SchemaError(
+                f"attribute {column!r} has the name of the {role} column {column!r},"
+                " so the CSV could not be read back; rename the attribute or the column"
+            )
+
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for case in log.cases.values():
+            case_id = case.case_id
+            shared = {name: render(value) for name, value in case.attributes.items()}
+            rows = []
+            for ev in case.events:
+                own = ev.attributes
+                rows.append([
+                    case_id,
+                    ev.activity,
+                    format_instant(ev.timestamp),
+                    *[
+                        render(own[name]) if name in own else shared.get(name, "")
+                        for name in attr_names
+                    ],
+                ])
+            writer.writerows(rows)
+
+
+TEXT_PIECES = ["a", "b c", ",", '"', "\r", "\n", "é", "日本"]
+if sys.version_info >= (3, 11):  # Python 3.10's csv.writer, the oracle, refuses NUL
+    TEXT_PIECES.append("\x00")
+WRITE_TEXTS = st.lists(st.sampled_from(TEXT_PIECES), max_size=4).map("".join)
+WRITE_NAMES = ["n", "a,b", 'say "x"', "é", "l\nf"]
+WRITE_ZONES = [
+    None,
+    timezone.utc,
+    timezone(timedelta(0), "GMT"),  # equal to UTC but another object
+    timezone(timedelta(hours=5, minutes=30)),
+    timezone(-timedelta(hours=14)),
+    timezone(timedelta(seconds=1, microseconds=500)),
+]
+# The ends of the datetime range; in some zones their UTC time is outside the
+# years 1-9999, which the oracle meets as an OverflowError.
+EDGE_INSTANTS = [datetime.min, datetime(1, 1, 1, 3), datetime(9999, 12, 31, 22), datetime.max]
+WRITE_INSTANTS = st.one_of(
+    st.datetimes(timezones=st.sampled_from(WRITE_ZONES)),
+    st.builds(
+        datetime.replace, st.sampled_from(EDGE_INSTANTS), tzinfo=st.sampled_from(WRITE_ZONES)
+    ),
+)
+WRITE_PLAIN_VALUES = st.one_of(
+    WRITE_TEXTS, st.integers(-(10**6), 10**6), st.floats(), st.booleans()
+)
+WRITE_VALUES = st.one_of(WRITE_PLAIN_VALUES, WRITE_INSTANTS)
+# not str, so csv.writer converts them: None to "", a float by repr, the rest by str
+WRITE_LABELS = st.one_of(WRITE_TEXTS, st.integers(-9, 9), st.floats(allow_nan=False), st.none())
+
+
+@st.composite
+def writable_logs(draw):
+    """A log of everything write_csv turns into text, built without build_log's sort.
+
+    Events of one case may mix naive and aware timestamps, and case
+    attributes share names with event attributes. A Case built directly may
+    have no events; it writes no row, so write_csv never formats its
+    attributes, while the oracle does and fails on an instant outside the
+    years 1-9999 in UTC. Such a case holds no instant.
+    """
+    names = st.sampled_from(WRITE_NAMES)
+    cases = {}
+    for case_id in draw(st.lists(WRITE_LABELS, min_size=1, max_size=5, unique=True)):
+        events = [
+            Event(
+                draw(WRITE_LABELS),
+                draw(WRITE_INSTANTS),
+                draw(st.dictionaries(names, WRITE_VALUES, max_size=2)),
+            )
+            for _ in range(draw(st.integers(0, 4)))
+        ]
+        values = WRITE_VALUES if events else WRITE_PLAIN_VALUES
+        attributes = draw(st.dictionaries(names, values, max_size=2))
+        cases[case_id] = Case(case_id, events, attributes, tuple(ev.activity for ev in events))
+    return EventLog(cases)
+
+
+def written(write, log, path):
+    """The bytes a writer leaves, or the type and message of what it raised."""
+    try:
+        write(log, path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(writable_logs(), st.sampled_from([1, 2, 3, log_model.WRITE_BLOCK_ROWS]))
+def test_write_csv_matches_reference(log, block_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        expected = written(reference_write_csv, log, Path(tmp) / "reference.csv")
+        path = Path(tmp) / "log.csv"
+        with mock.patch.object(log_model, "WRITE_BLOCK_ROWS", block_rows):
+            actual = written(write_csv, log, path)
+        if isinstance(expected, tuple) and expected[0] is OverflowError:
+            # an instant outside the years 1-9999 in UTC: refused, and no file left
+            assert actual[0] is SchemaError
+            assert "outside the years 1-9999 in UTC" in actual[1]
+            assert not path.exists()
+        else:
+            assert actual == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), WRITE_LABELS))
+def test_csv_field_matches_csv_writer(value):
+    assume(sys.version_info >= (3, 11) or "\x00" not in str(value))
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(["", value])
+    assert "," + csv_field(value) + "\r\n" == buffer.getvalue()
+
+
+@pytest.mark.parametrize("where", ["timestamp", "naive-block", "event", "case", "shadowed"])
+def test_instant_outside_the_years_is_refused(tmp_path, where):
+    # 0001-01-01T03:00+05:00 is 22:00 on the last day of year 0 in UTC
+    early = datetime(1, 1, 1, 3, tzinfo=timezone(timedelta(hours=5)))
+    stamps = {"k0": [T0, T0], "k1": [T0, T0]}
+    event_due = {"k0": [{}, {}], "k1": [{}, {}]}
+    case_due = {"k0": {}, "k1": {}}
+    if where == "timestamp":
+        stamps["k1"][1] = early
+    elif where == "naive-block":  # a naive stamp sends the block through format_instant
+        stamps["k0"][0] = datetime(2021, 1, 1)
+        stamps["k1"][1] = early
+    elif where == "event":
+        event_due["k1"][1] = {"due": early}
+    elif where == "case":
+        case_due["k1"] = {"due": early}
+    else:  # compared with the events' values before the file is opened
+        case_due["k1"] = {"due": early}
+        event_due["k1"] = [{"due": T0}, {"due": T0}]
+    log = EventLog({
+        cid: Case(
+            cid,
+            [Event(a, ts, due) for a, ts, due in zip("ab", stamps[cid], event_due[cid])],
+            case_due[cid],
+            ("a", "b"),
+        )
+        for cid in stamps
+    })
+    out = tmp_path / "out.csv"
+    held = "an event timestamp" if stamps["k1"][1] is early else "attribute 'due' with an instant"
+    with pytest.raises(SchemaError, match=f"case 'k1' has {held} outside the years 1-9999 in UTC"):
+        write_csv(log, out)
+    assert not out.exists()
+
+
+def test_nul_is_written_as_it_is(tmp_path):
+    # csv.writer refuses NUL on Python 3.10 and writes it unquoted on 3.11 and later
+    log = build_log({"k": [Event("a\x00b", T0, {"note": "x\x00"})]})
+    out = tmp_path / "out.csv"
+    write_csv(log, out)
+    assert out.read_bytes() == (
+        b"case_id,activity,timestamp,note\r\n"
+        b"k,a\x00b,2021-01-01T00:00:00.000+00:00,x\x00\r\n"
+    )
+    if sys.version_info >= (3, 11):
+        assert parse_csv(out).cases["k"].attributes == {"note": "x\x00"}
+    else:  # Python 3.10's csv reader stops at the NUL
+        with pytest.raises(RowError, match="NUL"):
+            parse_csv(out)
 
 
 class TestParseXes:
