@@ -1,9 +1,11 @@
 """In-memory event log model plus CSV and XES parsers.
 
-An event log is a set of cases, each owning a timestamp-ordered list of
-events. Cases and events both carry free-form attribute maps; the log keeps
-a per-attribute schema (kind and scope) so downstream statistics know
-whether to count values or average them.
+An event log is a set of cases. A case holds its events as columns in
+timestamp order: the activity sequence (its trace), the timestamps as UTC
+epoch milliseconds, and one tuple of values per event attribute, next to
+the case's own attribute map. The log keeps a per-attribute schema (kind
+and scope) so downstream statistics know whether to count values or
+average them.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import math
 import re
 import xml.etree.ElementTree as ET
 import zlib
+from array import array
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
-from itertools import chain, repeat
-from operator import attrgetter
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import attrgetter, gt, itemgetter, le
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -34,6 +38,13 @@ INSTANT = "instant"
 
 EVENT_SCOPE = "event"
 CASE_SCOPE = "case"
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE_EPOCH = datetime(1970, 1, 1)
+_MS = timedelta(milliseconds=1)
+# epoch milliseconds of the first and the last millisecond a datetime can hold
+_MIN_MS = (datetime.min - _NAIVE_EPOCH) // _MS
+_MAX_MS = (datetime.max - _NAIVE_EPOCH) // _MS
 
 
 # Python 3.10 reads only 3- or 6-digit fractions of a second; 3.11 reads any
@@ -76,14 +87,30 @@ def parse_instant(text: str) -> datetime:
 def format_instant(dt: datetime) -> str:
     """Render a datetime the way :func:`parse_instant` reads it back.
 
-    Naive datetimes are taken as UTC. The result equals
+    Naive datetimes, and aware ones whose tzinfo gives no UTC offset, are
+    taken as UTC. For any other the result equals
     ``dt.astimezone(timezone.utc).isoformat(timespec="milliseconds")``.
     """
-    tz = dt.tzinfo
-    if tz is not None and tz is not timezone.utc:
+    if dt.utcoffset():
         dt = dt.astimezone(timezone.utc)
     return "%04d-%02d-%02dT%02d:%02d:%02d.%03d+00:00" % (
         dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second, dt.microsecond // 1000
+    )
+
+
+def _epoch_ms(stamps: Iterable[datetime]) -> array:
+    """UTC epoch milliseconds of datetimes, each cut to the millisecond as format_instant cuts it.
+
+    Naive datetimes, and ones whose tzinfo gives no UTC offset, are UTC.
+    Values may lie outside the years 1-9999.
+    """
+    deltas = [
+        dt - _EPOCH if dt.utcoffset() is not None else dt.replace(tzinfo=None) - _NAIVE_EPOCH
+        for dt in stamps
+    ]
+    # exact, and about twice as fast as delta // _MS
+    return array(
+        "q", [d.days * 86_400_000 + d.seconds * 1000 + d.microseconds // 1000 for d in deltas]
     )
 
 
@@ -101,7 +128,10 @@ class AttributeSpec:
 
 @dataclass(slots=True)
 class Event:
-    """One recorded process step, owned by exactly one case."""
+    """One process step: what :func:`build_log` takes, and what :attr:`Case.events` shows.
+
+    A log keeps no Event objects; its cases hold their events as columns.
+    """
 
     activity: str
     timestamp: datetime
@@ -110,17 +140,39 @@ class Event:
 
 @dataclass(slots=True)
 class Case:
-    """One process instance: its events in timestamp order and their activities."""
+    """One process instance, its events held as columns in timestamp order.
+
+    ``trace`` holds the events' activities and ``timestamps`` their UTC times
+    in epoch milliseconds, an ``array('q')``. ``attributes`` are the case's
+    own. ``event_attributes`` maps each event attribute name to a tuple of
+    one value per event, None where the event lacks it; a case holds a
+    tuple only for a name that some of its events have.
+    """
 
     case_id: str
-    events: list[Event]
-    attributes: Mapping[str, object]
     trace: tuple[str, ...]
+    timestamps: array
+    attributes: Mapping[str, object]
+    event_attributes: Mapping[str, tuple]
+
+    @property
+    def events(self) -> list[Event]:
+        """The events as new Event objects on each read, timestamps UTC-aware.
+
+        Only tests and callers read this view; the package reads the columns.
+        """
+        own = [{} for _ in self.trace]
+        for name, column in self.event_attributes.items():
+            for attributes, value in zip(own, column):
+                if value is not None:
+                    attributes[name] = value
+        stamps = map(_EPOCH.__add__, map(_MS.__mul__, self.timestamps))
+        return list(map(Event, self.trace, stamps, own))
 
 
 @dataclass
 class EventLog:
-    """Event log: cases (which own their events) and attribute schema."""
+    """Event log: cases, which hold their events as columns, and the attribute schema."""
 
     cases: Mapping[str, Case]
     attribute_schema: Mapping[str, AttributeSpec] = field(default_factory=dict)
@@ -136,7 +188,7 @@ class EventLog:
 
     @property
     def num_events(self) -> int:
-        return sum(len(case.events) for case in self.cases.values())
+        return sum(len(case.trace) for case in self.cases.values())
 
     def trace(self, case_id: str) -> tuple[str, ...]:
         """Activity sequence of one case, in trace order."""
@@ -145,6 +197,28 @@ class EventLog:
 
 _activity = attrgetter("activity")
 _timestamp = attrgetter("timestamp")
+_attributes = attrgetter("attributes")
+
+
+def _case(
+    case_id: str,
+    activities: list[str],
+    stamps: array,
+    attributes: dict[str, object],
+    columns: Mapping[str, list],
+) -> Case:
+    """A Case of columns given in read order, put in timestamp order; ties keep read order."""
+    if all(map(le, stamps, islice(stamps, 1, None))):
+        return Case(case_id, tuple(activities), stamps, attributes,
+                    {name: tuple(column) for name, column in columns.items()})
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable
+    return Case(
+        case_id,
+        tuple(map(activities.__getitem__, order)),
+        array("q", map(stamps.__getitem__, order)),
+        attributes,
+        {name: tuple(map(column.__getitem__, order)) for name, column in columns.items()},
+    )
 
 
 @contextmanager
@@ -171,32 +245,74 @@ def build_log(
     case_attributes: Mapping[str, Mapping[str, object]] | None = None,
     schema: Mapping[str, AttributeSpec] | None = None,
 ) -> EventLog:
-    """Assemble an EventLog from each case's parsed events; the log then owns the lists.
+    """Assemble an EventLog from each case's events, which its Case then holds as columns.
 
-    Cases keep the mapping's order. Each case's events are sorted by
-    timestamp in place, ties keeping input order. Raises RowError for a case
-    with no events or an event with an empty activity.
+    Cases keep the mapping's order; the caller's lists are left as they are.
+    Timestamps are kept as UTC epoch milliseconds: a naive timestamp, or one
+    whose tzinfo gives no offset, is taken as UTC, and digits past the
+    millisecond are cut. Each case's events are put in timestamp order, ties
+    (events within one millisecond) keeping input order. An event attribute
+    whose value is None counts as absent. Raises RowError for a case with no
+    events, a timestamp whose UTC time falls outside the years 1-9999, or an
+    event with an empty activity.
     """
     if not cases:
         raise EmptyLogError("no events to assemble into a log")
     case_attributes = case_attributes or {}
 
+    # every event's fields at once, then each case's slice of them
+    events = list(chain.from_iterable(cases.values()))
+    stamps = _epoch_ms(map(_timestamp, events))
+    activities = tuple(map(_activity, events))
+    counts = list(map(len, cases.values()))
+    if 0 in counts or "" in activities or min(stamps) < _MIN_MS or max(stamps) > _MAX_MS:
+        raise _build_error(cases)
+    starts = list(accumulate(counts, initial=0))
+    # the cases holding an event that is earlier than the one before it
+    unsorted = set()
+    for i in compress(count(1), map(gt, stamps, islice(stamps, 1, None))):
+        number = bisect_right(starts, i) - 1
+        if starts[number] != i:
+            unsorted.add(number)
+    attributes = list(map(_attributes, events))
+    attributed = any(attributes)
+
     built: dict[str, Case] = {}
+    for number, case_id in enumerate(cases):
+        start, end = starts[number], starts[number + 1]
+        columns = {}
+        if attributed:
+            own = attributes[start:end]
+            for name in dict.fromkeys(chain.from_iterable(own)):
+                column = tuple(values.get(name) for values in own)
+                if column.count(None) < len(column):
+                    columns[name] = column
+        built[case_id] = (_case if number in unsorted else Case)(
+            case_id, activities[start:end], stamps[start:end],
+            dict(case_attributes.get(case_id, {})), columns,
+        )
+    return EventLog(built, dict(schema or {}))
+
+
+def _build_error(cases: Mapping[str, list[Event]]) -> RowError:
+    """The error of the first case that build_log cannot build."""
     for case_id, events in cases.items():
         if not events:
-            raise RowError(f"case {case_id!r} has no events")
-        events.sort(key=_timestamp)  # stable: ties keep input order
-        trace = tuple(map(_activity, events))
+            return RowError(f"case {case_id!r} has no events")
+        stamps = _epoch_ms(map(_timestamp, events))
+        if min(stamps) < _MIN_MS or max(stamps) > _MAX_MS:
+            return RowError(
+                f"case {case_id!r} has an event timestamp outside the years 1-9999 in UTC"
+            )
+        trace = _case(case_id, list(map(_activity, events)), stamps, {}, {}).trace
         if "" in trace:
-            raise RowError(f"event {trace.index('')} of case {case_id!r} has an empty activity")
-        built[case_id] = Case(case_id, events, dict(case_attributes.get(case_id, {})), trace)
-    return EventLog(built, dict(schema or {}))
+            return RowError(f"event {trace.index('')} of case {case_id!r} has an empty activity")
 
 
 def subset_log(log: EventLog, case_ids: Iterable[str]) -> EventLog:
     """Sub-log holding exactly the given cases, untouched, in original order.
 
-    Case objects (and so their events) are shared with the source log, so
+    Case objects (and so their columns) are shared with the source log, so
     kept attribute values are identical by construction.
     """
     keep = set(case_ids)
@@ -304,12 +420,14 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
     that are not UTF-8 and fields over the csv module's size limit), and
     EmptyLogError when there are no data rows.
 
-    Activities pass through a table local to the parse, so the log holds
-    one string object per distinct label; each column name is one object.
+    Rows are read one at a time into per-case columns. Activities pass
+    through a table local to the parse, so the log holds one string object
+    per distinct label; each column name is one object.
     """
     mapping = mapping or ColumnMapping()
     path = Path(path)
-    cases: dict[str, list[Event]] = {}
+    # per case: its activities, its timestamps, and its attribute cells row after row
+    cases: dict[str, tuple[list[str], array, list[str]]] = {}
     canon = {}.setdefault  # one str object per distinct activity
     with path.open(newline="", encoding="utf-8-sig") as fh:
         records = _records(fh, path)
@@ -350,6 +468,12 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
             for i, name in attr_cols
             if (kind := mapping.attribute_kinds.get(name)) in _CONVERTERS
         ]
+        # a row's attribute cells as one sequence, also for one or no column
+        cell_idx = [i for i, _ in attr_cols]
+        if len(cell_idx) > 1:
+            cells_of = itemgetter(*cell_idx)
+        else:
+            cells_of = itemgetter(slice(cell_idx[0], cell_idx[0] + 1) if cell_idx else slice(0))
 
         for line, row in records:
             if not any(row):
@@ -366,7 +490,7 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
             if not activity:
                 raise RowError("empty activity", line)
             try:
-                ts = parse_instant(row[time_idx])
+                ms = (parse_instant(row[time_idx]) - _EPOCH) // _MS
             except ValueError:
                 raise RowError(
                     f"unparseable timestamp {row[time_idx]!r} in column {mapping.time_col!r}",
@@ -380,49 +504,66 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
                         raise RowError(
                             f"column {name!r} holds unreadable {kind} value {row[i]!r}", line
                         ) from None
-            event = Event(activity, ts, {name: row[i] for i, name in attr_cols if row[i] != ""})
-            events = cases.get(case_id)
-            if events is None:
-                cases[case_id] = [event]
-            else:
-                events.append(event)
+            read = cases.get(case_id)
+            if read is None:
+                read = cases[case_id] = ([], array("q"), [])
+            activities, stamps, cells = read
+            activities.append(activity)
+            stamps.append(ms)
+            cells.extend(cells_of(row))
 
     if not cases:
         raise EmptyLogError(f"{path}: no data rows")
 
-    # Each column is settled once, in header order, before the log is built:
-    # its kind is declared or inferred from every value; it moves to the
-    # cases when every event holds it with one text per case; numeric and
-    # instant values are converted, categorical ones stay the text read.
-    num_events = sum(map(len, cases.values()))
-    case_attributes: dict[str, dict[str, object]] = {case_id: {} for case_id in cases}
+    # Each column is settled once, in header order: its kind is declared or
+    # inferred from every value; it moves to the cases when every event holds
+    # it with one text per case; numeric and instant values are converted,
+    # categorical ones stay the text read; an empty cell is an absent value.
+    width = len(attr_cols)
+    reads = cases.values()
+    num_events = sum(len(activities) for activities, _, _ in reads)
+    case_attributes: list[dict[str, object]] = [{} for _ in reads]
+    event_attributes: list[dict[str, list]] = [{} for _ in reads]
     schema: dict[str, AttributeSpec] = {}
-    for _, name in attr_cols:
-        values = [
-            ev.attributes[name] for events in cases.values() for ev in events
-            if name in ev.attributes
-        ]
+    for j, (_, name) in enumerate(attr_cols):
+        columns = [cells[j::width] for _, _, cells in reads]
+        values = list(filter(None, chain.from_iterable(columns)))
         if not values:
             continue
         kind = mapping.attribute_kinds.get(name) or _infer_kind(values)
         convert = _CONVERTERS.get(kind)
-        if len(values) == num_events and all(
-            len({ev.attributes[name] for ev in events}) == 1 for events in cases.values()
-        ):
+        if len(values) == num_events and all(len(set(column)) == 1 for column in columns):
             schema[name] = AttributeSpec(kind, CASE_SCOPE)
-            for case_id, events in cases.items():
-                value = events[0].attributes[name]
-                case_attributes[case_id][name] = value if convert is None else convert(value)
-                for ev in events:
-                    del ev.attributes[name]
-        else:
-            schema[name] = AttributeSpec(kind, EVENT_SCOPE)
+            for attributes, column in zip(case_attributes, columns):
+                attributes[name] = column[0] if convert is None else convert(column[0])
+            continue
+        schema[name] = AttributeSpec(kind, EVENT_SCOPE)
+        for own, column in zip(event_attributes, columns):
+            if not any(column):
+                continue
             if convert is not None:
-                for events in cases.values():
-                    for ev in events:
-                        if name in ev.attributes:
-                            ev.attributes[name] = convert(ev.attributes[name])
-    return build_log(cases, case_attributes, schema)
+                column = [convert(v) if v else None for v in column]
+            elif "" in column:
+                column = [v or None for v in column]
+            own[name] = column
+    # a case's columns in the order its rows first hold them, as build_log orders them
+    for own in event_attributes:
+        if len(own) > 1:
+            first = {
+                name: next(i for i, v in enumerate(column) if v is not None)
+                for name, column in own.items()
+            }
+            for name in sorted(own, key=first.get):
+                own[name] = own.pop(name)
+    return EventLog(
+        {
+            case_id: _case(case_id, activities, stamps, attributes, own)
+            for (case_id, (activities, stamps, _)), attributes, own in zip(
+                cases.items(), case_attributes, event_attributes
+            )
+        },
+        schema,
+    )
 
 
 # write_csv gathers whole cases into blocks of at least this many rows and
@@ -430,12 +571,6 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
 # and text small: blocks of 16,000 rows (about 2,000 cases) took the peak RSS
 # of the sample-export benchmark from 55.2 to 59.6 MiB, and no time off.
 WRITE_BLOCK_ROWS = 2000
-
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MS = timedelta(milliseconds=1)
-# epoch milliseconds of the first and the last millisecond a datetime can hold
-_MIN_MS = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // _MS
-_MAX_MS = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _MS
 
 
 def _needs_quotes(text: str) -> bool:
@@ -466,23 +601,6 @@ def _quoted(texts: list[str]) -> list[str]:
     return list(map(csv_field, texts))
 
 
-def _instant_texts(stamps: list[datetime]) -> list[str]:
-    """:func:`format_instant` of each datetime, formatted by numpy in one pass.
-
-    A naive datetime (or one whose tzinfo gives no offset) sends the whole
-    list through format_instant instead. Raises OverflowError when some UTC
-    time falls outside the years 1-9999.
-    """
-    try:
-        ms = np.array([(dt - _EPOCH) // _MS for dt in stamps], np.int64)
-    except TypeError:
-        return list(map(format_instant, stamps))
-    if ms.min() < _MIN_MS or ms.max() > _MAX_MS:
-        raise OverflowError("an instant is outside the years 1-9999 in UTC")
-    texts = np.datetime_as_string(ms.view("datetime64[ms]"), "ms").tolist()
-    return [text + "+00:00" for text in texts]
-
-
 def _render(value) -> str:
     """An attribute value as write_csv writes it."""
     if isinstance(value, datetime):
@@ -493,26 +611,22 @@ def _render(value) -> str:
 def _out_of_range(log: EventLog) -> SchemaError:
     """The error naming the first case that holds an instant write_csv cannot write.
 
-    That is an instant whose UTC time is outside the years 1-9999, on which
-    format_instant raises OverflowError.
+    That is a timestamp, or an instant value, whose UTC time is outside the
+    years 1-9999.
     """
     for case in log.cases.values():
-        named = [(None, ev.timestamp) for ev in case.events]
-        named += case.attributes.items()
-        named += [item for ev in case.events for item in ev.attributes.items()]
-        for name, value in named:
-            if isinstance(value, datetime):
-                try:
-                    format_instant(value)
-                except OverflowError:
-                    held = (
-                        "an event timestamp" if name is None
-                        else f"attribute {name!r} with an instant"
-                    )
-                    return SchemaError(
-                        f"case {case.case_id!r} has {held} outside the years 1-9999 in UTC,"
-                        " which the CSV could not write"
-                    )
+        named = [(None, case.timestamps)]
+        named += [(name, [value]) for name, value in case.attributes.items()]
+        named += case.event_attributes.items()
+        for name, values in named:
+            if name is not None:
+                values = _epoch_ms(v for v in values if isinstance(v, datetime))
+            if any(not _MIN_MS <= ms <= _MAX_MS for ms in values):
+                held = "an event timestamp" if name is None else f"attribute {name!r} with an instant"
+                return SchemaError(
+                    f"case {case.case_id!r} has {held} outside the years 1-9999 in UTC,"
+                    " which the CSV could not write"
+                )
 
 
 def _blocks(cases: Iterable[Case]) -> Iterator[list[Case]]:
@@ -523,7 +637,7 @@ def _blocks(cases: Iterable[Case]) -> Iterator[list[Case]]:
     block, rows = [], 0
     for case in cases:
         block.append(case)
-        rows += len(case.events)
+        rows += len(case.trace)
         if rows >= WRITE_BLOCK_ROWS:
             yield block
             block, rows = [], 0
@@ -531,35 +645,32 @@ def _blocks(cases: Iterable[Case]) -> Iterator[list[Case]]:
         yield block
 
 
-def _block_text(
-    block: list[Case], attr_names: list[str], event_names: set[str], case_names: set[str]
-) -> str:
+def _block_text(block: list[Case], attr_names: list[str]) -> str:
     """The CSV rows of a block of cases, built one column at a time."""
-    counts = [len(case.events) for case in block]
+    counts = [len(case.trace) for case in block]
     case_ids = list(chain.from_iterable(map(repeat, [case.case_id for case in block], counts)))
-    events = list(chain.from_iterable(case.events for case in block))
     activities = list(chain.from_iterable(case.trace for case in block))
-    stamps = list(map(_timestamp, events))
     columns = []
     for texts in (case_ids, activities):
         try:
             columns.append(_quoted(texts))
         except TypeError:  # not all str: converted as csv.writer converts them
             columns.append(list(map(csv_field, texts)))
-    columns.append(_instant_texts(stamps))
+    ms = np.frombuffer(b"".join(case.timestamps for case in block), np.int64)
+    stamps = np.datetime_as_string(ms.view("datetime64[ms]"), "ms").tolist()
+    columns.append([text + "+00:00" for text in stamps])
 
-    own = [ev.attributes for ev in events]
     for name in attr_names:
-        if name in case_names:
-            shared = chain.from_iterable(
-                map(repeat, [case.attributes.get(name, "") for case in block], counts)
-            )
-            if name in event_names:
-                values = [attributes.get(name, value) for attributes, value in zip(own, shared)]
+        values = []
+        for case, count in zip(block, counts):
+            shared = case.attributes.get(name, "")
+            own = case.event_attributes.get(name)
+            if own is None:
+                values += repeat(shared, count)
+            elif None in own:
+                values += [shared if value is None else value for value in own]
             else:
-                values = list(shared)
-        else:
-            values = [attributes.get(name, "") for attributes in own]
+                values += own
         try:
             columns.append(_quoted(values))
         except TypeError:  # not all str
@@ -575,28 +686,32 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
     with the default dialect (QUOTE_MINIMAL, CRLF line ends; see
     :func:`csv_field`), except that a NUL character is written as it is on
     every Python version, where Python 3.10's ``csv.writer`` refuses it.
-    Timestamps and instant values are written by :func:`format_instant`.
+    Timestamps are written from their epoch milliseconds in the form of
+    :func:`format_instant`, which writes instant values.
 
-    Raises SchemaError, before the file is opened, when an attribute has the
-    name of one of the mapping's columns, or when every event of a case has
-    an attribute of the name of one of the case's own with another value,
+    Raises SchemaError, before the file is opened, when a timestamp's UTC
+    time falls outside the years 1-9999, when an attribute has the name of
+    one of the mapping's columns, or when every event of a case has an
+    attribute of the name of one of the case's own with another value,
     which would leave the case's value on no row. Raises SchemaError naming
-    the case, and the attribute when it is one, for a timestamp or instant
-    value whose UTC time falls outside the years 1-9999; the file is then
-    removed.
+    the case, and the attribute when it is one, for an instant value whose
+    UTC time falls outside the years 1-9999; the file is then removed.
     """
     mapping = mapping or ColumnMapping()
-    event_names = {
-        name for case in log.cases.values() for ev in case.events for name in ev.attributes
-    }
-    case_names = {name for case in log.cases.values() for name in case.attributes}
-    for case in log.cases.values():
+    cases = log.cases.values()
+    stamps = np.frombuffer(b"".join(case.timestamps for case in cases), np.int64)
+    if stamps.size and (stamps.min() < _MIN_MS or stamps.max() > _MAX_MS):
+        raise _out_of_range(log)
+    event_names = {name for case in cases for name in case.event_attributes}
+    case_names = {name for case in cases for name in case.attributes}
+    for case in cases:
         for name, value in case.attributes.items():
+            if name not in event_names:
+                continue
+            # an event without the name leaves the case's value on its row
+            own = case.event_attributes.get(name, [None] * len(case.trace))
             try:
-                shadowed = name in event_names and all(
-                    name in ev.attributes and _render(ev.attributes[name]) != _render(value)
-                    for ev in case.events
-                )
+                shadowed = all(v is not None and _render(v) != _render(value) for v in own)
             except OverflowError:
                 raise _out_of_range(log) from None
             if shadowed:
@@ -618,8 +733,8 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
     try:
         with path.open("w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(map(csv_field, header)) + "\r\n")
-            for block in _blocks(log.cases.values()):
-                fh.write(_block_text(block, attr_names, event_names, case_names))
+            for block in _blocks(cases):
+                fh.write(_block_text(block, attr_names))
     except OverflowError:
         path.unlink()
         raise _out_of_range(log) from None
@@ -712,15 +827,15 @@ def parse_xes(path: str | Path) -> EventLog:
     A trace without a name is case ``case_<index>``, or, when a named trace
     holds that id, ``case_<index>_<n>`` with the least free n >= 1.
 
-    Activities and attribute keys pass through a table local to the parse,
-    so the log holds one string object per distinct label and key;
-    attribute values and case ids stay as read.
+    Each trace is read into the columns of its case. Activities and
+    attribute keys pass through a table local to the parse, so the log
+    holds one string object per distinct label and key; attribute values
+    and case ids stay as read.
     """
     path = Path(path)
     canon = {}.setdefault  # one str object per distinct activity or key
     # an unnamed trace is keyed by its index until every name is known
-    cases: dict[str | int, list[Event]] = {}
-    case_attributes: dict[str | int, dict[str, object]] = {}
+    cases: dict[str | int, Case] = {}
     schema: dict[str, AttributeSpec] = {}
 
     def note_schema(name: str, kind: str, scope: str) -> None:
@@ -758,13 +873,12 @@ def parse_xes(path: str | Path) -> EventLog:
             raise XesParseError(f"{path}: {_trace_label(t_idx, case_id)} has no events")
         if case_id in cases:
             raise XesParseError(f"{path}: duplicate case id {case_id!r}")
-        case_attributes[case_id] = trace_attrs
-        cases[case_id] = events = []
-
+        activities: list[str] = []
+        stamps = array("q")
+        columns: dict[str, list] = {}  # per key, its value on each event so far or None
         for e_idx, event in enumerate(event_elems):
             activity = None
             timestamp = None
-            attrs: dict[str, object] = {}
             try:
                 for child in event:
                     key, parsed = _xes_value(child)
@@ -784,7 +898,15 @@ def parse_xes(path: str | Path) -> EventLog:
                         timestamp = value
                     else:
                         key = canon(key, key)
-                        attrs[key] = value
+                        column = columns.get(key)
+                        if column is None:
+                            column = columns[key] = []
+                        gap = e_idx - len(column)
+                        if gap < 0:  # the key again on one event: its last value counts
+                            column[e_idx] = value
+                        else:
+                            column += repeat(None, gap)
+                            column.append(value)
                         note_schema(key, kind, EVENT_SCOPE)
                 if not activity:
                     raise ValueError("missing concept:name")
@@ -794,7 +916,11 @@ def parse_xes(path: str | Path) -> EventLog:
                 raise XesParseError(
                     f"{path}: {_trace_label(t_idx, case_id)} event {e_idx}: {exc}"
                 ) from None
-            events.append(Event(canon(activity, activity), timestamp, attrs))
+            activities.append(canon(activity, activity))
+            stamps.append((timestamp - _EPOCH) // _MS)
+        for column in columns.values():
+            column += repeat(None, len(activities) - len(column))
+        cases[case_id] = _case(case_id, activities, stamps, trace_attrs, columns)
 
     if not cases:
         raise EmptyLogError(f"{path}: log has no traces")
@@ -804,8 +930,9 @@ def parse_xes(path: str | Path) -> EventLog:
         while ids[key] in cases:  # held by a named trace
             n += 1
             ids[key] = f"case_{key}_{n}"
-    rekey = lambda by_key: {ids[key]: value for key, value in by_key.items()}
-    return build_log(rekey(cases), rekey(case_attributes), schema)
+    for key, case in cases.items():
+        case.case_id = ids[key]
+    return EventLog({case.case_id: case for case in cases.values()}, schema)
 
 
 def load_log(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:

@@ -155,7 +155,7 @@ def rank_traces(
         ids = sorted(variant.member_case_ids)
         # a case arrives with its first event
         return sorted(
-            ids, key=lambda cid: cases[cid].events[0].timestamp, reverse=sorting == NEWEST_FIRST
+            ids, key=lambda cid: cases[cid].timestamps[0], reverse=sorting == NEWEST_FIRST
         )
     if sorting == RANDOM_ORDER:
         rnd = Random(f"{seed}|rank|" + "\x1f".join(variant.activities))

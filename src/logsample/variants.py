@@ -94,7 +94,7 @@ def build_variant_index(log: EventLog, attributes: list[str] | None = None) -> V
             if log.attribute_schema[name].scope == CASE_SCOPE:
                 observed = [[case.attributes.get(name)] for case in cases]
             else:
-                observed = [[ev.attributes.get(name) for ev in case.events] for case in cases]
+                observed = [case.event_attributes.get(name, ()) for case in cases]
             modal = per_attr[name] = _modal(
                 [value for values in observed for value in values if value is not None]
             )

@@ -121,8 +121,8 @@ def property_run():
             if not set(sampled.cases) <= set(log.cases):
                 integrity.append((i, cfg.label, "case ids not a subset"))
             for cid, case in sampled.cases.items():
-                original = log.cases[cid]
-                if case.events != original.events or case.attributes != original.attributes:
+                # every column of the case: id, trace, timestamps, attributes of both scopes
+                if case != log.cases[cid]:
                     integrity.append((i, cfg.label, f"case {cid} mutated"))
 
         # closed-form sizes over the k grid, checked per log

@@ -7,7 +7,8 @@ import io
 import math
 import sys
 import tempfile
-from datetime import datetime, timedelta, timezone
+import time
+from datetime import datetime, timedelta, timezone, tzinfo
 from operator import itemgetter
 from pathlib import Path
 from random import Random
@@ -19,6 +20,18 @@ from hypothesis import strategies as st
 
 from logsample.errors import EmptyLogError, RowError, SchemaError, XesParseError
 from logsample import log_model
+from logsample.experiment import ExperimentConfig, run_experiment
+from logsample.features import export_features, extract_features
+from logsample.sampling import (
+    DIVISION,
+    NEWEST_FIRST,
+    OLDEST_FIRST,
+    RANDOM_ORDER,
+    REPRESENTATIVE,
+    SamplingConfig,
+    sample,
+)
+from logsample.variants import build_variant_index
 from logsample.log_model import (
     CASE_SCOPE,
     CATEGORICAL,
@@ -955,15 +968,28 @@ WRITE_VALUES = st.one_of(WRITE_PLAIN_VALUES, WRITE_INSTANTS)
 WRITE_LABELS = st.one_of(WRITE_TEXTS, st.integers(-9, 9), st.floats(allow_nan=False), st.none())
 
 
+def case_of(case_id, events, attributes):
+    """A Case holding ``events`` as given: not sorted, not checked, timestamps of any year."""
+    names = dict.fromkeys(name for ev in events for name in ev.attributes)
+    return Case(
+        case_id,
+        tuple(ev.activity for ev in events),
+        log_model._epoch_ms(ev.timestamp for ev in events),
+        attributes,
+        {name: tuple(ev.attributes.get(name) for ev in events) for name in names},
+    )
+
+
 @st.composite
 def writable_logs(draw):
-    """A log of everything write_csv turns into text, built without build_log's sort.
+    """A log of everything write_csv turns into text, built without build_log's checks.
 
     Events of one case may mix naive and aware timestamps, and case
     attributes share names with event attributes. A Case built directly may
-    have no events; it writes no row, so write_csv never formats its
-    attributes, while the oracle does and fails on an instant outside the
-    years 1-9999 in UTC. Such a case holds no instant.
+    have no events, empty activities and timestamps outside the years
+    1-9999 in UTC. A case without events writes no row, so write_csv never
+    formats its attributes, while the oracle does and fails on an instant
+    outside the years 1-9999 in UTC. Such a case holds no instant.
     """
     names = st.sampled_from(WRITE_NAMES)
     cases = {}
@@ -978,7 +1004,7 @@ def writable_logs(draw):
         ]
         values = WRITE_VALUES if events else WRITE_PLAIN_VALUES
         attributes = draw(st.dictionaries(names, values, max_size=2))
-        cases[case_id] = Case(case_id, events, attributes, tuple(ev.activity for ev in events))
+        cases[case_id] = case_of(case_id, events, attributes)
     return EventLog(cases)
 
 
@@ -1026,7 +1052,7 @@ def test_instant_outside_the_years_is_refused(tmp_path, where):
     case_due = {"k0": {}, "k1": {}}
     if where == "timestamp":
         stamps["k1"][1] = early
-    elif where == "naive-block":  # a naive stamp sends the block through format_instant
+    elif where == "naive-block":  # a naive stamp in the block before the one out of range
         stamps["k0"][0] = datetime(2021, 1, 1)
         stamps["k1"][1] = early
     elif where == "event":
@@ -1037,11 +1063,10 @@ def test_instant_outside_the_years_is_refused(tmp_path, where):
         case_due["k1"] = {"due": early}
         event_due["k1"] = [{"due": T0}, {"due": T0}]
     log = EventLog({
-        cid: Case(
+        cid: case_of(
             cid,
             [Event(a, ts, due) for a, ts, due in zip("ab", stamps[cid], event_due[cid])],
             case_due[cid],
-            ("a", "b"),
         )
         for cid in stamps
     })
@@ -1393,23 +1418,22 @@ def test_model_invariants(seed, extra):
     """Cases own their time-sorted events; trace, counts and alphabet follow from them."""
     rnd = Random(seed)
     source = log_from_variants(random_variant_freqs(rnd, max_variants=5, max_freq=5))
-    pairs = [(cid, e) for cid, c in source.cases.items() for e in c.events]
+    pairs = [(cid, e.activity, e.timestamp) for cid, c in source.cases.items() for e in c.events]
     # few distinct minutes, so cases of extra events hold timestamp ties
-    pairs += [(f"x{c}", Event(act, T0 + timedelta(minutes=m))) for c, act, m in extra]
+    pairs += [(f"x{c}", act, T0 + timedelta(minutes=m)) for c, act, m in extra]
     rnd.shuffle(pairs)
-    position = {id(e): i for i, (_, e) in enumerate(pairs)}
     cases = {}
-    for cid, e in pairs:
-        cases.setdefault(cid, []).append(e)
-    members = {cid: {id(e) for e in events} for cid, events in cases.items()}
+    for position, (cid, act, ts) in enumerate(pairs):  # each event tagged with its position
+        cases.setdefault(cid, []).append(Event(act, ts, {"n": position}))
+    members = {cid: {e.attributes["n"] for e in events} for cid, events in cases.items()}
 
     log = build_log(cases)
     assert log.num_events == len(pairs)
-    assert list(log.cases) == list(dict.fromkeys(cid for cid, _ in pairs))
+    assert list(log.cases) == list(dict.fromkeys(cid for cid, _, _ in pairs))
     for cid, case in log.cases.items():
         assert case.trace == tuple(e.activity for e in case.events)
-        assert {id(e) for e in case.events} == members[cid]
-        order = [(e.timestamp, position[id(e)]) for e in case.events]
+        assert {e.attributes["n"] for e in case.events} == members[cid]
+        order = [(e.timestamp, e.attributes["n"]) for e in case.events]
         assert order == sorted(order)  # by time, ties in input order
     assert log.activity_alphabet == set().union(*(c.trace for c in log.cases.values()))
 
@@ -1418,6 +1442,107 @@ def test_model_invariants(seed, extra):
     assert list(sub.cases) == [cid for cid in log.cases if cid in kept]
     assert all(sub.cases[cid] is log.cases[cid] for cid in kept)
     assert sub.activity_alphabet == set().union(*(c.trace for c in sub.cases.values()))
+
+
+class TestBuildLog:
+    def test_events_within_one_millisecond_keep_input_order(self):
+        late = T0 + timedelta(microseconds=900)
+        log = build_log({"k": [Event("b", late), Event("a", T0 + timedelta(microseconds=100))]})
+        assert log.trace("k") == ("b", "a")
+        assert [e.timestamp for e in log.cases["k"].events] == [T0, T0]
+
+    def test_timestamps_come_back_utc_aware(self):
+        east = timezone(timedelta(hours=2))
+        naive = datetime(2021, 1, 1, 10)
+        log = build_log({"k": [Event("a", naive), Event("b", naive.replace(tzinfo=east))]})
+        assert log.trace("k") == ("b", "a")
+        assert list(log.cases["k"].timestamps) == [1609488000000, 1609495200000]  # 08:00, 10:00
+        stamps = [e.timestamp for e in log.cases["k"].events]
+        assert stamps == [T0 + timedelta(hours=8), T0 + timedelta(hours=10)]
+        assert all(stamp.tzinfo is timezone.utc for stamp in stamps)
+
+    def test_timestamp_outside_the_years_is_refused(self):
+        early = datetime(1, 1, 1, 3, tzinfo=timezone(timedelta(hours=5)))
+        cases = {"k0": [Event("a", T0)], "k1": [Event("a", T0), Event("b", early)]}
+        with pytest.raises(RowError, match="case 'k1' has an event timestamp outside the years"):
+            build_log(cases)
+
+    def test_attribute_of_none_is_absent(self):
+        events = [Event("a", T0, {"x": None, "y": 1}), Event("b", T0, {"x": None})]
+        case = build_log({"k": events}).cases["k"]
+        assert case.event_attributes == {"y": (1, None)}
+        assert [e.attributes for e in case.events] == [{"y": 1}, {}]
+
+    def test_input_lists_are_left_as_they_are(self):
+        events = [Event("b", T0 + timedelta(minutes=1)), Event("a", T0)]
+        given = list(events)
+        assert build_log({"k": events}).trace("k") == ("a", "b")
+        assert events == given
+
+
+class NoOffset(tzinfo):
+    """A tzinfo that gives no UTC offset: the datetime is aware but has no UTC time."""
+
+    def utcoffset(self, dt):
+        return None
+
+    def dst(self, dt):
+        return None
+
+
+@pytest.fixture
+def local_time_east_of_utc(monkeypatch):
+    """Local time is UTC+9 during the test, so a datetime taken as local time shows."""
+    if not hasattr(time, "tzset"):
+        pytest.skip("the local time zone can be set only where time.tzset exists")
+    monkeypatch.setenv("TZ", "JST-9")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
+def test_datetime_without_offset_is_formatted_as_utc(local_time_east_of_utc):
+    assert format_instant(datetime(2021, 1, 1, 12, tzinfo=NoOffset())) == format_instant(
+        datetime(2021, 1, 1, 12)
+    )
+
+
+def test_timestamp_without_offset_is_written_as_utc(tmp_path, local_time_east_of_utc):
+    written = []
+    for zone in (NoOffset(), None):
+        stamp = datetime(2021, 1, 1, 12, tzinfo=zone)
+        write_csv(build_log({"k": [Event("a", stamp, {"due": stamp})]}), tmp_path / "out.csv")
+        written.append((tmp_path / "out.csv").read_bytes())
+    assert written[0] == written[1]
+    assert b",2021-01-01T12:00:00.000+00:00,2021-01-01T12:00:00.000+00:00\r\n" in written[0]
+
+
+def test_package_paths_read_columns_not_the_event_view(tmp_path, monkeypatch):
+    def attrs(case_n, event_idx):
+        return {"resource": f"r{(case_n + event_idx) % 3}"}
+
+    log = log_from_variants(
+        [(("a", "b", "c"), 6), (("a", "c"), 4), (("b",), 2)],
+        event_attrs=attrs,
+        case_attrs=lambda case_n: {"channel": f"ch{case_n % 2}"},
+    )
+    write_csv(log, tmp_path / "log.csv")
+
+    def refuse(case):
+        raise AssertionError("a package path built Case.events")
+
+    monkeypatch.setattr(Case, "events", property(refuse))
+    load_log(Path(__file__).parent / "data" / "xes_core.xes")
+    log = load_log(tmp_path / "log.csv")
+    index = build_variant_index(log, ["resource", "channel"])
+    for sorting in (REPRESENTATIVE, OLDEST_FIRST, NEWEST_FIRST, RANDOM_ORDER):
+        sampled, _ = sample(log, index, SamplingConfig(DIVISION, k=2, sorting=sorting))
+        write_csv(sampled, tmp_path / f"{sorting}.csv")
+    rows = extract_features(log)
+    export_features(rows, sorted(log.activity_alphabet), 3, tmp_path / "features.csv")
+    grid = (SamplingConfig(DIVISION, k=2),)
+    run_experiment(log, ExperimentConfig(folds=2, repeats=1, grid=grid))
 
 
 class TestInstantParsing:
