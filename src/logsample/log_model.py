@@ -875,7 +875,7 @@ def parse_xes(path: str | Path) -> EventLog:
             raise XesParseError(f"{path}: duplicate case id {case_id!r}")
         activities: list[str] = []
         stamps = array("q")
-        columns: dict[str, list] = {}  # per key, its value on each event so far or None
+        columns: dict[str, dict[int, object]] = {}  # per key, its value by event index
         for e_idx, event in enumerate(event_elems):
             activity = None
             timestamp = None
@@ -898,15 +898,7 @@ def parse_xes(path: str | Path) -> EventLog:
                         timestamp = value
                     else:
                         key = canon(key, key)
-                        column = columns.get(key)
-                        if column is None:
-                            column = columns[key] = []
-                        gap = e_idx - len(column)
-                        if gap < 0:  # the key again on one event: its last value counts
-                            column[e_idx] = value
-                        else:
-                            column += repeat(None, gap)
-                            column.append(value)
+                        columns.setdefault(key, {})[e_idx] = value
                         note_schema(key, kind, EVENT_SCOPE)
                 if not activity:
                     raise ValueError("missing concept:name")
@@ -918,9 +910,11 @@ def parse_xes(path: str | Path) -> EventLog:
                 ) from None
             activities.append(canon(activity, activity))
             stamps.append((timestamp - _EPOCH) // _MS)
-        for column in columns.values():
-            column += repeat(None, len(activities) - len(column))
-        cases[case_id] = _case(case_id, activities, stamps, trace_attrs, columns)
+        positions = range(len(activities))
+        cases[case_id] = _case(
+            case_id, activities, stamps, trace_attrs,
+            {key: list(map(column.get, positions)) for key, column in columns.items()},
+        )
 
     if not cases:
         raise EmptyLogError(f"{path}: log has no traces")

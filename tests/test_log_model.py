@@ -1052,7 +1052,7 @@ def test_instant_outside_the_years_is_refused(tmp_path, where):
     case_due = {"k0": {}, "k1": {}}
     if where == "timestamp":
         stamps["k1"][1] = early
-    elif where == "naive-block":  # a naive stamp in the block before the one out of range
+    elif where == "naive-block":  # a naive stamp in the log with the one out of range
         stamps["k0"][0] = datetime(2021, 1, 1)
         stamps["k1"][1] = early
     elif where == "event":
@@ -1303,6 +1303,19 @@ class TestParseXes:
         assert [(type(v), repr(v)) for v in values] == [
             (int, "0"), (float, "0.0"), (float, "-0.0"), (str, "'false'"),
         ]
+
+    def test_key_twice_on_one_event_keeps_its_last_value(self, tmp_path):
+        events = "".join(
+            f'<event><string key="concept:name" value="a"/>'
+            f'<date key="time:timestamp" value="2021-01-01T00:0{i}:00Z"/>{own}</event>'
+            for i, own in enumerate(
+                ['', '<int key="n" value="1"/><int key="n" value="2"/>', '<int key="n" value="3"/>']
+            )
+        )
+        text = f'<log><trace><string key="concept:name" value="t"/>{events}</trace></log>'
+        case = parse_xes(write(tmp_path / "log.xes", text)).cases["t"]
+        assert case.event_attributes == {"n": (None, 2, 3)}
+        assert [ev.attributes for ev in case.events] == [{}, {"n": 2}, {"n": 3}]
 
     def test_trace_attributes_become_case_attributes(self, tmp_path):
         text = (
