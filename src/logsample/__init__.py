@@ -25,7 +25,6 @@ from .features import (
     END_MARKER,
     EncodedRows,
     FeatureRow,
-    decode,
     default_window,
     encode,
     export_features,

@@ -164,21 +164,6 @@ def encode(
     return EncodedRows(matrix, gathered[:, window] - 1, end_code)
 
 
-def decode(
-    vector: np.ndarray, label_index: int, alphabet: Sequence[str], window: int
-) -> FeatureRow:
-    """Invert :func:`encode` for one row (up to window truncation; case id is lost)."""
-    block = len(alphabet) + 1
-    prefix = []
-    for j in range(window):
-        slots = np.flatnonzero(vector[j * block : (j + 1) * block])
-        if len(slots) != 1:
-            raise EncodingError(f"block {j} does not have exactly one hot slot")
-        if slots[0] != 0:
-            prefix.append(alphabet[slots[0] - 1])
-    return FeatureRow((*prefix, label_space(alphabet)[label_index]), len(prefix), "")
-
-
 def export_features(
     rows: Iterable[FeatureRow],
     alphabet: Sequence[str],

@@ -16,7 +16,6 @@ from logsample.features import (
     BLOCK_BYTES,
     END_MARKER,
     FeatureRow,
-    decode,
     default_window,
     encode,
     export_features,
@@ -167,18 +166,6 @@ class TestEncode:
     def test_window_must_be_positive(self):
         with pytest.raises(EncodingError):
             encode([], ["a"], window=0)
-
-    def test_decode_round_trip(self):
-        alphabet = ["a", "b", "c"]
-        rows = [
-            feature_row(("a",), "b", "x"),
-            feature_row(("a", "b"), "c", "x"),
-            feature_row(("c", "b", "a"), END_MARKER, "x"),
-        ]
-        for row, (vector, label) in zip(rows, pairs(encode(rows, alphabet, window=3))):
-            back = decode(vector, label, alphabet, window=3)
-            assert back.prefix == row.prefix
-            assert back.target == row.target
 
     def test_encoding_injective_on_truncated_pairs(self):
         alphabet = ["a", "b"]

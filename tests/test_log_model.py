@@ -8,6 +8,7 @@ import math
 import sys
 import tempfile
 import time
+import tracemalloc
 from datetime import datetime, timedelta, timezone, tzinfo
 from operator import itemgetter
 from pathlib import Path
@@ -44,6 +45,8 @@ from logsample.log_model import (
     Event,
     EventLog,
     _CONVERTERS,
+    _EPOCH,
+    _MS,
     _infer_kind,
     build_log,
     csv_field,
@@ -324,6 +327,93 @@ class TestParseCsv:
         assert a == b
 
 
+# Data rows of a log long enough to span more than two of parse_csv's read blocks.
+LONG_ROWS = 9_000
+
+
+def long_rows():
+    """LONG_ROWS rows in write_csv's form: cases of five events, some out of time order."""
+    return [
+        [f"c{n // 5}", f"a{n % 3}", f"2021-01-{1 + n % 7:02d}T10:00:00.{n % 1000:03d}+00:00"]
+        for n in range(LONG_ROWS)
+    ]
+
+
+def write_rows(path, rows):
+    """The header and rows as csv.writer writes them (CRLF line ends); the path."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["case_id", "activity", "timestamp"])
+        writer.writerows(rows)
+    return path
+
+
+def test_long_log_spans_more_than_two_read_blocks():
+    assert LONG_ROWS > 2 * log_model.READ_BLOCK_ROWS
+
+
+class TestParseCsvErrorsAfterTheFirstBlock:
+    """Data row n of a long log is on line n + 2 unless a field before it spans lines."""
+
+    def test_a_clean_long_log_parses(self, tmp_path):
+        log = parse_csv(write_rows(tmp_path / "log.csv", long_rows()))
+        assert log.num_events == LONG_ROWS
+        assert log.num_cases == LONG_ROWS // 5
+        assert all(list(case.timestamps) == sorted(case.timestamps) for case in log.cases.values())
+
+    def test_byte_that_is_not_utf8_past_the_decoders_read_ahead(self, tmp_path):
+        path = write_rows(tmp_path / "log.csv", long_rows())
+        data = path.read_bytes()
+        at = data.index(b"\r\nc800,") + len(b"\r\nc800,")  # the activity of data row 4,000
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(RowError, match=r"^line 4002: byte 0xff is not UTF-8$") as err:
+            parse_csv(path)
+        assert err.value.line == 4002
+
+    def test_field_over_the_csv_size_limit(self, tmp_path):
+        rows = long_rows()
+        rows[6_000][1] = "b" * (csv.field_size_limit() + 1)
+        with pytest.raises(RowError, match=r"^line 6002: field larger than field limit") as err:
+            parse_csv(write_rows(tmp_path / "log.csv", rows))
+        assert err.value.line == 6002
+
+    def test_unparseable_timestamp_after_a_clean_first_block(self, tmp_path):
+        rows = long_rows()
+        rows[8_500][2] = "2021-02-29T10:00:00.000+00:00"
+        message = r"^line 8502: unparseable timestamp '2021-02-29T10:00:00.000\+00:00' in column"
+        with pytest.raises(RowError, match=message) as err:
+            parse_csv(write_rows(tmp_path / "log.csv", rows))
+        assert err.value.line == 8502
+
+    @pytest.mark.parametrize("line_break", ["\n", "\r\n"])
+    def test_line_break_in_a_quoted_field_before_the_bad_row(self, tmp_path, line_break):
+        rows = long_rows()
+        rows[100][1] = f"two{line_break}lines"
+        rows[5_000][1] = ""
+        with pytest.raises(RowError, match=r"^line 5003: empty activity$") as err:
+            parse_csv(write_rows(tmp_path / "log.csv", rows))
+        assert err.value.line == 5003
+
+    def test_first_bad_row_in_file_order_wins(self, tmp_path):
+        rows = long_rows()
+        rows[7_000][2] = "not-a-time"
+        rows[4_500].append("surplus")
+        rows[4_200][0] = " "
+        with pytest.raises(RowError, match=r"^line 4202: empty case id$"):
+            parse_csv(write_rows(tmp_path / "log.csv", rows))
+
+
+def test_write_csv_timestamps_are_read_without_parse_instant(tmp_path, monkeypatch):
+    log = parse_csv(write_rows(tmp_path / "log.csv", long_rows()))
+    write_csv(log, tmp_path / "back.csv")
+
+    def refuse(text):
+        raise AssertionError(f"parse_instant read {text!r}")
+
+    monkeypatch.setattr(log_model, "parse_instant", refuse)
+    assert parse_csv(tmp_path / "back.csv") == log
+
+
 def reference_parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:
     """``parse_csv`` before it built each event once, kept verbatim as the oracle.
 
@@ -471,10 +561,19 @@ CELL_TEXTS = {
     "float": ["1.0", "2.5", "-0.5", "1e3"],
     "non-finite": ["nan", "inf", "-Infinity"],
     "instant": ["2021-02-01T00:00:00", "2021-02-01T00:00:00Z", "2021-02-01T01:00:00+01:00"],
-    "text": ["web", "phone", "a b", "x,y", 'say "hi"'],
+    "text": ["web", "phone", "a b", "x,y", 'say "hi"', "two\nlines", "two\r\nlines"],
 }
 
-# Row timestamps: ties, one instant in two spellings, and (rarely) an unreadable one.
+# Timestamps in write_csv's own form, which parse_csv reads in bulk when a
+# whole block holds that form.
+WRITTEN_STAMPS = [
+    "2021-01-01T10:00:00.000+00:00",
+    "2021-01-01T09:59:59.999+00:00",
+    "2020-02-29T10:05:00.123+00:00",
+]
+
+# Row timestamps: ties, one instant in several spellings, write_csv's own form,
+# and near misses of that form, which parse_instant reads or refuses as it will.
 STAMPS = [
     "2021-01-01T10:00:00",
     "2021-01-01T10:00:00Z",
@@ -482,6 +581,13 @@ STAMPS = [
     "2021-01-01T10:05:00.123456",
     "2021-01-01T09:59:59.999",
     "2021-01-01T11:00:00+02:00",
+    *WRITTEN_STAMPS,
+    "0000-01-01T10:00:00.000+00:00",
+    "2021-02-29T10:00:00.000+00:00",
+    "2021-01-01T24:00:00.000+00:00",
+    "2021-01-01 10:00:00.000+00:00",
+    "2021-01-01T1\u0660:00:00.000+00:00",
+    "2021-01-01T10:00:00.000+00:00 ",
 ]
 
 # How an attribute column is filled: one text per case; one text per case but
@@ -509,6 +615,7 @@ def csv_logs(draw):
         if (kind := draw(st.sampled_from([None] * 6 + [CATEGORICAL, NUMERIC, INSTANT])))
     }
     header = draw(st.permutations(["case_id", "activity", "timestamp", *columns]))
+    stamps = draw(st.sampled_from([STAMPS, WRITTEN_STAMPS]))
 
     rows = []
     for case in range(draw(st.integers(1, 4))):
@@ -519,7 +626,7 @@ def csv_logs(draw):
             cells = {
                 "case_id": f"k{case}",
                 "activity": draw(st.sampled_from("abc")),
-                "timestamp": draw(st.sampled_from(STAMPS)),
+                "timestamp": draw(st.sampled_from(stamps)),
             }
             for col, mode in modes.items():
                 if mode == "per-case":
@@ -1492,6 +1599,22 @@ class TestBuildLog:
         assert build_log({"k": events}).trace("k") == ("a", "b")
         assert events == given
 
+    def test_memory_follows_the_values_held_not_names_times_events(self):
+        # 2,000 names, each held by one event of 10,000: a column of every
+        # name over every event would be 20 million slots, 160 MB
+        cases = {
+            f"c{n}": [Event("a", T0, {f"name{n}": n}), *(Event("b", T0) for _ in range(4))]
+            for n in range(2000)
+        }
+        tracemalloc.start()
+        try:
+            log = build_log(cases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.cases["c7"].event_attributes == {"name7": (7, None, None, None, None)}
+        assert peak < 20 * 2**20
+
 
 class NoOffset(tzinfo):
     """A tzinfo that gives no UTC offset: the datetime is aware but has no UTC time."""
@@ -1677,6 +1800,30 @@ def test_parse_instant_matches_old_implementation(text):
     actual = outcome(parse_instant, text)
     assert actual == expected
     assert repr(actual) == repr(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.datetimes(), min_size=1, max_size=30))
+def test_bulk_timestamps_match_parse_instant(stamps):
+    texts = list(map(format_instant, stamps))  # write_csv's form, years 1-9999
+    expected = [(parse_instant(text) - _EPOCH) // _MS for text in texts]
+    with mock.patch.object(log_model, "parse_instant", side_effect=AssertionError("one by one")):
+        assert log_model._epoch_ms_of(texts).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from(STAMPS), st.datetimes().map(format_instant), iso_stamps()
+)))
+def test_bulk_timestamps_mark_what_parse_instant_refuses(texts):
+    ms = log_model._epoch_ms_of(texts).tolist()
+    for text, read in zip(texts, ms):
+        instant = outcome(parse_instant, text)
+        if instant is ValueError:
+            assert read < log_model._MIN_MS
+        else:
+            assert read == (instant - _EPOCH) // _MS
+    assert len(ms) == len(texts)
 
 
 def texts_of(log):
