@@ -448,10 +448,11 @@ def _epoch_ms_of(texts: Sequence[str]) -> np.ndarray:
             year = d[:, :4] @ (1000, 100, 10, 1)
             month, day, hour, minute, second = (d[:, 5:20:3] * 10 + d[:, 6:20:3]).T
             months = (year - 1970) * 12 + month - 1
-            days = months.astype("M8[M]").astype("M8[D]").view(np.int64) + day - 1
-            ends = (months + 1).astype("M8[M]").astype("M8[D]").view(np.int64)
-            if ((months % 12 == month - 1) & (day >= 1) & (days < ends)
+            days = months.astype("M8[M]").astype("M8[D]") + (day - 1)
+            # a day past its month's end, or before its start, falls in another month
+            if ((months % 12 == month - 1) & (days.astype("M8[M]").view(np.int64) == months)
                     & (hour < 24) & (minute < 60) & (second < 60)).all():
+                days = days.view(np.int64)
                 milli = d[:, 20:] @ (100, 10, 1)
                 return ((days * 24 + hour) * 60 + minute) * 60_000 + second * 1000 + milli
     return np.array(list(map(_instant_ms, texts)), np.int64)
