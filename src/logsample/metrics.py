@@ -4,9 +4,9 @@ Accuracy is reported two ways: overall accuracy, the exact share of
 correct predictions and the benchmark's headline number, and balanced
 accuracy (unweighted mean recall per class).
 A :class:`~logsample.predictor.PrefixTreeModel` is scored without asking
-it row by row: the test fold's keys form a trie shaped like the model's
-suffix trie, and :func:`evaluate` walks the two together, so every model
-node that test keys back off to is asked for its prediction once.
+it row by row: the test fold's rows are grouped by key, and :func:`evaluate`
+matches each distinct key once through the model's own back-off rule, so
+every model node that test keys back off to is asked for its prediction once.
 The ratio metrics compare a sampled-training run against the full-training
 baseline: relative accuracy, feature-extraction speedup, and training
 speedup.
@@ -17,68 +17,46 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import EvaluationError, UndefinedRatioError
 from .features import FeatureRow
 from .predictor import PrefixTreeModel
 
 
-class KeyTrie(NamedTuple):
-    """The keys of one fold at one horizon, read newest activity first.
-
-    Node 0 is the empty key; ``children[n]`` maps the activity one step
-    further back to the child's id. ``ends[n]`` holds the ``{target: rows}``
-    of the keys that end at node ``n``, and ``below[n]`` those of every key
-    that ends at ``n`` or under it, so ``below[0]`` is the fold's support
-    per class.
-    """
-
-    children: list[dict[str, int]]
-    ends: list[dict[str, int]]
-    below: list[dict[str, int]]
-
-
 class TestRows(tuple[FeatureRow, ...]):
-    """One test fold's feature rows and one key trie per horizon.
+    """One test fold's feature rows, grouped by key once per horizon.
 
     The key of a row is its prefix cut to the last ``horizon`` activities;
     a horizon at least as long as the prefix keeps all of it. Every model
-    scored on the fold shares the key trie of its horizon, so each horizon
-    is built once; the (key, target) counts it is built from are not kept.
+    scored on the fold shares the grouping of its horizon, so each horizon
+    is grouped once, and the fold's support per class is summed once.
     """
 
     @cached_property
-    def _tries(self) -> dict[int, KeyTrie]:
+    def _groups(self) -> dict[int, dict[tuple[str, ...], dict[str, int]]]:
         return {}
 
-    def trie(self, horizon: int) -> KeyTrie:
-        """The fold's keys at ``horizon`` as a :class:`KeyTrie`."""
-        trie = self._tries.get(horizon)
-        if trie is None:
-            trie = self._tries[horizon] = KeyTrie([{}], [{}], [{}])
-            children, ends, below = trie
-            support = below[0]
+    def keys(self, horizon: int) -> dict[tuple[str, ...], dict[str, int]]:
+        """The fold's rows at ``horizon`` as ``{key: {target: rows}}``."""
+        groups = self._groups.get(horizon)
+        if groups is None:
+            groups = self._groups[horizon] = {}
             pairs = (
                 (sequence[max(cut - horizon, 0) : cut], sequence[cut]) for sequence, cut, _ in self
             )
             for (key, target), rows in Counter(pairs).items():
+                groups.setdefault(key, {})[target] = rows
+        return groups
+
+    @cached_property
+    def _support(self) -> dict[str, int]:
+        """Rows per class, summed over the first grouping built; read it after :meth:`keys`."""
+        support: dict[str, int] = {}
+        for tally in next(iter(self._groups.values())).values():
+            for target, rows in tally.items():
                 support[target] = support.get(target, 0) + rows
-                node = 0
-                for activity in reversed(key):
-                    kids = children[node]
-                    node = kids.get(activity, 0)  # 0, the root, is nobody's child
-                    if node:
-                        tally = below[node]
-                        tally[target] = tally.get(target, 0) + rows
-                    else:
-                        node = kids[activity] = len(children)
-                        children.append({})
-                        ends.append({})
-                        below.append({target: rows})
-                tally = ends[node]
-                tally[target] = tally.get(target, 0) + rows
-        return trie
+        return support
 
 
 @dataclass(frozen=True)
@@ -105,45 +83,27 @@ def evaluate(model: PrefixTreeModel, test_rows: Iterable[FeatureRow]) -> Evaluat
     """Score a model on test rows.
 
     Targets never seen in training simply form their own class with zero
-    correct predictions. The fold's key trie at the model's ``max_order``
-    is walked together with the model's suffix trie, carrying the deepest
-    model node with counts, which is the node ``predict`` would match. Keys
-    that end at a trie node are credited to the carried node, and so is the
-    whole subtree under a key the model has no node for. Each credited model
-    node's argmax is taken once. Pass a :class:`TestRows` to reuse its trie
-    across models.
+    correct predictions. The fold's rows are grouped by their key at the
+    model's ``max_order``; each distinct key is matched once by
+    :meth:`~logsample.predictor.PrefixTreeModel._match`, the node ``predict``
+    would back off to, and that node's argmax is taken once however many keys
+    match it. Pass a :class:`TestRows` to reuse its grouping across models.
     """
     fold = test_rows if isinstance(test_rows, TestRows) else TestRows(test_rows)
     if not fold:
         raise EvaluationError("cannot evaluate on an empty test set")
-    key_children, ends, below = fold.trie(model.max_order)
-    counts, children = model.counts, model.children
-
-    labels: dict[int, str] = {}  # the argmax of each credited model node
+    labels: dict[int, str] = {}  # the argmax of each matched model node
     correct: dict[str, int] = {}
-    # (key node, the model node of the same suffix or None, deepest model node with counts so far)
-    stack: list[tuple[int, int | None, int]] = [(0, 0, 0)]
-    while stack:
-        key_node, node, found = stack.pop()
-        if node is None:  # the model stores no suffix this long: the whole subtree backs off
-            tally = below[key_node]
-        else:
-            if counts[node]:
-                found = node
-            kids = children[node]
-            for activity, key_child in key_children[key_node].items():
-                stack.append((key_child, kids.get(activity), found))
-            tally = ends[key_node]
-            if not tally:
-                continue
-        label = labels.get(found)
+    for key, tally in fold.keys(model.max_order).items():
+        node = model._match(key)
+        label = labels.get(node)
         if label is None:
-            label = labels[found] = model.argmax(found)
+            label = labels[node] = model.argmax(node)
         hits = tally.get(label)
         if hits:
             correct[label] = correct.get(label, 0) + hits
 
-    support = below[0]
+    support = fold._support
     per_class = {
         label: ClassTally(rows, correct.get(label, 0)) for label, rows in sorted(support.items())
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
 
 from .errors import ConfigurationError, EmptySampleError
@@ -176,7 +177,8 @@ def sample(
     if index.source_log is not log:
         raise ConfigurationError("the variant index was built from a different log")
     if config.method == RANDOM:
-        n_keep = math.ceil(config.fraction * log.num_cases)
+        # the fraction's decimal value: 0.07 * 100 is 7.000000000000001 in floats
+        n_keep = math.ceil(Fraction(str(config.fraction)) * log.num_cases)
         rnd = Random(f"{config.seed}|random-selection")
         kept_ids = set(rnd.sample(sorted(log.cases), n_keep))
     else:

@@ -3,6 +3,7 @@
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest.mock import patch
 
@@ -32,17 +33,6 @@ def loaded_model(max_order, tables):
         path = Path(tmp) / "model.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         return load_model(path)
-
-
-def keys_of(trie):
-    """The ``{(key, target): rows}`` that end at the nodes of a key trie, keys oldest first."""
-    children, ends, _ = trie
-    found, stack = {}, [(0, ())]
-    while stack:
-        node, key = stack.pop()
-        found.update(((key, target), rows) for target, rows in ends[node].items())
-        stack.extend((child, (activity, *key)) for activity, child in children[node].items())
-    return found
 
 
 def fixed(label):
@@ -231,8 +221,9 @@ class TestEvaluate:
 
 # metrics.TestRows is read through the module so pytest does not collect it as a test class
 class TestFoldRows:
-    def test_two_horizons_in_turn(self):
-        test_rows = metrics.TestRows(
+    @staticmethod
+    def four_rows():
+        return metrics.TestRows(
             [
                 feature_row(("a", "b"), "c", "c0"),
                 feature_row(("x", "b"), "c", "c1"),
@@ -240,38 +231,40 @@ class TestFoldRows:
                 feature_row((), "a", "c3"),
             ]
         )
-        assert keys_of(test_rows.trie(1)) == {(("b",), "c"): 2, (("b",), "d"): 1, ((), "a"): 1}
-        assert keys_of(test_rows.trie(sys.maxsize)) == {
-            (("a", "b"), "c"): 1,
-            (("x", "b"), "c"): 1,
-            (("x", "b"), "d"): 1,
-            ((), "a"): 1,
+
+    def test_groups_rows_by_key_at_each_horizon(self):
+        test_rows = self.four_rows()
+        assert test_rows.keys(0) == {(): {"a": 1, "c": 2, "d": 1}}
+        assert test_rows.keys(1) == {("b",): {"c": 2, "d": 1}, (): {"a": 1}}
+        assert test_rows.keys(sys.maxsize) == {
+            ("a", "b"): {"c": 1},
+            ("x", "b"): {"c": 1, "d": 1},
+            (): {"a": 1},
         }
-        children, ends, below = test_rows.trie(0)
-        assert children == [{}]
-        assert ends[0] == below[0] == {"a": 1, "c": 2, "d": 1}
-        assert test_rows.trie(1) is test_rows.trie(1)  # built once, then reused
 
-    def test_key_trie_reads_keys_newest_first(self):
-        test_rows = metrics.TestRows(
-            [
-                feature_row(("a", "b"), "c", "c0"),
-                feature_row(("x", "b"), "c", "c1"),
-                feature_row(("x", "b"), "d", "c2"),
-                feature_row((), "a", "c3"),
-            ]
-        )
-        children, ends, below = test_rows.trie(sys.maxsize)
-        b = children[0]["b"]
-        assert children[0] == {"b": b} and set(children[b]) == {"a", "x"}
-        assert (ends[0], below[0]) == ({"a": 1}, {"a": 1, "c": 2, "d": 1})
-        assert (ends[b], below[b]) == ({}, {"c": 2, "d": 1})
-        assert ends[children[b]["a"]] == below[children[b]["a"]] == {"c": 1}
-        assert ends[children[b]["x"]] == below[children[b]["x"]] == {"c": 1, "d": 1}
+    def test_each_horizon_is_grouped_once(self, monkeypatch):
+        counted = []
 
-        children, ends, below = test_rows.trie(1)
-        assert (len(children), ends[children[0]["b"]]) == (2, {"c": 2, "d": 1})
-        assert test_rows.trie(1) is test_rows.trie(1)  # built once, then reused
+        class SpyCounter(Counter):
+            def __init__(self, *args, **kwargs):
+                counted.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "Counter", SpyCounter)
+        test_rows = self.four_rows()
+        assert test_rows.keys(1) is test_rows.keys(1)  # built once, then reused
+        test_rows.keys(0)
+        for model in (train(test_rows, 1), train(test_rows, 0), train(test_rows[:2], 1)):
+            evaluate(model, test_rows)
+        assert len(counted) == 2
+
+    @pytest.mark.parametrize("first", [0, 1, 2, sys.maxsize])
+    def test_support_does_not_depend_on_the_horizon_grouped_first(self, first):
+        test_rows = self.four_rows()
+        test_rows.keys(first)
+        assert test_rows._support == {"a": 1, "c": 2, "d": 1}
+        result = evaluate(train(test_rows, 1), test_rows)
+        assert {label: t.support for label, t in result.per_class.items()} == test_rows._support
 
     def test_is_a_sequence_of_feature_rows(self):
         rows = [feature_row(("a", "b"), "c", "c0"), feature_row(("a",), "b", "c0")]

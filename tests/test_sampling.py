@@ -377,6 +377,15 @@ class TestSample:
         assert report.reduction_rate == 1.0
         assert report.variant_preserving
 
+    @pytest.mark.parametrize(
+        "fraction, cases, kept", [(0.07, 100, 7), (0.14, 50, 7), (0.55, 180, 99)]
+    )
+    def test_random_keeps_ceil_of_the_fraction_of_cases(self, fraction, cases, kept):
+        # each product lands just above a whole number in floats, as 0.07 * 100 == 7.000000000000001
+        log = log_from_variants([(("a",), cases)])
+        _, report = run_sample(log, SamplingConfig(RANDOM, fraction=fraction))
+        assert report.sampled_cases == kept
+
     def test_empty_sample_raises_with_config_label(self):
         log = log_from_variants([(("a",), 5), (("b",), 3)])
         with pytest.raises(EmptySampleError, match="log10"):
