@@ -201,7 +201,7 @@ def kfold_split(
 ) -> list[tuple[EventLog, EventLog]]:
     """Case-level k-fold partition: (train, test) per fold, sizes within 1."""
     case_ids = sorted(log.cases)
-    if len(case_ids) < folds:
+    if not 2 <= folds <= len(case_ids):
         raise SplitError(f"cannot split {len(case_ids)} cases into {folds} folds")
     Random(f"{seed}|kfold").shuffle(case_ids)
 

@@ -267,6 +267,30 @@ def _assembled(case_ids, keys, stamps, activities, columns, names, case_attribut
     return built
 
 
+def _schema_of(case_attributes: Iterable[Mapping], event_columns: Mapping[str, Mapping]) -> dict:
+    """Each attribute's AttributeSpec, read off its values; None is no value.
+
+    Numeric when every value's type is int or float, instant when every one is
+    datetime, else categorical (a bool too); event-scoped when some event holds it
+    (``event_columns``: name -> values by event). A name with no value is left out.
+    """
+    types: dict[str, set[type]] = {}
+    for attributes in case_attributes:
+        for name, value in attributes.items():
+            if value is not None:
+                types.setdefault(name, set()).add(type(value))
+    events = set()
+    for name, column in event_columns.items():
+        if held := set(map(type, column.values())) - {type(None)}:
+            types.setdefault(name, set()).update(held)
+            events.add(name)
+    schema = {}
+    for name, held in types.items():
+        kind = NUMERIC if held <= {int, float} else INSTANT if held == {datetime} else CATEGORICAL
+        schema[name] = AttributeSpec(kind, EVENT_SCOPE if name in events else CASE_SCOPE)
+    return schema
+
+
 @_gc_paused()
 def build_log(
     cases: Mapping[str, list[Event]],
@@ -282,7 +306,8 @@ def build_log(
     (events within one millisecond) keeping input order. An event attribute
     whose value is None counts as absent. Raises RowError for a case with no
     events, a timestamp whose UTC time falls outside the years 1-9999, or an
-    event with an empty activity.
+    event with an empty activity. With no ``schema``, the schema is read off
+    the values the cases hold (see _schema_of); one passed is kept as given.
     """
     if not cases:
         raise EmptyLogError("no events to assemble into a log")
@@ -310,7 +335,8 @@ def build_log(
         columns, names,
         [dict(case_attributes.get(case_id, {})) for case_id in cases],
     )
-    return EventLog(built, dict(schema or {}))
+    schema = _schema_of(map(_attributes, built.values()), columns) if schema is None else schema
+    return EventLog(built, dict(schema))
 
 
 def _build_error(cases: Mapping[str, list[Event]]) -> RowError:
@@ -821,14 +847,7 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
 # XES
 # ---------------------------------------------------------------------------
 
-_XES_KINDS = {
-    "string": CATEGORICAL,
-    "id": CATEGORICAL,
-    "boolean": CATEGORICAL,
-    "int": NUMERIC,
-    "float": NUMERIC,
-    "date": INSTANT,
-}
+_XES_TAGS = frozenset({"string", "id", "boolean", "int", "float", "date"})
 
 
 def _local_name(tag: str) -> str:
@@ -836,31 +855,27 @@ def _local_name(tag: str) -> str:
 
 
 def _xes_value(elem: ET.Element):
-    """``(key, (kind, value))`` of one attribute element, or ``(None, None)`` to skip it.
+    """``(key, value)`` of one attribute element, or ``(None, None)`` to skip it.
 
-    Raises ValueError naming the tag, the value and the key when the value
-    does not read as its tag's type; the caller adds where it stands.
+    The value has its tag's type; string, id and boolean values and non-finite
+    floats stay text. Raises ValueError naming the tag, the value and the key
+    when the value does not read as its tag's type; the caller adds where it stands.
     """
-    tag = _local_name(elem.tag)
-    kind = _XES_KINDS.get(tag)
-    if kind is None:
-        return None, None  # unsupported (nested containers, extensions)
-    key = elem.get("key")
-    raw = elem.get("value")
-    if key is None or raw is None:
-        return None, None
+    tag, key, raw = _local_name(elem.tag), elem.get("key"), elem.get("value")
+    if tag not in _XES_TAGS or key is None or raw is None:
+        return None, None  # unsupported (nested containers, extensions) or keyless
     try:
         if tag == "int":
-            return key, (kind, int(raw))
+            return key, int(raw)
         if tag == "float":
             value = float(raw)
             # nan and inf stay text, as in a CSV column (see _infer_kind)
-            return key, (kind, value) if math.isfinite(value) else (CATEGORICAL, raw)
+            return key, value if math.isfinite(value) else raw
         if tag == "date":
-            return key, (kind, parse_instant(raw))
+            return key, parse_instant(raw)
     except ValueError:
         raise ValueError(f"bad {tag} value {raw!r} for key {key!r}") from None
-    return key, (kind, raw)
+    return key, raw
 
 
 def _xes_traces(path: Path) -> Iterator[ET.Element]:
@@ -900,7 +915,8 @@ def parse_xes(path: str | Path) -> EventLog:
 
     ``concept:name`` supplies the case id on traces and the activity on
     events; ``time:timestamp`` supplies the event timestamp. Remaining
-    string/int/float/date/boolean attributes are kept with their tag kinds.
+    string/id/int/float/date/boolean attributes keep their tag's type, and the
+    schema is read off those values (see _schema_of).
     A trace without a name is case ``case_<index>``, or, when a named trace
     holds that id, ``case_<index>_<n>`` with the least free n >= 1.
 
@@ -918,17 +934,6 @@ def parse_xes(path: str | Path) -> EventLog:
     activities: list[str] = []
     stamps = array("q")
     columns: dict[str, dict[int, object]] = {}  # per key, its value by event
-    schema: dict[str, AttributeSpec] = {}
-
-    def note_schema(name: str, kind: str, scope: str) -> None:
-        prev = schema.get(name)
-        if prev is None:
-            schema[name] = AttributeSpec(kind, scope)
-        elif prev.kind != kind:
-            # conflicting tags across elements: fall back to categorical
-            schema[name] = AttributeSpec(CATEGORICAL, prev.scope)
-        elif prev.scope != scope and scope == EVENT_SCOPE:
-            schema[name] = AttributeSpec(prev.kind, EVENT_SCOPE)
 
     for t_idx, trace in enumerate(_xes_traces(path)):
         case_id: str | int = t_idx
@@ -939,32 +944,28 @@ def parse_xes(path: str | Path) -> EventLog:
                 event_elems.append(child)
                 continue
             try:
-                key, parsed = _xes_value(child)
+                key, value = _xes_value(child)
             except ValueError as exc:
                 raise XesParseError(f"{path}: trace {t_idx}: {exc}") from None
             if key is None:
                 continue
-            kind, value = parsed
             if key == "concept:name":
                 case_id = str(value)
             else:
                 key = canon(key, key)
                 trace_attrs[key] = value
-                note_schema(key, kind, CASE_SCOPE)
         if not event_elems:
             raise XesParseError(f"{path}: {_trace_label(t_idx, case_id)} has no events")
         if case_id in cases:
             raise XesParseError(f"{path}: duplicate case id {case_id!r}")
         held = {}
         for e_idx, event in enumerate(event_elems):
-            activity = None
-            timestamp = None
+            activity = timestamp = None
             try:
                 for child in event:
-                    key, parsed = _xes_value(child)
+                    key, value = _xes_value(child)
                     if key is None:
                         continue
-                    kind, value = parsed
                     if key == "concept:name":
                         activity = str(value)
                     elif key == "time:timestamp":
@@ -972,15 +973,12 @@ def parse_xes(path: str | Path) -> EventLog:
                             try:
                                 value = parse_instant(str(value))
                             except ValueError:
-                                raise ValueError(
-                                    f"unreadable time:timestamp {value!r}"
-                                ) from None
+                                raise ValueError(f"unreadable time:timestamp {value!r}") from None
                         timestamp = value
                     else:
                         key = canon(key, key)
                         held[key] = None
                         columns.setdefault(key, {})[len(activities)] = value
-                        note_schema(key, kind, EVENT_SCOPE)
                 if not activity:
                     raise ValueError("missing concept:name")
                 if timestamp is None:
@@ -1007,7 +1005,7 @@ def parse_xes(path: str | Path) -> EventLog:
         map(ids.get, cases), np.frombuffer(traces, np.int64), stamps, activities,
         columns, names, attributes,
     )
-    return EventLog(built, schema)
+    return EventLog(built, _schema_of(attributes, columns))
 
 
 def load_log(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:

@@ -76,8 +76,9 @@ class SamplingConfig:
             return f"d{self.k}"
         if self.method == LOGARITHMIC:
             return f"log{self.k}"
-        if self.method == RANDOM:
-            return f"random:{self.fraction:g}"
+        if self.method == RANDOM:  # :g where it reads back as the same float
+            text = f"{self.fraction:g}"
+            return f"random:{text if float(text) == self.fraction else repr(float(self.fraction))}"
         return self.method
 
 

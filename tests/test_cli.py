@@ -99,6 +99,19 @@ def test_features_export(runner, small_csv, tmp_path):
     assert len(header) == 3 * 4 + 1
 
 
+def test_features_default_window_is_the_95th_percentile_length(runner, tmp_path):
+    # 19 traces of length 2 and one of length 5: the nearest-rank 95th percentile is 2
+    path, out = tmp_path / "log.csv", tmp_path / "features.csv"
+    write_csv(log_from_variants([(("a", "b"), 19), (("a", "b", "c", "d", "e"), 1)]), path)
+    result = runner.invoke(cli, ["features", str(path), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "(window 2)" in result.output
+    with out.open() as fh:
+        header = next(csv.reader(fh))
+    # alphabet {a,...,e}: 2 blocks of 6 slots plus the label column
+    assert len(header) == 2 * 6 + 1
+
+
 def test_train_predict_evaluate(runner, small_csv, tmp_path):
     model_path = tmp_path / "model.json"
     result = runner.invoke(cli, ["train", small_csv, "-o", str(model_path)])

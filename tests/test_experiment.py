@@ -71,10 +71,11 @@ class TestKfoldSplit:
         third = kfold_split(log, folds=3, seed=10)
         assert [list(t.cases) for _, t in first] != [list(t.cases) for _, t in third]
 
-    def test_too_few_cases(self):
+    @pytest.mark.parametrize("folds", [5, 1, 0, -1])
+    def test_too_few_cases(self, folds):
         log = log_from_variants([(("a",), 3)])
-        with pytest.raises(SplitError):
-            kfold_split(log, folds=5)
+        with pytest.raises(SplitError, match=f"cannot split 3 cases into {folds} folds"):
+            kfold_split(log, folds=folds)
 
 
 class TestExperimentConfig:

@@ -32,7 +32,7 @@ from logsample.sampling import (
     SamplingConfig,
     sample,
 )
-from logsample.variants import build_variant_index
+from logsample.variants import build_variant_index, default_attributes
 from logsample.log_model import (
     CASE_SCOPE,
     CATEGORICAL,
@@ -1349,11 +1349,16 @@ class TestParseXes:
         assert log.cases["t"].events[0].attributes == {}
         assert log.attribute_schema == {}
 
-    def test_key_on_trace_and_event_has_event_scope(self, tmp_path):
+    @pytest.mark.parametrize(
+        "trace_tag, trace_value, owner",
+        [("string", "owner", "owner"), ("int", "1", 1)],
+        ids=["agreeing-tags", "conflicting-tags"],
+    )
+    def test_key_on_trace_and_event_has_event_scope(self, tmp_path, trace_tag, trace_value, owner):
         text = (
             "<log><trace>"
             '<string key="concept:name" value="t"/>'
-            '<string key="org:resource" value="owner"/>'
+            f'<{trace_tag} key="org:resource" value="{trace_value}"/>'
             '<event><string key="concept:name" value="a"/>'
             '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/>'
             '<string key="org:resource" value="r1"/></event>'
@@ -1361,8 +1366,11 @@ class TestParseXes:
         )
         log = parse_xes(write(tmp_path / "log.xes", text))
         assert log.attribute_schema["org:resource"] == AttributeSpec(CATEGORICAL, EVENT_SCOPE)
-        assert log.cases["t"].attributes["org:resource"] == "owner"
+        assert log.cases["t"].attributes["org:resource"] == owner
         assert log.cases["t"].events[0].attributes["org:resource"] == "r1"
+        assert default_attributes(log) == ["org:resource"]
+        index = build_variant_index(log, ["org:resource"])
+        assert index.modal_values[("a",)] == {"org:resource": frozenset({"r1"})}
 
     def test_event_missing_activity_rejected(self, tmp_path):
         text = (
@@ -1592,6 +1600,42 @@ class TestBuildLog:
         case = build_log({"k": events}).cases["k"]
         assert case.event_attributes == {"y": (1, None)}
         assert [e.attributes for e in case.events] == [{"y": 1}, {}]
+
+    def test_schema_is_read_off_the_values_when_none_is_given(self):
+        cases = {
+            f"c{n}": [Event("a", T0, {"resource": f"r{n % 2}"}), Event("b", T0, {"resource": "r0"})]
+            for n in range(4)
+        }
+        log = build_log(cases)
+        assert log.attribute_schema == {"resource": AttributeSpec(CATEGORICAL, EVENT_SCOPE)}
+        index = build_variant_index(log, ["resource"])
+        assert index.modal_values[("a", "b")] == {"resource": frozenset({"r0"})}
+        sampled, _ = sample(log, build_variant_index(log), SamplingConfig(DIVISION, k=2))
+        assert sorted(sampled.cases) == ["c0", "c2"]
+
+    def test_kinds_and_scopes_follow_the_values(self):
+        events = [
+            Event("a", T0, {"cost": 2, "mixed": "p", "shared": "e", "none": None}),
+            Event("b", T0, {"cost": 2.5, "mixed": 3, "flag": True}),
+        ]
+        case_attributes = {"k": {
+            "count": 1, "due": T0, "shared": "c", "code": "x", "none": None, "gone": None,
+        }}
+        assert build_log({"k": events}, case_attributes).attribute_schema == {
+            "count": AttributeSpec(NUMERIC, CASE_SCOPE),
+            "due": AttributeSpec(INSTANT, CASE_SCOPE),
+            "shared": AttributeSpec(CATEGORICAL, EVENT_SCOPE),
+            "code": AttributeSpec(CATEGORICAL, CASE_SCOPE),
+            "cost": AttributeSpec(NUMERIC, EVENT_SCOPE),
+            "mixed": AttributeSpec(CATEGORICAL, EVENT_SCOPE),
+            "flag": AttributeSpec(CATEGORICAL, EVENT_SCOPE),
+        }
+
+    def test_a_schema_passed_is_kept_as_given(self):
+        events = [Event("a", T0, {"resource": "r1"})]
+        assert build_log({"k": events}, schema={}).attribute_schema == {}
+        given = {"resource": AttributeSpec(NUMERIC, CASE_SCOPE)}
+        assert build_log({"k": events}, schema=given).attribute_schema == given
 
     def test_input_lists_are_left_as_they_are(self):
         events = [Event("b", T0 + timedelta(minutes=1)), Event("a", T0)]

@@ -42,6 +42,10 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train([])
 
+    def test_negative_max_order_is_refused(self):
+        with pytest.raises(TrainingError, match="max_order must be >= 0, got -1"):
+            train(rows_from_pairs([("a", "b")]), max_order=-1)
+
     @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -1.0])
     def test_smoothing_must_be_finite_and_non_negative(self, smoothing):
         with pytest.raises(TrainingError, match="smoothing must be finite and >= 0"):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsample.errors import ConfigurationError, EmptySampleError
+from logsample.experiment import config_from_dict
 from logsample.log_model import (
     CASE_SCOPE,
     CATEGORICAL,
@@ -115,6 +116,10 @@ class TestSampleCount:
         for n in range(1, 8):
             assert sample_count(cfg, n) == 1
 
+    def test_frequency_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="frequency must be >= 1, got 0"):
+            sample_count(SamplingConfig(UNIQUE), 0)
+
     def test_random_has_no_per_variant_count(self):
         cfg = SamplingConfig(RANDOM, fraction=0.5)
         with pytest.raises(ConfigurationError):
@@ -170,6 +175,21 @@ class TestSamplingConfig:
         assert SamplingConfig(LOGARITHMIC, k=2).label == "log2"
         assert SamplingConfig(UNIQUE).label == "unique"
         assert SamplingConfig(RANDOM, fraction=0.5).label == "random:0.5"
+        assert SamplingConfig(RANDOM, fraction=1).label == "random:1"
+        assert SamplingConfig(RANDOM, fraction=0.03).label == "random:0.03"
+
+    def test_distinct_fractions_have_distinct_labels(self):
+        # six significant digits would give both random:0.123457
+        first, second = (parse_method_token(t) for t in ("random:0.1234567", "random:0.1234568"))
+        assert (first.label, second.label) == ("random:0.1234567", "random:0.1234568")
+        config = config_from_dict({"grid": ["random:0.1234567", "random:0.1234568"]})
+        assert [entry.fraction for entry in config.grid] == [0.1234567, 0.1234568]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    def test_label_reads_back_as_its_fraction(self, fraction):
+        config = SamplingConfig(RANDOM, fraction=fraction)
+        assert parse_method_token(config.label).fraction == fraction
 
     def test_parse_method_token(self):
         assert parse_method_token("d10").method == DIVISION
@@ -212,6 +232,11 @@ class TestRankTraces:
         index = build_variant_index(tiny_log, [])
         with pytest.raises(ConfigurationError):
             rank_traces(index.variants[0], index, REPRESENTATIVE)
+
+    def test_unknown_sorting_is_refused(self, tiny_log):
+        index = build_variant_index(tiny_log)
+        with pytest.raises(ConfigurationError, match="unknown sorting strategy 'bogus'"):
+            rank_traces(index.variants[0], index, "bogus")
 
     def test_arrival_time_directions(self, tiny_log):
         # helpers assign strictly increasing start times by case number
