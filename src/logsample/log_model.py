@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat, zip_longest
-from operator import attrgetter, is_not, not_
+from operator import attrgetter, not_
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -127,7 +127,7 @@ class AttributeSpec:
 
 @dataclass(slots=True)
 class Event:
-    """One process step: what :func:`build_log` takes, and what :attr:`Case.events` shows.
+    """One process step, as :func:`build_log` takes it.
 
     A log keeps no Event objects; its cases hold their events as columns.
     """
@@ -143,9 +143,9 @@ class Case:
 
     ``trace`` holds the events' activities and ``timestamps`` their UTC times
     in epoch milliseconds, an ``array('q')``. ``attributes`` are the case's
-    own. ``event_attributes`` maps each event attribute name to a tuple of
-    one value per event, None where the event lacks it; a case holds a
-    tuple only for a name that some of its events have.
+    own. ``event_attributes`` maps each name that some event holds, in the
+    log's column order, to a tuple of one value per event, None where the
+    event lacks it.
     """
 
     case_id: str
@@ -153,20 +153,6 @@ class Case:
     timestamps: array
     attributes: Mapping[str, object]
     event_attributes: Mapping[str, tuple]
-
-    @property
-    def events(self) -> list[Event]:
-        """The events as new Event objects on each read, timestamps UTC-aware.
-
-        Only tests and callers read this view; the package reads the columns.
-        """
-        own = [{} for _ in self.trace]
-        for name, column in self.event_attributes.items():
-            for attributes, value in zip(own, column):
-                if value is not None:
-                    attributes[name] = value
-        stamps = map(_EPOCH.__add__, map(_MS.__mul__, self.timestamps))
-        return list(map(Event, self.trace, stamps, own))
 
 
 @dataclass
@@ -217,77 +203,69 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _assembled(case_ids, keys, stamps, activities, columns, names, case_attributes):
+def _assembled(case_ids, keys, stamps, activities, columns, case_attributes):
     """Each case's Case, sliced out of whole-log columns of rows in read order.
 
     ``keys[i]`` is the number of row i's case, an int64 array, and
     ``stamps`` the rows' UTC epoch milliseconds; case numbers rise in the
-    order of ``case_ids``, ``names`` and ``case_attributes``. The rows go in
-    case order, each case's in timestamp order, ties keeping read order: one
+    order of ``case_ids`` and ``case_attributes``. The rows go in case
+    order, each case's in timestamp order, ties keeping read order: one
     stable lexsort, and only when some case holds rows out of that order.
     ``columns`` holds each event attribute's values: a list of one value per
     row, or a dict from read position to value for an attribute that few
     rows may hold; None, or a row the dict lacks, is an absent value. A
-    case holds, of its ``names``, those that some row of it has, in the
-    order its rows first hold them; names first held by one row keep their
-    order in ``names``.
+    case holds the names that some row of it has, in the order of ``columns``.
     """
     ms = np.frombuffer(stamps, np.int64)
     read = range(ms.size)  # each row's read position
+    ordered = keys  # each row's case number, rows in case order
     # a list is put in case order once and sliced; a dict is looked up row by row
     lists = {name: column for name, column in columns.items() if isinstance(column, list)}
     if (np.diff(keys) < 0).any() or (np.diff(ms)[np.diff(keys) == 0] < 0).any():
         order = np.lexsort((ms, keys))
-        keys, ms, read = keys[order], ms[order], order.tolist()
+        ordered, ms, read = keys[order], ms[order], order.tolist()
         activities = map(activities.__getitem__, read)
         lists = {name: map(column.__getitem__, read) for name, column in lists.items()}
     stamps = array("q", ms.tobytes())
     activities = tuple(activities)
     lists = {name: tuple(column) for name, column in lists.items()}
-    starts = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), ms.size]
-
-    built = {}
-    for case_id, start, end, held, attributes in zip(
-        case_ids, starts, starts[1:], names, case_attributes
-    ):
-        rows = read[start:end]
-        own = {}
-        for name in held:
-            if name in lists:
-                values = lists[name][start:end]
-            else:
-                values = tuple(map(columns[name].get, rows))
+    starts = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), ms.size]
+    numbers = ordered[starts[:-1]]  # each case's number, in case order
+    owns = [{} for _ in numbers]  # per case, its event attributes in the order of columns
+    for name, column in columns.items():
+        if name in lists:  # sliced for every case
+            column, held = lists[name], range(len(owns))
+        else:  # looked up only in the cases of its rows
+            held = set(np.searchsorted(numbers, keys[list(column)]).tolist())
+        for n in held:
+            rows = slice(starts[n], starts[n + 1])
+            values = column[rows] if name in lists else tuple(map(column.get, read[rows]))
             if values.count(None) < len(values):
-                own[name] = values
-        if len(own) > 1:
-            own = dict(sorted(own.items(), key=lambda item: min(
-                compress(rows, map(is_not, item[1], repeat(None)))
-            )))
-        built[case_id] = Case(case_id, activities[start:end], stamps[start:end], attributes, own)
-    return built
+                owns[n][name] = values
+    spans = map(slice, starts, starts[1:])  # each case's rows
+    return {
+        case_id: Case(case_id, activities[rows], stamps[rows], attributes, own)
+        for case_id, rows, attributes, own in zip(case_ids, spans, case_attributes, owns)
+    }
 
 
 def _schema_of(case_attributes: Iterable[Mapping], event_columns: Mapping[str, Mapping]) -> dict:
-    """Each attribute's AttributeSpec, read off its values; None is no value.
+    """Each attribute's AttributeSpec, read off its values, none of which is None.
 
     Numeric when every value's type is int or float, instant when every one is
     datetime, else categorical (a bool too); event-scoped when some event holds it
-    (``event_columns``: name -> values by event). A name with no value is left out.
+    (``event_columns``: name -> values by event).
     """
     types: dict[str, set[type]] = {}
     for attributes in case_attributes:
         for name, value in attributes.items():
-            if value is not None:
-                types.setdefault(name, set()).add(type(value))
-    events = set()
+            types.setdefault(name, set()).add(type(value))
     for name, column in event_columns.items():
-        if held := set(map(type, column.values())) - {type(None)}:
-            types.setdefault(name, set()).update(held)
-            events.add(name)
+        types.setdefault(name, set()).update(map(type, column.values()))
     schema = {}
     for name, held in types.items():
         kind = NUMERIC if held <= {int, float} else INSTANT if held == {datetime} else CATEGORICAL
-        schema[name] = AttributeSpec(kind, EVENT_SCOPE if name in events else CASE_SCOPE)
+        schema[name] = AttributeSpec(kind, EVENT_SCOPE if name in event_columns else CASE_SCOPE)
     return schema
 
 
@@ -303,11 +281,12 @@ def build_log(
     Timestamps are kept as UTC epoch milliseconds: a naive timestamp, or one
     whose tzinfo gives no offset, is taken as UTC, and digits past the
     millisecond are cut. Each case's events are put in timestamp order, ties
-    (events within one millisecond) keeping input order. An event attribute
-    whose value is None counts as absent. Raises RowError for a case with no
-    events, a timestamp whose UTC time falls outside the years 1-9999, or an
-    event with an empty activity. With no ``schema``, the schema is read off
-    the values the cases hold (see _schema_of); one passed is kept as given.
+    (events within one millisecond) keeping input order. A case or event
+    attribute whose value is None counts as absent. Raises RowError for a
+    case with no events, a timestamp whose UTC time falls outside the years
+    1-9999, or an event with an empty activity. With no ``schema``, the
+    schema is read off the values the cases hold (see _schema_of); one
+    passed is kept as given.
     """
     if not cases:
         raise EmptyLogError("no events to assemble into a log")
@@ -321,19 +300,15 @@ def build_log(
     if 0 in counts or "" in activities or min(stamps) < _MIN_MS or max(stamps) > _MAX_MS:
         raise _build_error(cases)
     attributes = list(map(_attributes, events))
-    columns: dict[str, dict[int, object]] = {}  # per name, its values by event
+    columns: dict[str, dict[int, object]] = {}  # per name, its values other than None by event
     for row in compress(count(), attributes):
         for name, value in attributes[row].items():
-            columns.setdefault(name, {})[row] = value
-    names = repeat(())
-    if columns:  # each case's names in the order its events first hold them
-        names = [
-            dict.fromkeys(chain.from_iterable(map(_attributes, case))) for case in cases.values()
-        ]
+            if value is not None:
+                columns.setdefault(name, {})[row] = value
     built = _assembled(
-        cases, np.repeat(np.arange(len(counts)), counts), stamps, activities,
-        columns, names,
-        [dict(case_attributes.get(case_id, {})) for case_id in cases],
+        cases, np.repeat(np.arange(len(counts)), counts), stamps, activities, columns,
+        [{name: value for name, value in case_attributes.get(case_id, {}).items()
+          if value is not None} for case_id in cases],
     )
     schema = _schema_of(map(_attributes, built.values()), columns) if schema is None else schema
     return EventLog(built, dict(schema))
@@ -664,7 +639,7 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
         event_columns[name] = texts
     built = _assembled(
         numbers, np.frombuffer(keys, np.int64), np.concatenate(stamps), activities,
-        event_columns, repeat(event_columns), case_attributes,
+        event_columns, case_attributes,
     )
     return EventLog(built, schema)
 
@@ -927,9 +902,9 @@ def parse_xes(path: str | Path) -> EventLog:
     """
     path = Path(path)
     canon = {}.setdefault  # one str object per distinct activity or key
-    # per case, its attributes and its events' keys in the order they first
-    # hold them; an unnamed trace is keyed by its index until every name is known
-    cases: dict[str | int, tuple[dict, dict]] = {}
+    # per case, its trace attributes; an unnamed trace is keyed by its index
+    # until every name is known
+    cases: dict[str | int, dict] = {}
     traces = array("q")  # per event, the index of its trace
     activities: list[str] = []
     stamps = array("q")
@@ -958,7 +933,6 @@ def parse_xes(path: str | Path) -> EventLog:
             raise XesParseError(f"{path}: {_trace_label(t_idx, case_id)} has no events")
         if case_id in cases:
             raise XesParseError(f"{path}: duplicate case id {case_id!r}")
-        held = {}
         for e_idx, event in enumerate(event_elems):
             activity = timestamp = None
             try:
@@ -977,7 +951,6 @@ def parse_xes(path: str | Path) -> EventLog:
                         timestamp = value
                     else:
                         key = canon(key, key)
-                        held[key] = None
                         columns.setdefault(key, {})[len(activities)] = value
                 if not activity:
                     raise ValueError("missing concept:name")
@@ -990,7 +963,7 @@ def parse_xes(path: str | Path) -> EventLog:
             activities.append(canon(activity, activity))
             stamps.append((timestamp - _EPOCH) // _MS)
         traces.extend(repeat(t_idx, len(event_elems)))
-        cases[case_id] = trace_attrs, held
+        cases[case_id] = trace_attrs
 
     if not cases:
         raise EmptyLogError(f"{path}: log has no traces")
@@ -1000,12 +973,11 @@ def parse_xes(path: str | Path) -> EventLog:
         while ids[key] in cases:  # held by a named trace
             n += 1
             ids[key] = f"case_{key}_{n}"
-    attributes, names = zip(*cases.values())
     built = _assembled(
         map(ids.get, cases), np.frombuffer(traces, np.int64), stamps, activities,
-        columns, names, attributes,
+        columns, cases.values(),
     )
-    return EventLog(built, _schema_of(attributes, columns))
+    return EventLog(built, _schema_of(cases.values(), columns))
 
 
 def load_log(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:

@@ -11,12 +11,14 @@ from logsample.log_model import (
     CATEGORICAL,
     EVENT_SCOPE,
     AttributeSpec,
+    Case,
     Event,
     EventLog,
     build_log,
 )
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def feature_row(prefix, target: str, case_id: str = "x") -> FeatureRow:
@@ -61,6 +63,21 @@ def log_from_variants(
             case_n += 1
             case_start = case_start + hour
     return build_log(cases, case_attributes, schema)
+
+
+def event_rows(case: Case) -> list[tuple[str, datetime, dict]]:
+    """Each event of a case, read off its columns: activity, UTC-aware timestamp, attributes held.
+
+    For oracles that compare logs event by event; an event holds the names
+    whose value for it is not None.
+    """
+    stamps = [EPOCH + timedelta(milliseconds=ms) for ms in case.timestamps]
+    held = [{} for _ in case.trace]
+    for name, column in case.event_attributes.items():
+        for attributes, value in zip(held, column):
+            if value is not None:
+                attributes[name] = value
+    return list(zip(case.trace, stamps, held))
 
 
 def trace_counts(log: EventLog) -> Counter:

@@ -21,17 +21,7 @@ from hypothesis import strategies as st
 
 from logsample.errors import EmptyLogError, RowError, SchemaError, XesParseError
 from logsample import log_model
-from logsample.experiment import ExperimentConfig, run_experiment
-from logsample.features import export_features, extract_features
-from logsample.sampling import (
-    DIVISION,
-    NEWEST_FIRST,
-    OLDEST_FIRST,
-    RANDOM_ORDER,
-    REPRESENTATIVE,
-    SamplingConfig,
-    sample,
-)
+from logsample.sampling import DIVISION, SamplingConfig, sample
 from logsample.variants import build_variant_index, default_attributes
 from logsample.log_model import (
     CASE_SCOPE,
@@ -58,7 +48,7 @@ from logsample.log_model import (
     subset_log,
     write_csv,
 )
-from helpers import T0, log_from_variants, random_variant_freqs, trace_counts
+from helpers import T0, event_rows, log_from_variants, random_variant_freqs, trace_counts
 
 CSV_BASIC = """case_id,activity,timestamp
 1,a,2021-01-01T10:00:00
@@ -200,8 +190,7 @@ class TestParseCsv:
         assert log.attribute_schema["channel"].scope == CASE_SCOPE
         assert log.attribute_schema["resource"].scope == EVENT_SCOPE
         assert log.cases["1"].attributes["channel"] == "web"
-        first_event = log.cases["1"].events[0]
-        assert first_event.attributes["resource"] == "r1"
+        assert log.cases["1"].event_attributes == {"resource": ("r1", "r2")}
 
     def test_attribute_kind_inference(self, tmp_path):
         text = (
@@ -241,7 +230,7 @@ class TestParseCsv:
         )
         log = parse_csv(write(tmp_path / "log.csv", text))
         assert log.attribute_schema["due"] == AttributeSpec(CATEGORICAL, EVENT_SCOPE)
-        assert log.cases["1"].events[1].attributes["due"] == OUT_OF_RANGE
+        assert log.cases["1"].event_attributes["due"][1] == OUT_OF_RANGE
 
     def test_declared_instant_rejects_an_out_of_range_value(self, tmp_path):
         text = (
@@ -658,7 +647,11 @@ def csv_logs(draw):
 
 
 def parsed(parse, path, mapping):
-    """Everything a parser returns, with value types and key order, or its error."""
+    """Everything a parser returns, with value types and key order, or its error.
+
+    Each event's attributes are compared by name: their order follows the
+    log's columns, which the two parsers build in different orders.
+    """
     try:
         log = parse(path, mapping)
     except Exception as exc:
@@ -675,8 +668,8 @@ def parsed(parse, path, mapping):
                 case.trace,
                 items(case.attributes),
                 [
-                    (ev.activity, repr(ev.timestamp), items(ev.attributes))
-                    for ev in case.events
+                    (activity, repr(stamp), sorted(items(held)))
+                    for activity, stamp, held in event_rows(case)
                 ],
             )
             for case_id, case in log.cases.items()
@@ -803,9 +796,7 @@ class TestWriteCsv:
         out = tmp_path / "out.csv"
         write_csv(log, out)
         back = parse_csv(out)
-        events = back.cases["1"].events
-        assert events[0].attributes == {"note": "hello"}
-        assert "note" not in events[1].attributes
+        assert back.cases["1"].event_attributes == {"note": ("hello", None)}
 
     def test_attribute_values_survive_round_trip(self, tmp_path):
         text = (
@@ -817,7 +808,7 @@ class TestWriteCsv:
         out = tmp_path / "out.csv"
         write_csv(log, out)
         back = parse_csv(out)
-        assert [e.attributes["cost"] for e in back.cases["1"].events] == [5, 9]
+        assert back.cases["1"].event_attributes["cost"] == (5, 9)
 
     @pytest.mark.parametrize("key", ["case_id", "activity", "timestamp"])
     def test_attribute_named_like_a_column_is_refused(self, tmp_path, key):
@@ -883,7 +874,7 @@ class TestWriteCsv:
         write_csv(log, out)
         back = parse_csv(out)
         assert back.attribute_schema == log.attribute_schema
-        codes = [ev.attributes["code"] for case in back.cases.values() for ev in case.events]
+        codes = [code for case in back.cases.values() for code in case.event_attributes["code"]]
         assert codes == ["007", "+7", "1e3"]
 
 
@@ -950,7 +941,8 @@ def attributed_logs(draw):
             values = [case.attributes[name] for case in log.cases.values()]
         else:
             per_case = [
-                [ev.attributes.get(name) for ev in case.events] for case in log.cases.values()
+                case.event_attributes.get(name, (None,) * len(case.trace))
+                for case in log.cases.values()
             ]
             assume(not all(None not in vs and len(set(vs)) == 1 for vs in per_case))
             values = [v for vs in per_case for v in vs if v is not None]
@@ -972,7 +964,7 @@ def log_contents(log):
                 cid,
                 case.trace,
                 typed(case.attributes),
-                [(ev.activity, ev.timestamp, typed(ev.attributes)) for ev in case.events],
+                [(activity, stamp, typed(held)) for activity, stamp, held in event_rows(case)],
             )
             for cid, case in log.cases.items()
         ],
@@ -1000,15 +992,14 @@ def reference_write_csv(
             return format_instant(value)
         return str(value)
 
-    event_names = {
-        name for case in log.cases.values() for ev in case.events for name in ev.attributes
-    }
+    events = {case_id: event_rows(case) for case_id, case in log.cases.items()}
+    event_names = {name for rows in events.values() for _, _, held in rows for name in held}
     case_names = {name for case in log.cases.values() for name in case.attributes}
-    for case in log.cases.values():
+    for case_id, case in log.cases.items():
         for name, value in case.attributes.items():
             if name in event_names and all(
-                name in ev.attributes and render(ev.attributes[name]) != render(value)
-                for ev in case.events
+                name in held and render(held[name]) != render(value)
+                for _, _, held in events[case_id]
             ):
                 raise SchemaError(
                     f"case {case.case_id!r} has attribute {name!r} and each of its events"
@@ -1027,16 +1018,15 @@ def reference_write_csv(
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for case in log.cases.values():
+        for key, case in log.cases.items():
             case_id = case.case_id
             shared = {name: render(value) for name, value in case.attributes.items()}
             rows = []
-            for ev in case.events:
-                own = ev.attributes
+            for activity, stamp, own in events[key]:
                 rows.append([
                     case_id,
-                    ev.activity,
-                    format_instant(ev.timestamp),
+                    activity,
+                    format_instant(stamp),
                     *[
                         render(own[name]) if name in own else shared.get(name, "")
                         for name in attr_names
@@ -1205,9 +1195,7 @@ class TestParseXes:
         log = parse_xes(write(tmp_path / "log.xes", XES_BASIC))
         assert log.num_cases == 1
         assert log.trace("t1") == ("a", "b")
-        events = log.cases["t1"].events
-        assert events[0].attributes["org:resource"] == "r1"
-        assert events[1].attributes["cost"] == 5
+        assert log.cases["t1"].event_attributes == {"org:resource": ("r1", None), "cost": (None, 5)}
         assert log.attribute_schema["cost"].kind == NUMERIC
 
     def test_gzip_accepted(self, tmp_path):
@@ -1346,7 +1334,7 @@ class TestParseXes:
         )
         log = parse_xes(write(tmp_path / "log.xes", text))
         assert log.cases["t"].attributes == {}
-        assert log.cases["t"].events[0].attributes == {}
+        assert log.cases["t"].event_attributes == {}
         assert log.attribute_schema == {}
 
     @pytest.mark.parametrize(
@@ -1367,7 +1355,7 @@ class TestParseXes:
         log = parse_xes(write(tmp_path / "log.xes", text))
         assert log.attribute_schema["org:resource"] == AttributeSpec(CATEGORICAL, EVENT_SCOPE)
         assert log.cases["t"].attributes["org:resource"] == owner
-        assert log.cases["t"].events[0].attributes["org:resource"] == "r1"
+        assert log.cases["t"].event_attributes == {"org:resource": ("r1",)}
         assert default_attributes(log) == ["org:resource"]
         index = build_variant_index(log, ["org:resource"])
         assert index.modal_values[("a",)] == {"org:resource": frozenset({"r1"})}
@@ -1396,9 +1384,7 @@ class TestParseXes:
             "</trace></log>"
         )
         log = parse_xes(write(tmp_path / "log.xes", text))
-        first, second = log.cases["t"].events
-        assert first.attributes["cost"] == "NaN"
-        assert second.attributes["cost"] == 2.5
+        assert log.cases["t"].event_attributes["cost"] == ("NaN", 2.5)
         assert log.attribute_schema["cost"].kind == CATEGORICAL
         assert log.cases["t"].attributes["weight"] == "inf"
         assert log.attribute_schema["weight"].kind == CATEGORICAL
@@ -1414,7 +1400,7 @@ class TestParseXes:
         )
         text = f'<log><trace><string key="concept:name" value="t"/>{events}</trace></log>'
         log = parse_xes(write(tmp_path / "log.xes", text))
-        values = [ev.attributes["z"] for ev in log.cases["t"].events]
+        values = log.cases["t"].event_attributes["z"]
         assert [(type(v), repr(v)) for v in values] == [
             (int, "0"), (float, "0.0"), (float, "-0.0"), (str, "'false'"),
         ]
@@ -1430,7 +1416,6 @@ class TestParseXes:
         text = f'<log><trace><string key="concept:name" value="t"/>{events}</trace></log>'
         case = parse_xes(write(tmp_path / "log.xes", text)).cases["t"]
         assert case.event_attributes == {"n": (None, 2, 3)}
-        assert [ev.attributes for ev in case.events] == [{}, {"n": 2}, {"n": 3}]
 
     def test_trace_attributes_become_case_attributes(self, tmp_path):
         text = (
@@ -1503,14 +1488,12 @@ class TestInvariants:
     def test_event_case_cross_references(self, tmp_path):
         log = parse_csv(write(tmp_path / "log.csv", CSV_BASIC))
         assert all(c.case_id == cid for cid, c in log.cases.items())
-        events = [e for c in log.cases.values() for e in c.events]
-        assert len({id(e) for e in events}) == len(events)  # no event is shared by two cases
+        assert all(len(c.timestamps) == len(c.trace) for c in log.cases.values())
         assert log.num_events == CSV_BASIC.count("\n") - 1
 
     def test_alphabet_matches_events(self, tmp_path):
         log = parse_csv(write(tmp_path / "log.csv", CSV_BASIC))
-        events = [e for c in log.cases.values() for e in c.events]
-        assert log.activity_alphabet == {e.activity for e in events}
+        assert log.activity_alphabet == {"a", "b", "c"}
 
     def test_subset_log_shares_events(self, tiny_log):
         kept = list(tiny_log.cases)[:1]
@@ -1518,12 +1501,16 @@ class TestInvariants:
         assert set(sub.cases) == set(kept)
         for cid, case in sub.cases.items():
             assert case is tiny_log.cases[cid]
-        events = [e for c in sub.cases.values() for e in c.events]
-        assert sub.activity_alphabet == {e.activity for e in events}
+        assert sub.activity_alphabet == {a for c in sub.cases.values() for a in c.trace}
 
     def test_build_log_rejects_empty_activity(self):
         cases = {"c1": [Event("a", T0)], "c2": [Event("b", T0), Event("", T0)]}
         with pytest.raises(RowError, match="event 1 of case 'c2'"):
+            build_log(cases)
+
+    def test_empty_activity_is_named_by_its_place_in_timestamp_order(self):
+        cases = {"c": [Event("", T0 + timedelta(hours=1)), Event("a", T0)]}
+        with pytest.raises(RowError, match="^event 1 of case 'c' has an empty activity$"):
             build_log(cases)
 
     def test_build_log_rejects_no_cases(self):
@@ -1546,7 +1533,11 @@ def test_model_invariants(seed, extra):
     """Cases own their time-sorted events; trace, counts and alphabet follow from them."""
     rnd = Random(seed)
     source = log_from_variants(random_variant_freqs(rnd, max_variants=5, max_freq=5))
-    pairs = [(cid, e.activity, e.timestamp) for cid, c in source.cases.items() for e in c.events]
+    pairs = [
+        (cid, activity, stamp)
+        for cid, c in source.cases.items()
+        for activity, stamp, _ in event_rows(c)
+    ]
     # few distinct minutes, so cases of extra events hold timestamp ties
     pairs += [(f"x{c}", act, T0 + timedelta(minutes=m)) for c, act, m in extra]
     rnd.shuffle(pairs)
@@ -1559,9 +1550,9 @@ def test_model_invariants(seed, extra):
     assert log.num_events == len(pairs)
     assert list(log.cases) == list(dict.fromkeys(cid for cid, _, _ in pairs))
     for cid, case in log.cases.items():
-        assert case.trace == tuple(e.activity for e in case.events)
-        assert {e.attributes["n"] for e in case.events} == members[cid]
-        order = [(e.timestamp, e.attributes["n"]) for e in case.events]
+        assert len(case.timestamps) == len(case.trace)
+        assert set(case.event_attributes["n"]) == members[cid]
+        order = list(zip(case.timestamps, case.event_attributes["n"]))
         assert order == sorted(order)  # by time, ties in input order
     assert log.activity_alphabet == set().union(*(c.trace for c in log.cases.values()))
 
@@ -1577,7 +1568,7 @@ class TestBuildLog:
         late = T0 + timedelta(microseconds=900)
         log = build_log({"k": [Event("b", late), Event("a", T0 + timedelta(microseconds=100))]})
         assert log.trace("k") == ("b", "a")
-        assert [e.timestamp for e in log.cases["k"].events] == [T0, T0]
+        assert list(log.cases["k"].timestamps) == [(T0 - _EPOCH) // _MS] * 2
 
     def test_timestamps_come_back_utc_aware(self):
         east = timezone(timedelta(hours=2))
@@ -1585,9 +1576,6 @@ class TestBuildLog:
         log = build_log({"k": [Event("a", naive), Event("b", naive.replace(tzinfo=east))]})
         assert log.trace("k") == ("b", "a")
         assert list(log.cases["k"].timestamps) == [1609488000000, 1609495200000]  # 08:00, 10:00
-        stamps = [e.timestamp for e in log.cases["k"].events]
-        assert stamps == [T0 + timedelta(hours=8), T0 + timedelta(hours=10)]
-        assert all(stamp.tzinfo is timezone.utc for stamp in stamps)
 
     def test_timestamp_outside_the_years_is_refused(self):
         early = datetime(1, 1, 1, 3, tzinfo=timezone(timedelta(hours=5)))
@@ -1599,7 +1587,24 @@ class TestBuildLog:
         events = [Event("a", T0, {"x": None, "y": 1}), Event("b", T0, {"x": None})]
         case = build_log({"k": events}).cases["k"]
         assert case.event_attributes == {"y": (1, None)}
-        assert [e.attributes for e in case.events] == [{"y": 1}, {}]
+
+    def test_case_attribute_of_none_is_absent(self, tmp_path):
+        log = build_log({"k": [Event("a", T0)], "j": [Event("b", T0)]}, {"k": {"x": None}})
+        assert log.cases["k"].attributes == {}
+        assert log.attribute_schema == {}
+        write_csv(log, tmp_path / "out.csv")
+        with (tmp_path / "out.csv").open(newline="") as fh:
+            assert next(csv.reader(fh)) == ["case_id", "activity", "timestamp"]
+
+    def test_event_attribute_names_follow_their_first_appearance(self):
+        cases = {
+            "k": [Event("a", T0 + timedelta(minutes=1), {"x": 1}), Event("b", T0, {"y": 2})],
+            "j": [Event("a", T0, {"y": 3, "z": 4, "x": 5})],
+        }
+        log = build_log(cases)
+        assert [list(case.event_attributes) for case in log.cases.values()] == [
+            ["x", "y"], ["x", "y", "z"],
+        ]
 
     def test_schema_is_read_off_the_values_when_none_is_given(self):
         cases = {
@@ -1696,33 +1701,6 @@ def test_timestamp_without_offset_is_written_as_utc(tmp_path, local_time_east_of
         written.append((tmp_path / "out.csv").read_bytes())
     assert written[0] == written[1]
     assert b",2021-01-01T12:00:00.000+00:00,2021-01-01T12:00:00.000+00:00\r\n" in written[0]
-
-
-def test_package_paths_read_columns_not_the_event_view(tmp_path, monkeypatch):
-    def attrs(case_n, event_idx):
-        return {"resource": f"r{(case_n + event_idx) % 3}"}
-
-    log = log_from_variants(
-        [(("a", "b", "c"), 6), (("a", "c"), 4), (("b",), 2)],
-        event_attrs=attrs,
-        case_attrs=lambda case_n: {"channel": f"ch{case_n % 2}"},
-    )
-    write_csv(log, tmp_path / "log.csv")
-
-    def refuse(case):
-        raise AssertionError("a package path built Case.events")
-
-    monkeypatch.setattr(Case, "events", property(refuse))
-    load_log(Path(__file__).parent / "data" / "xes_core.xes")
-    log = load_log(tmp_path / "log.csv")
-    index = build_variant_index(log, ["resource", "channel"])
-    for sorting in (REPRESENTATIVE, OLDEST_FIRST, NEWEST_FIRST, RANDOM_ORDER):
-        sampled, _ = sample(log, index, SamplingConfig(DIVISION, k=2, sorting=sorting))
-        write_csv(sampled, tmp_path / f"{sorting}.csv")
-    rows = extract_features(log)
-    export_features(rows, sorted(log.activity_alphabet), 3, tmp_path / "features.csv")
-    grid = (SamplingConfig(DIVISION, k=2),)
-    run_experiment(log, ExperimentConfig(folds=2, repeats=1, grid=grid))
 
 
 class TestInstantParsing:
@@ -1871,12 +1849,12 @@ def test_bulk_timestamps_mark_what_parse_instant_refuses(texts):
 
 
 def texts_of(log):
-    """Every activity and attribute key of a log, one entry per occurrence."""
+    """Every activity of the traces and attribute name of the cases, one entry per occurrence."""
     texts = []
     for case in log.cases.values():
         texts += case.trace
-        for attributes in (case.attributes, *(ev.attributes for ev in case.events)):
-            texts += attributes
+        texts += case.attributes
+        texts += case.event_attributes
     return texts
 
 
@@ -1888,10 +1866,6 @@ def test_equal_texts_are_one_object(parse, name):
     texts = texts_of(log)
     assert len(texts) > len(set(texts))  # the fixture repeats texts
     assert len({id(t) for t in texts}) == len(set(texts))
-    # the activities of the events and of the traces are the same objects
-    assert all(
-        ev.activity is act for case in log.cases.values() for ev, act in zip(case.events, case.trace)
-    )
 
 
 def test_equal_csv_activities_are_one_object(tmp_path):

@@ -279,8 +279,8 @@ def oracle_representative_score(case_id, index, variant):
             if log.cases[case_id].attributes.get(name) in modal:
                 score += 1
         else:
-            for ev in log.cases[case_id].events:
-                if ev.attributes.get(name) in modal:
+            for value in log.cases[case_id].event_attributes.get(name, ()):
+                if value in modal:
                     score += 1
     return score
 
@@ -386,7 +386,9 @@ class TestSample:
         sampled, _ = run_sample(skewed, SamplingConfig(DIVISION, k=10, sorting=RANDOM_ORDER))
         for cid, case in sampled.cases.items():
             original = skewed.cases[cid]
-            assert case.events == original.events
+            assert case.trace == original.trace
+            assert case.timestamps == original.timestamps
+            assert case.event_attributes == original.event_attributes
             assert case.attributes == original.attributes
 
     def test_random_selection_size_and_determinism(self, skewed):
