@@ -234,7 +234,7 @@ def bench(log_path, folds, repeats, grid, sort_token, seed, end_marker, window,
 def main():
     try:
         cli(standalone_mode=False)
-    except LogSampleError as exc:
+    except (LogSampleError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     except click.ClickException as exc:

@@ -229,7 +229,7 @@ def _assembled(case_ids, keys, stamps, activities, columns, case_attributes):
     stamps = array("q", ms.tobytes())
     activities = tuple(activities)
     lists = {name: tuple(column) for name, column in lists.items()}
-    starts = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), ms.size]
+    starts = [*np.flatnonzero(np.diff(ordered, prepend=-1)).tolist(), ms.size]
     numbers = ordered[starts[:-1]]  # each case's number, in case order
     owns = [{} for _ in numbers]  # per case, its event attributes in the order of columns
     for name, column in columns.items():
@@ -297,36 +297,33 @@ def build_log(
     stamps = _epoch_ms(map(_timestamp, events))
     activities = tuple(map(_activity, events))
     counts = list(map(len, cases.values()))
-    if 0 in counts or "" in activities or min(stamps) < _MIN_MS or max(stamps) > _MAX_MS:
-        raise _build_error(cases)
     attributes = list(map(_attributes, events))
     columns: dict[str, dict[int, object]] = {}  # per name, its values other than None by event
     for row in compress(count(), attributes):
         for name, value in attributes[row].items():
             if value is not None:
                 columns.setdefault(name, {})[row] = value
+    held = list(compress(cases, counts))  # the cases with events
     built = _assembled(
-        cases, np.repeat(np.arange(len(counts)), counts), stamps, activities, columns,
+        held, np.repeat(np.arange(len(counts)), counts), stamps, activities, columns,
         [{name: value for name, value in case_attributes.get(case_id, {}).items()
-          if value is not None} for case_id in cases],
+          if value is not None} for case_id in held],
     )
+    if 0 in counts or "" in activities or min(stamps) < _MIN_MS or max(stamps) > _MAX_MS:
+        for case_id in cases:  # the first case that cannot be built names the error
+            case = built.get(case_id)
+            if case is None:
+                raise RowError(f"case {case_id!r} has no events")
+            if not _MIN_MS <= min(case.timestamps) <= max(case.timestamps) <= _MAX_MS:
+                raise RowError(
+                    f"case {case_id!r} has an event timestamp outside the years 1-9999 in UTC"
+                )
+            if "" in case.trace:
+                raise RowError(
+                    f"event {case.trace.index('')} of case {case_id!r} has an empty activity"
+                )
     schema = _schema_of(map(_attributes, built.values()), columns) if schema is None else schema
     return EventLog(built, dict(schema))
-
-
-def _build_error(cases: Mapping[str, list[Event]]) -> RowError:
-    """The error of the first case that build_log cannot build."""
-    for case_id, events in cases.items():
-        if not events:
-            return RowError(f"case {case_id!r} has no events")
-        stamps = _epoch_ms(map(_timestamp, events))
-        if min(stamps) < _MIN_MS or max(stamps) > _MAX_MS:
-            return RowError(
-                f"case {case_id!r} has an event timestamp outside the years 1-9999 in UTC"
-            )
-        trace = [events[i].activity for i in sorted(range(len(events)), key=stamps.__getitem__)]
-        if "" in trace:
-            return RowError(f"event {trace.index('')} of case {case_id!r} has an empty activity")
 
 
 def subset_log(log: EventLog, case_ids: Iterable[str]) -> EventLog:
@@ -860,7 +857,7 @@ def _xes_traces(path: Path) -> Iterator[ET.Element]:
     XML and corrupt gzip data raise XesParseError naming the file, wherever
     in the file they are met.
     """
-    opener = gzip.open if path.name.endswith(".gz") else open
+    opener = gzip.open if path.name.lower().endswith(".gz") else open
     try:
         with opener(path, "rb") as fh:
             depth = 0
@@ -886,7 +883,7 @@ def _trace_label(t_idx: int, case_id: str | int) -> str:
 
 @_gc_paused()
 def parse_xes(path: str | Path) -> EventLog:
-    """Parse an XES file (plain or .gz): log -> trace -> event.
+    """Parse an XES file (plain or .gz): log -> trace -> event, each a direct child.
 
     ``concept:name`` supplies the case id on traces and the activity on
     events; ``time:timestamp`` supplies the event timestamp. Remaining
@@ -913,22 +910,16 @@ def parse_xes(path: str | Path) -> EventLog:
     for t_idx, trace in enumerate(_xes_traces(path)):
         case_id: str | int = t_idx
         trace_attrs: dict[str, object] = {}
-        event_elems = []
-        for child in trace:
-            if _local_name(child.tag) == "event":
-                event_elems.append(child)
-                continue
+        for child in trace:  # _xes_value skips the <event> children
             try:
                 key, value = _xes_value(child)
             except ValueError as exc:
                 raise XesParseError(f"{path}: trace {t_idx}: {exc}") from None
-            if key is None:
-                continue
             if key == "concept:name":
                 case_id = str(value)
-            else:
-                key = canon(key, key)
-                trace_attrs[key] = value
+            elif key is not None:
+                trace_attrs[canon(key, key)] = value
+        event_elems = trace.findall("{*}event")
         if not event_elems:
             raise XesParseError(f"{path}: {_trace_label(t_idx, case_id)} has no events")
         if case_id in cases:
@@ -938,8 +929,6 @@ def parse_xes(path: str | Path) -> EventLog:
             try:
                 for child in event:
                     key, value = _xes_value(child)
-                    if key is None:
-                        continue
                     if key == "concept:name":
                         activity = str(value)
                     elif key == "time:timestamp":
@@ -949,9 +938,8 @@ def parse_xes(path: str | Path) -> EventLog:
                             except ValueError:
                                 raise ValueError(f"unreadable time:timestamp {value!r}") from None
                         timestamp = value
-                    else:
-                        key = canon(key, key)
-                        columns.setdefault(key, {})[len(activities)] = value
+                    elif key is not None:
+                        columns.setdefault(canon(key, key), {})[len(activities)] = value
                 if not activity:
                     raise ValueError("missing concept:name")
                 if timestamp is None:
@@ -981,8 +969,7 @@ def parse_xes(path: str | Path) -> EventLog:
 
 
 def load_log(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:
-    """Dispatch on file suffix: .xes / .xes.gz -> XES, everything else -> CSV."""
-    name = str(path)
-    if name.endswith(".xes") or name.endswith(".xes.gz"):
+    """Dispatch on file suffix, in any case: .xes / .xes.gz -> XES, everything else -> CSV."""
+    if str(path).lower().endswith((".xes", ".xes.gz")):
         return parse_xes(path)
     return parse_csv(path, mapping)

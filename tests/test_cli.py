@@ -411,6 +411,27 @@ def test_bench_fold_with_zero_accuracy_baseline_records_failed_cells(
             assert row["error"] == "baseline accuracy must be positive, got 0.0"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["features"],
+        ["sample", "--method", "unique", "--sort", "random"],
+        ["train"],
+        ["bench", "--folds", "2", "--repeats", "1", "--grid", "d2"],
+    ],
+    ids=["features", "sample", "train", "bench"],
+)
+def test_unwritable_output_path_exits_with_error(small_csv, tmp_path, monkeypatch, capsys,
+                                                 args):
+    out = tmp_path / "missing" / "out.csv"
+    monkeypatch.setattr(sys, "argv", ["logsample", args[0], small_csv, *args[1:], "-o", str(out)])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 def test_missing_file_fails(runner):
     result = runner.invoke(cli, ["variants", "no-such-file.csv"])
     assert result.exit_code != 0

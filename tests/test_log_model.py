@@ -1225,6 +1225,13 @@ class TestParseXes:
         assert load_log(xes).num_cases == 1
         assert load_log(csv_path).num_cases == 2
 
+    @pytest.mark.parametrize("name", ["log.XES", "log.Xes", "log.XES.GZ", "log.xes.Gz"])
+    def test_load_log_reads_the_suffix_in_any_case(self, tmp_path, name):
+        data = XES_BASIC.encode("utf-8")
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(data) if name.lower().endswith(".gz") else data)
+        assert load_log(path).trace("t1") == ("a", "b")
+
     def test_malformed_xml_reports_location(self, tmp_path):
         with pytest.raises(XesParseError, match="line"):
             parse_xes(write(tmp_path / "bad.xes", "<log><trace></log>"))
@@ -1320,6 +1327,28 @@ class TestParseXes:
         log = parse_xes(write(tmp_path / "log.xes", f"<log>{traces}</log>"))
         assert list(log.cases) == ids  # file order
         assert [log.trace(cid) for cid in ids] == [(f"a{i}",) for i in range(len(names))]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '<log><trace><string key="concept:name" value="t"/><list key="l">'
+            '<event><string key="concept:name" value="b"/>'
+            '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/></event>'
+            f"</list>{EVENT_A}</trace></log>",
+            '<log><list key="l"><trace><string key="concept:name" value="u"/>'
+            f'{EVENT_A}</trace></list>'
+            f'<trace><string key="concept:name" value="t"/>{EVENT_A}</trace></log>',
+            '<x:log xmlns:x="http://www.xes-standard.org/"><x:trace>'
+            '<x:string key="concept:name" value="t"/><x:event>'
+            '<x:string key="concept:name" value="a"/>'
+            '<x:date key="time:timestamp" value="2021-01-01T00:00:00Z"/>'
+            "</x:event></x:trace></x:log>",
+        ],
+        ids=["event-in-a-trace-list", "trace-in-a-log-list", "prefixed-tags"],
+    )
+    def test_only_direct_children_are_traces_and_events(self, tmp_path, text):
+        log = parse_xes(write(tmp_path / "log.xes", text))
+        assert {cid: case.trace for cid, case in log.cases.items()} == {"t": ("a",)}
 
     def test_keyless_and_unsupported_elements_are_skipped(self, tmp_path):
         text = (
@@ -1520,6 +1549,20 @@ class TestInvariants:
     def test_build_log_rejects_case_without_events(self):
         with pytest.raises(RowError, match="case 'c2' has no events"):
             build_log({"c1": [Event("a", T0)], "c2": []})
+
+    @pytest.mark.parametrize(
+        "cases, message",
+        [
+            ({"c": []}, "case 'c' has no events"),
+            ({"c1": [Event("", T0)], "c2": []}, "event 0 of case 'c1' has an empty activity"),
+            ({"c1": [], "c2": [Event("", T0)]}, "case 'c1' has no events"),
+        ],
+        ids=["only-case-empty", "empty-activity-first", "no-events-first"],
+    )
+    def test_build_log_names_the_first_case_it_cannot_build(self, cases, message):
+        with pytest.raises(RowError) as info:
+            build_log(cases)
+        assert str(info.value) == message
 
 
 @settings(max_examples=60, deadline=None)
