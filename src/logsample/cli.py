@@ -220,8 +220,8 @@ def bench(log_path, folds, repeats, grid, sort_token, seed, end_marker, window,
     log = load_log(log_path, columns)
     report = exp.run_experiment(log, config)
     name = Path(log_path).name
-    for suffix in (".gz", ".xes", ".csv"):
-        name = name.removesuffix(suffix)
+    for suffix in (".gz", ".xes", ".csv"):  # in any case, as load_log reads them
+        name = name[: -len(suffix)] if name.lower().endswith(suffix) else name
     report.log_name = name
 
     exp.write_rows_csv(report, output)

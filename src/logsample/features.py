@@ -75,10 +75,14 @@ class EncodedRows:
     def blocks(self) -> Iterator[np.ndarray]:
         rows, window = self.codes.shape
         width = window * self.slots
-        one_hot = np.eye(self.slots, dtype=np.uint8)
         step = max(1, BLOCK_BYTES // width)
+        hot = np.arange(step * window) * self.slots  # each position's first slot in a block
         for i in range(0, rows, step):
-            yield one_hot[self.codes[i : i + step]].reshape(-1, width)
+            codes = self.codes[i : i + step]
+            flat = hot[: codes.size] + codes.ravel()  # before the block, or peak RSS rose
+            block = np.zeros((len(codes), width), np.uint8)
+            block.ravel()[flat] = 1
+            yield block
 
 
 def extract_features(log: EventLog, include_end_marker: bool = True) -> list[FeatureRow]:

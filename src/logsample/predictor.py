@@ -131,7 +131,7 @@ def train(
     """Count suffix -> next-activity transitions for all orders 0..max_order.
 
     Each row walks back from its cut at most max_order activities, one trie
-    step per activity, and counts its target at every node it passes.
+    step per activity, counting its target at each node; a bad cut raises TrainingError.
     """
     if max_order < 0:
         raise TrainingError(f"max_order must be >= 0, got {max_order}")
@@ -141,11 +141,19 @@ def train(
     root: dict[str, int] = {}
     counts = [root]
     children: list[dict[str, int]] = [{}]
-    for sequence, cut, _ in rows:
+    last = None
+    for sequence, cut, case_id in rows:
+        if sequence is not last:  # the rows of a case share one sequence: reverse it once
+            last, length, backwards = sequence, len(sequence), sequence[::-1]
+        if not 0 <= cut < length:
+            raise TrainingError(
+                f"row of case {case_id!r} cuts at {cut}, outside its {length}-item sequence"
+            )
         target = sequence[cut]
         root[target] = root.get(target, 0) + 1
         node = 0
-        for activity in reversed(sequence[max(cut - max_order, 0) : cut]):
+        start = length - cut  # backwards[start] is sequence[cut - 1]
+        for activity in backwards[start : start + max_order]:
             kids = children[node]
             node = kids.get(activity, 0)  # 0, the root, is nobody's child
             if node:

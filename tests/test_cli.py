@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface."""
 
 import csv
+import gzip
 import io
 import json
 import sys
@@ -310,6 +311,25 @@ def test_bench_markdown(runner, small_csv, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert result.output.startswith("| log |")
+
+
+@pytest.mark.parametrize("name", ["core.xes.gz", "core.XES.gz", "core.Xes", "core.CSV"])
+def test_bench_names_the_log_without_its_suffixes_in_any_case(runner, small_csv, tmp_path, name):
+    """The log column drops .gz, .xes and .csv however load_log's suffix is spelt."""
+    xes = (DATA / "xes_core.xes").read_bytes()
+    data = {".gz": gzip.compress(xes), ".xes": xes, ".csv": Path(small_csv).read_bytes()}
+    log_path = tmp_path / name
+    log_path.write_bytes(data[Path(name).suffix.lower()])
+    result = runner.invoke(
+        cli,
+        [
+            "bench", str(log_path),
+            "--folds", "2", "--repeats", "1", "--grid", "d2",
+            "-o", str(tmp_path / "report.csv"), "--markdown",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[2].startswith("| core |")
 
 
 def test_bench_config_file(runner, small_csv, tmp_path):

@@ -29,6 +29,11 @@ timestamps were formatted without ``isoformat``.
 ``tests/data/xes_core.csv`` is ``write_csv`` of ``tests/data/xes_core.xes``,
 written while ``parse_xes`` still handed ``build_log`` one flat event list
 tagged with case ids.
+
+``tests/data/model_core.json`` is ``logsample train`` of the bench golden log
+at the default max order, written while each training row still reversed a
+slice of its case's sequence. The order of each table's counts follows the
+order in which the trainer first counted each label, so it pins that too.
 """
 
 import csv
@@ -101,6 +106,15 @@ def bench_core_csv(tmp_path: Path, sort_token: str) -> bytes:
 def test_bench_core_csv_is_unchanged(tmp_path, sort_token):
     expected = (DATA / "bench_core.csv").read_bytes()
     assert bench_core_csv(tmp_path, sort_token) == expected
+
+
+def test_saved_model_is_unchanged(tmp_path):
+    log_path = tmp_path / "golden.csv"
+    write_csv(golden_log(), log_path)
+    out = tmp_path / "model.json"
+    result = CliRunner().invoke(cli, ["train", str(log_path), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (DATA / "model_core.json").read_bytes()
 
 
 def sample_core_csv(tmp_path: Path, sort_token: str) -> bytes:

@@ -2,15 +2,16 @@
 
 import json
 import math
+import re
 from collections import Counter, defaultdict
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logsample.errors import ConfigurationError, TrainingError
-from logsample.features import END_MARKER, extract_features
+from logsample.features import END_MARKER, FeatureRow, extract_features
 from logsample.predictor import PrefixTreeModel, load_model, save_model, train
 
 from helpers import feature_row, log_from_variants, random_variant_freqs
@@ -50,6 +51,16 @@ class TestTrain:
     def test_smoothing_must_be_finite_and_non_negative(self, smoothing):
         with pytest.raises(TrainingError, match="smoothing must be finite and >= 0"):
             train(rows_from_pairs([("a", "b")]), smoothing=smoothing)
+
+    @pytest.mark.parametrize("cut", [-1, 3])
+    @pytest.mark.parametrize("after_good_row", [False, True])
+    def test_a_cut_outside_its_sequence_is_refused(self, cut, after_good_row):
+        # at -1 the sequence abc would otherwise count (a, b) -> c; at 3 there is no target
+        good = FeatureRow(("a", "b", "c"), 1, "k")
+        rows = [good, good._replace(cut=cut)] if after_good_row else [good._replace(cut=cut)]
+        message = f"row of case 'k' cuts at {cut}, outside its 3-item sequence"
+        with pytest.raises(TrainingError, match=re.escape(message)):
+            train(rows)
 
     def test_suffixes_of_all_training_rows_are_stored(self):
         rows = rows_from_pairs([("abc", "d"), ("bc", "d"), ("c", "a")])
@@ -211,12 +222,22 @@ def slicing_train(rows, max_order):
     seed=st.integers(min_value=0, max_value=10_000),
     max_order=st.integers(min_value=0, max_value=6),
     with_marker=st.booleans(),
+    order=st.sampled_from(["extracted", "shuffled", "copied"]),
 )
-def test_trie_matches_slicing_reference(tmp_path_factory, seed, max_order, with_marker):
+@example(seed=7, max_order=3, with_marker=True, order="extracted")
+@example(seed=7, max_order=3, with_marker=True, order="shuffled")
+@example(seed=7, max_order=3, with_marker=False, order="copied")
+def test_trie_matches_slicing_reference(tmp_path_factory, seed, max_order, with_marker, order):
+    """Rows as extract_features gives them, in runs that share one sequence object;
+    shuffled, so runs break; and in order but each holding its own equal copy."""
     rnd = Random(seed)
     log = log_from_variants(random_variant_freqs(rnd, max_variants=8, max_freq=4, max_len=8))
     rows = extract_features(log, with_marker)
-    rnd.shuffle(rows)
+    if order == "shuffled":
+        rnd.shuffle(rows)
+    elif order == "copied":
+        rows = [row._replace(sequence=tuple(list(row.sequence))) for row in rows]
+        assert all(a.sequence is not b.sequence for a, b in zip(rows, rows[1:]))
     if not rows:  # without the marker, one-event cases give no rows
         return
     model = train(rows, max_order=max_order)
