@@ -143,25 +143,26 @@ def rank_traces(
 ) -> list[str]:
     """Order a variant's case ids from highest to lowest keep priority.
 
-    Every strategy is deterministic for a given (log, sorting, seed) and
-    independent of the input ordering of the member list.
+    Every strategy is deterministic for a given (log, sorting, seed). Each
+    ranks the variant's members, which the index holds in case-id order,
+    with one stable sort, so ties keep case-id order.
     """
+    ids = variant.member_case_ids
     if sorting == REPRESENTATIVE:
         if not index.attributes:
             raise ConfigurationError(
                 "representative sorting needs an index built with attributes"
             )
-        return sorted(variant.member_case_ids, key=lambda cid: (-index.scores[cid], cid))
+        return sorted(ids, key=index.scores.__getitem__, reverse=True)
     if sorting in (OLDEST_FIRST, NEWEST_FIRST):
         cases = index.source_log.cases
-        ids = sorted(variant.member_case_ids)
         # a case arrives with its first event
         return sorted(
             ids, key=lambda cid: cases[cid].timestamps[0], reverse=sorting == NEWEST_FIRST
         )
     if sorting == RANDOM_ORDER:
         rnd = Random(f"{seed}|rank|" + "\x1f".join(variant.activities))
-        ids = sorted(variant.member_case_ids)
+        ids = list(ids)
         rnd.shuffle(ids)
         return ids
     raise ConfigurationError(f"unknown sorting strategy {sorting!r}")

@@ -20,7 +20,7 @@ ActivitySeq = tuple[str, ...]
 
 @dataclass(frozen=True)
 class Variant:
-    """A distinct activity sequence and the cases that follow it."""
+    """A distinct activity sequence and the cases that follow it, in case-id order."""
 
     activities: ActivitySeq
     member_case_ids: tuple[str, ...]
@@ -82,7 +82,7 @@ def build_variant_index(log: EventLog, attributes: list[str] | None = None) -> V
         members.setdefault(case.trace, []).append(cid)
 
     ordered = sorted(members.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    variants = tuple(Variant(seq, tuple(ids)) for seq, ids in ordered)
+    variants = tuple(Variant(seq, tuple(sorted(ids))) for seq, ids in ordered)
 
     modal_values: dict[ActivitySeq, dict[str, frozenset]] = {}
     scores = dict.fromkeys(log.cases, 0) if attributes else {}
@@ -99,7 +99,7 @@ def build_variant_index(log: EventLog, attributes: list[str] | None = None) -> V
                 [value for values in observed for value in values if value is not None]
             )
             for cid, values in zip(variant.member_case_ids, observed):
-                scores[cid] += sum(value in modal for value in values)
+                scores[cid] += sum(map(modal.__contains__, values))
         modal_values[variant.activities] = per_attr
 
     return VariantIndex(

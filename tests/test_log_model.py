@@ -80,6 +80,7 @@ EVENT_A = (
     '<event><string key="concept:name" value="a"/>'
     '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/></event>'
 )
+BAD_STAMP_EVENT = EVENT_A.replace("2021-01-01T00:00:00Z", "never")
 
 
 def shadowed_xes(case_value, event_values):
@@ -1287,6 +1288,85 @@ class TestParseXes:
             parse_xes(path)
         assert str(caught.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize(
+        "traces, message",
+        [
+            (
+                ['<string key="concept:name" value="t"/>'
+                 + BAD_STAMP_EVENT.replace("</event>", '<int key="n" value="x"/></event>')],
+                "case 't' event 0: bad date value 'never' for key 'time:timestamp'",
+            ),
+            (
+                ['<string key="concept:name" value="t"/>' + BAD_STAMP_EVENT
+                 + EVENT_A.replace('<string key="concept:name" value="a"/>', "")],
+                "case 't' event 0: bad date value 'never' for key 'time:timestamp'",
+            ),
+            (
+                [BAD_STAMP_EVENT, EVENT_A.replace('<string key="concept:name" value="a"/>', "")],
+                "trace 0 event 0: bad date value 'never' for key 'time:timestamp'",
+            ),
+            (
+                ['<string key="concept:name" value="t"/>' + EVENT_A + BAD_STAMP_EVENT,
+                 '<string key="concept:name" value="u"/>' + EVENT_A,
+                 '<string key="concept:name" value="t"/>' + EVENT_A],
+                "case 't' event 1: bad date value 'never' for key 'time:timestamp'",
+            ),
+            (
+                [EVENT_A, BAD_STAMP_EVENT, '<string key="concept:name" value="u"/>'],
+                "trace 1 event 0: bad date value 'never' for key 'time:timestamp'",
+            ),
+            (
+                [BAD_STAMP_EVENT, '<int key="k" value="x"/>' + EVENT_A],
+                "trace 0 event 0: bad date value 'never' for key 'time:timestamp'",
+            ),
+            (
+                ['<string key="concept:name" value="t"/>' + BAD_STAMP_EVENT.replace(
+                    "</event>", '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/></event>'
+                )],
+                "case 't' event 0: bad date value 'never' for key 'time:timestamp'",
+            ),
+            (
+                ['<string key="concept:name" value="t"/>' + EVENT_A.replace(
+                    "</event>", '<string key="time:timestamp" value="never"/></event>'
+                ) + BAD_STAMP_EVENT],
+                "case 't' event 0: unreadable time:timestamp 'never'",
+            ),
+            (
+                ['<int key="n" value="x"/>' + BAD_STAMP_EVENT],
+                "trace 0: bad int value 'x' for key 'n'",
+            ),
+            (
+                ['<string key="concept:name" value="t"/>'
+                 + BAD_STAMP_EVENT.replace("<event>", '<event><int key="n" value="x"/>')],
+                "case 't' event 0: bad int value 'x' for key 'n'",
+            ),
+        ],
+        ids=[
+            "then-bad-int-in-the-event", "then-missing-activity-in-the-trace",
+            "then-missing-activity-in-a-later-trace", "then-duplicate-case-id",
+            "then-no-events", "then-bad-trace-value", "first-of-two-stamps",
+            "stamp-held-as-string", "after-bad-trace-value", "after-bad-int-in-the-event",
+        ],
+    )
+    def test_first_error_in_the_file_wins(self, tmp_path, traces, message):
+        """Of several faults, the one met first in document order names the error."""
+        body = "".join(f"<trace>{trace}</trace>" for trace in traces)
+        path = write(tmp_path / "bad.xes", f"<log>{body}</log>")
+        with pytest.raises(XesParseError) as caught:
+            parse_xes(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+    def test_bad_stamp_before_malformed_xml_wins(self, tmp_path, gz):
+        text = f"<log><trace>{BAD_STAMP_EVENT}</trace><trace><event></trace></log>"
+        path = tmp_path / ("bad.xes.gz" if gz else "bad.xes")
+        path.write_bytes(gzip.compress(text.encode()) if gz else text.encode())
+        with pytest.raises(XesParseError) as caught:
+            parse_xes(path)
+        assert str(caught.value) == (
+            f"{path}: trace 0 event 0: bad date value 'never' for key 'time:timestamp'"
+        )
+
     def test_trace_without_events_rejected_with_case_id(self, tmp_path):
         text = (
             '<log><trace><string key="concept:name" value="empty-one"/></trace></log>'
@@ -1488,11 +1568,16 @@ class TestCollectorPause:
                                          enabled):
         seen = []
 
-        def recording_parse_instant(stamp):
-            seen.append(gc.isenabled())
-            return parse_instant(stamp)
+        def recording(fn):
+            def call(*args):
+                seen.append(gc.isenabled())
+                return fn(*args)
+            return call
 
-        monkeypatch.setattr(log_model, "parse_instant", recording_parse_instant)
+        # parse_csv reads the due column with parse_instant; parse_xes reads XES_BASIC's
+        # write_csv-form stamps in bulk, and its other attributes with _xes_value
+        monkeypatch.setattr(log_model, "parse_instant", recording(parse_instant))
+        monkeypatch.setattr(log_model, "_xes_value", recording(log_model._xes_value))
         path = write(tmp_path / ("log.csv" if parse is parse_csv else "log.xes"), text)
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()

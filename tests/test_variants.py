@@ -1,11 +1,13 @@
 """Variant partitioning and per-variant modal attribute values."""
 
+from datetime import datetime, timezone
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsample.errors import ConfigurationError
-from logsample.log_model import CASE_SCOPE, CATEGORICAL, NUMERIC, AttributeSpec
+from logsample.log_model import CASE_SCOPE, CATEGORICAL, NUMERIC, AttributeSpec, Event, build_log
 from logsample.variants import build_variant_index
 
 from helpers import log_from_variants, random_variant_freqs, resource_schema, trace_counts
@@ -91,6 +93,13 @@ class TestBuildVariantIndex:
         b = build_variant_index(log_rev)
         assert [v.activities for v in a.variants] == [v.activities for v in b.variants]
         assert [v.frequency for v in a.variants] == [v.frequency for v in b.variants]
+
+    def test_members_are_held_in_case_id_order(self):
+        stamp = datetime(2021, 1, 1, tzinfo=timezone.utc)
+        ids = ["c2", "c10", "b", "c1"]  # log order is not case-id order
+        log = build_log({cid: [Event("a", stamp)] for cid in ids})
+        (variant,) = build_variant_index(log).variants
+        assert variant.member_case_ids == ("b", "c1", "c10", "c2")
 
     def test_index_variants_match_traces(self, skewed):
         index = build_variant_index(skewed)
