@@ -859,21 +859,17 @@ def _xes_traces(path: Path) -> Iterator[ET.Element]:
     in the file they are met.
     """
     opener = gzip.open if path.name.lower().endswith(".gz") else open
-    parser = ET.XMLPullParser(events=("start", "end"))
     try:
         with opener(path, "rb") as fh:
             depth = 0
-            while data := fh.read(16 * 1024):
-                parser.feed(data)
-                for action, elem in parser.read_events():
-                    if action == "start":
-                        depth += 1
-                        continue
-                    depth -= 1
-                    if depth == 1 and _local_name(elem.tag) == "trace":
-                        yield elem
-                        elem.clear()
-            parser.close()  # raises when the document is not complete
+            for action, elem in ET.iterparse(fh, events=("start", "end")):
+                if action == "start":
+                    depth += 1
+                    continue
+                depth -= 1
+                if depth == 1 and _local_name(elem.tag) == "trace":
+                    yield elem
+                    elem.clear()
     except ET.ParseError as exc:
         line, col = exc.position
         raise XesParseError(f"{path}: malformed XML at line {line}, column {col}") from None

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from collections import Counter
 from datetime import datetime, timedelta, timezone
-from itertools import repeat
-from operator import add
 from random import Random
 
 from logsample.features import FeatureRow
@@ -44,28 +42,26 @@ def log_from_variants(
     """
     cases = {}
     case_attributes = {}
+    case_n = 0
     hour = timedelta(hours=1)
-    first = 0  # the number of the variant's first case
+    minute_offsets = [timedelta(minutes=j) for j in range(64)]
+    case_start = start
     for activities, freq in variant_freqs:
-        numbers = range(first, first + freq)
-        first += freq
-        n = len(activities)
-        # column j holds event j of every case of the variant: its time and attributes
-        starts = list(map(start.__add__, map(hour.__mul__, numbers)))
-        stamps = [starts, *(list(map(add, starts, repeat(timedelta(minutes=j)))) for j in range(1, n))]
-        if event_attrs:
-            attrs = [event_attrs(case_n, j) for case_n in numbers for j in range(n)]
-            attrs = [attrs[j::n] for j in range(n)]
-        else:
-            attrs = repeat(repeat({}))
-        columns = [
-            map(Event, repeat(activity), column, column_attrs)
-            for activity, column, column_attrs in zip(activities, stamps, attrs)
-        ]
-        ids = [f"c{case_n:06d}" for case_n in numbers]
-        cases.update(zip(ids, map(list, zip(*columns)) if n else repeat([])))
-        if case_attrs:
-            case_attributes.update(zip(ids, map(case_attrs, numbers)))
+        for _ in range(freq):
+            cid = f"c{case_n:06d}"
+            events = cases[cid] = []
+            for j, act in enumerate(activities):
+                if j == 0:
+                    ts = case_start
+                else:
+                    off = minute_offsets[j] if j < 64 else timedelta(minutes=j)
+                    ts = case_start + off
+                attrs = event_attrs(case_n, j) if event_attrs else {}
+                events.append(Event(act, ts, attrs))
+            if case_attrs:
+                case_attributes[cid] = case_attrs(case_n)
+            case_n += 1
+            case_start = case_start + hour
     return build_log(cases, case_attributes, schema)
 
 
