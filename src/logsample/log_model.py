@@ -180,6 +180,7 @@ class EventLog:
         return self.cases[case_id].trace
 
 
+_case_id = attrgetter("case_id")
 _activity = attrgetter("activity")
 _timestamp = attrgetter("timestamp")
 _attributes = attrgetter("attributes")
@@ -413,10 +414,46 @@ _CONVERTERS = {NUMERIC: _number, INSTANT: parse_instant}
 # benchmark log peaked at 47.0 MiB RSS against 44.7, and took no less time.
 READ_BLOCK_ROWS = 1000
 
-# write_csv's timestamp form and a line end: the least and the greatest byte
-# each position may hold
+# write_csv's timestamp form and a line end: the template _stamp_texts fills
+# in, and with _SPAN the least and the greatest byte each position may hold
+# for _epoch_ms_of
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00.000+00:00\n", np.uint8)
 _SPAN = np.frombuffer(b"9999-99-99T99:99:99.999+00:00\n", np.uint8) - _STAMP
+# "00" to "99", each two bytes read as one uint16, and a row of _STAMP seen as
+# a uint16 at each position that takes two digits: century, year, month,
+# day, hour, minute, second and the last two digits of the millisecond
+_PAIRS = np.frombuffer("".join(map("{:02d}".format, range(100))).encode(), np.uint16)
+_PAIR_AT = (0, 2, 5, 8, 11, 14, 17, 21)
+_PAIR_ROW = np.dtype({
+    "names": [f"at{at}" for at in _PAIR_AT], "formats": [np.uint16] * len(_PAIR_AT),
+    "offsets": _PAIR_AT, "itemsize": _STAMP.size,
+})
+
+
+def _stamp_texts(ms: np.ndarray) -> list[str]:
+    """write_csv's texts of UTC epoch milliseconds in [_MIN_MS, _MAX_MS]; _epoch_ms_of reads them.
+
+    Each text is that of :func:`format_instant` for the same instant. The
+    digits of every stamp are written into one copy of _STAMP per stamp,
+    two at a time from _PAIRS, and the whole is decoded once.
+    """
+    days, of_day = np.divmod(ms, 86_400_000)
+    months = days.astype("M8[D]").astype("M8[M]")
+    day = days - months.astype("M8[D]").view(np.int64)
+    year, month = np.divmod(months.view(np.int64) + 1970 * 12, 12)
+    seconds, milli = np.divmod(of_day, 1000)
+    minutes, second = np.divmod(seconds, 60)
+    hour, minute = np.divmod(minutes, 60)
+    out = np.empty((ms.size, _STAMP.size), np.uint8)
+    out[:] = _STAMP
+    out[:, 20] += (milli // 100).astype(np.uint8)
+    pairs = out.view(_PAIR_ROW)[:, 0]
+    values = (year // 100, year % 100, month + 1, day + 1, hour, minute, second, milli % 100)
+    for name, value in zip(_PAIR_ROW.names, values):
+        pairs[name] = _PAIRS[value]
+    texts = out.tobytes().decode().split("\n")
+    texts.pop()  # the empty text after the last line end
+    return texts
 
 
 def _instant_ms(text: str) -> int:
@@ -433,7 +470,7 @@ def _epoch_ms_of(texts: Sequence[str]) -> np.ndarray:
     A text is refused when parse_instant refuses it. When every text has
     write_csv's form ``YYYY-MM-DDTHH:MM:SS.mmm+00:00`` and names a day and
     time of the calendar, numpy reads all their digits at once, the inverse
-    of the ``datetime_as_string`` that wrote them; a year 0000 reads as a
+    of the :func:`_stamp_texts` that wrote them; a year 0000 reads as a
     time before the year 1, refused as parse_instant refuses it. Any other
     texts are read one by one. numpy's own cast of text to datetime64 is not
     used: numpy 2.4 crashed the interpreter when it refused a text in a
@@ -655,16 +692,21 @@ def _needs_quotes(text: str) -> bool:
     return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
+def _field_text(value) -> str:
+    """The text ``csv.writer`` writes for a value: ``""`` for None, a float's repr, or str."""
+    if isinstance(value, str):
+        return value
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
 def csv_field(value) -> str:
     """``value`` as one field of a ``csv.writer`` row with the default dialect.
 
-    A value that is not ``str`` becomes ``""`` (None), its ``repr`` (float)
-    or its ``str``. Under QUOTE_MINIMAL a text holding ``,``, ``"``, CR or LF
-    is wrapped in quotes with each ``"`` doubled; any other text, NUL
-    included, is written as it is.
+    A value that is not ``str`` becomes its :func:`_field_text`. Under
+    QUOTE_MINIMAL a text holding ``,``, ``"``, CR or LF is wrapped in quotes
+    with each ``"`` doubled; any other text, NUL included, is written as it is.
     """
-    if not isinstance(value, str):
-        value = "" if value is None else repr(value) if isinstance(value, float) else str(value)
+    value = _field_text(value)
     if not _needs_quotes(value):
         return value
     return '"' + value.replace('"', '""') + '"'
@@ -705,24 +747,58 @@ def _out_of_range(log: EventLog) -> SchemaError:
                 )
 
 
-def _blocks(cases: Iterable[Case]) -> Iterator[list[Case]]:
-    """Consecutive runs of whole cases, each of at least WRITE_BLOCK_ROWS events but the last.
+def _check_labels(log: EventLog) -> None:
+    """Raise SchemaError naming the first case with a label parse_csv would not read back.
 
-    No block is without events: cases with none after the last block write no row.
+    A label is a case id or an activity. parse_csv strips both of whitespace
+    and refuses an empty one, so a label written empty, or with whitespace
+    at an end, would be refused or read back as another; two cases whose
+    ids differ only there would become one. A case without events writes
+    no row and is not checked.
+    """
+    cases = log.cases.values()
+    try:  # when every label is a str, one pass over all of them at once
+        labels = [*map(_case_id, cases), *log.activity_alphabet]
+        if "" not in labels and list(map(str.strip, labels)) == labels:
+            return
+    except TypeError:  # not all str, or not all hashable
+        pass
+    for case in cases:
+        if not case.trace:
+            continue
+        for role, label in [("a case id", case.case_id), *zip(repeat("an activity"), case.trace)]:
+            text = _field_text(label)
+            if not text or text.strip() != text:
+                raise SchemaError(
+                    f"case {case.case_id!r} has {role} written as {text!r}, which parse_csv"
+                    " would not read back: it strips case ids and activities of whitespace"
+                    " and refuses empty ones"
+                )
+
+
+def _blocks(cases: Iterable[Case]) -> Iterator[tuple[list[Case], int]]:
+    """Consecutive runs of whole cases and their numbers of events.
+
+    Each run holds at least WRITE_BLOCK_ROWS events but the last. No block
+    is without events: cases with none after the last block write no row.
     """
     block, rows = [], 0
     for case in cases:
         block.append(case)
         rows += len(case.trace)
         if rows >= WRITE_BLOCK_ROWS:
-            yield block
+            yield block, rows
             block, rows = [], 0
     if rows:
-        yield block
+        yield block, rows
 
 
-def _block_text(block: list[Case], attr_names: list[str]) -> str:
-    """The CSV rows of a block of cases, built one column at a time."""
+def _block_text(block: list[Case], stamps: np.ndarray, attr_names: list[str]) -> str:
+    """The CSV rows of a block of cases, built one column at a time.
+
+    ``stamps`` holds the block's timestamps, its cases' in turn, as UTC
+    epoch milliseconds within [_MIN_MS, _MAX_MS].
+    """
     counts = [len(case.trace) for case in block]
     case_ids = list(chain.from_iterable(map(repeat, [case.case_id for case in block], counts)))
     activities = list(chain.from_iterable(case.trace for case in block))
@@ -732,9 +808,7 @@ def _block_text(block: list[Case], attr_names: list[str]) -> str:
             columns.append(_quoted(texts))
         except TypeError:  # not all str: converted as csv.writer converts them
             columns.append(list(map(csv_field, texts)))
-    ms = np.frombuffer(b"".join(case.timestamps for case in block), np.int64)
-    stamps = np.datetime_as_string(ms.view("datetime64[ms]"), "ms").tolist()
-    columns.append([text + "+00:00" for text in stamps])
+    columns.append(_stamp_texts(stamps))
 
     for name in attr_names:
         values = []
@@ -763,8 +837,12 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
     :func:`csv_field`), except that a NUL character is written as it is on
     every Python version, where Python 3.10's ``csv.writer`` refuses it.
     Timestamps are written from their epoch milliseconds in the form of
-    :func:`format_instant`, which writes instant values.
+    :func:`format_instant`, which writes instant values, a block of rows at
+    a time by :func:`_stamp_texts`.
 
+    Raises SchemaError naming the case, before the file is opened, when a
+    case with events has a case id or an activity that is written empty or
+    with whitespace at an end, which parse_csv would strip or refuse.
     Raises SchemaError, before the file is opened, when a timestamp's UTC
     time falls outside the years 1-9999, when an attribute has the name of
     one of the mapping's columns, or when every event of a case has an
@@ -774,6 +852,7 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
     UTC time falls outside the years 1-9999; the file is then removed.
     """
     mapping = mapping or ColumnMapping()
+    _check_labels(log)
     cases = log.cases.values()
     stamps = np.frombuffer(b"".join(case.timestamps for case in cases), np.int64)
     if stamps.size and (stamps.min() < _MIN_MS or stamps.max() > _MAX_MS):
@@ -809,8 +888,10 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
     try:
         with path.open("w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(map(csv_field, header)) + "\r\n")
-            for block in _blocks(cases):
-                fh.write(_block_text(block, attr_names))
+            start = 0
+            for block, rows in _blocks(cases):
+                fh.write(_block_text(block, stamps[start:start + rows], attr_names))
+                start += rows
     except OverflowError:
         path.unlink()
         raise _out_of_range(log) from None

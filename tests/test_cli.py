@@ -229,6 +229,28 @@ def test_sample_refuses_an_attribute_named_like_a_column(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+def test_sample_refuses_case_ids_that_would_merge_when_read_back(tmp_path, monkeypatch, capsys):
+    # parse_csv strips " c1" and "a ", so the written file would read back as one case a,a
+    xes = tmp_path / "log.xes"
+    xes.write_text("<log>" + "".join(
+        f'<trace><string key="concept:name" value="{case_id}"/><event>'
+        f'<string key="concept:name" value="{activity}"/>'
+        '<date key="time:timestamp" value="2021-01-01T10:00:00Z"/></event></trace>'
+        for case_id, activity in [(" c1", "a "), ("c1", "a")]
+    ) + "</log>")
+    out = tmp_path / "s.csv"
+    argv = ["logsample", "sample", str(xes), "--method", "unique", "--sort", "random",
+            "-o", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: case ' c1' has a case id written as ' c1', which parse_csv would not read back"
+    )
+    assert not out.exists()
+
+
 def test_repeated_column_option_exits_before_the_log_is_read(tmp_path, monkeypatch, capsys):
     not_a_log = tmp_path / "log.csv"
     not_a_log.write_bytes(b"\xff")  # reading it would fail with a different error

@@ -9,12 +9,14 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from array import array
 from datetime import datetime, timedelta, timezone, tzinfo
 from operator import itemgetter
 from pathlib import Path
 from random import Random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -985,7 +987,11 @@ def test_write_then_parse_keeps_values_and_schema(log):
 def reference_write_csv(
     log: EventLog, path: str | Path, mapping: ColumnMapping | None = None
 ) -> None:
-    """The per-row ``csv.writer`` ``write_csv`` the block writer replaced, kept as the oracle."""
+    """The per-row ``csv.writer`` ``write_csv`` the block writer replaced, kept as the oracle.
+
+    Like write_csv, it first refuses a log with a case id or an activity
+    that parse_csv would not read back as written.
+    """
     mapping = mapping or ColumnMapping()
 
     def render(value) -> str:
@@ -993,6 +999,19 @@ def reference_write_csv(
             return format_instant(value)
         return str(value)
 
+    for case in log.cases.values():
+        if not case.trace:  # writes no row
+            continue
+        # each label as csv.writer converts it; parse_csv strips it and refuses it empty
+        labels = [("a case id", case.case_id)] + [("an activity", a) for a in case.trace]
+        for role, label in labels:
+            text = "" if label is None else repr(label) if isinstance(label, float) else str(label)
+            if not text or text.strip() != text:
+                raise SchemaError(
+                    f"case {case.case_id!r} has {role} written as {text!r}, which parse_csv"
+                    " would not read back: it strips case ids and activities of whitespace"
+                    " and refuses empty ones"
+                )
     events = {case_id: event_rows(case) for case_id, case in log.cases.items()}
     event_names = {name for rows in events.values() for _, _, held in rows for name in held}
     case_names = {name for case in log.cases.values() for name in case.attributes}
@@ -1064,6 +1083,10 @@ WRITE_PLAIN_VALUES = st.one_of(
 WRITE_VALUES = st.one_of(WRITE_PLAIN_VALUES, WRITE_INSTANTS)
 # not str, so csv.writer converts them: None to "", a float by repr, the rest by str
 WRITE_LABELS = st.one_of(WRITE_TEXTS, st.integers(-9, 9), st.floats(allow_nan=False), st.none())
+# labels parse_csv reads back as written: none is empty or has whitespace at an end
+READABLE_LABELS = st.one_of(
+    WRITE_TEXTS.map("<{}>".format), st.integers(-9, 9), st.floats(allow_nan=False)
+)
 
 
 def case_of(case_id, events, attributes):
@@ -1084,17 +1107,21 @@ def writable_logs(draw):
 
     Events of one case may mix naive and aware timestamps, and case
     attributes share names with event attributes. A Case built directly may
-    have no events, empty activities and timestamps outside the years
-    1-9999 in UTC. A case without events writes no row, so write_csv never
-    formats its attributes, while the oracle does and fails on an instant
-    outside the years 1-9999 in UTC. Such a case holds no instant.
+    have no events and timestamps outside the years 1-9999 in UTC. Half the
+    logs draw their case ids and activities from WRITE_LABELS, which may be
+    written empty or with whitespace at an end, so that write_csv refuses
+    them; the others from READABLE_LABELS. A case without events writes no
+    row, so write_csv never formats its attributes, while the oracle does
+    and fails on an instant outside the years 1-9999 in UTC. Such a case
+    holds no instant.
     """
     names = st.sampled_from(WRITE_NAMES)
+    labels = draw(st.sampled_from([READABLE_LABELS, WRITE_LABELS]))
     cases = {}
-    for case_id in draw(st.lists(WRITE_LABELS, min_size=1, max_size=5, unique=True)):
+    for case_id in draw(st.lists(labels, min_size=1, max_size=5, unique=True)):
         events = [
             Event(
-                draw(WRITE_LABELS),
+                draw(labels),
                 draw(WRITE_INSTANTS),
                 draw(st.dictionaries(names, WRITE_VALUES, max_size=2)),
             )
@@ -1173,6 +1200,41 @@ def test_instant_outside_the_years_is_refused(tmp_path, where):
     with pytest.raises(SchemaError, match=f"case 'k1' has {held} outside the years 1-9999 in UTC"):
         write_csv(log, out)
     assert not out.exists()
+
+
+def test_empty_case_id_is_refused_before_the_file_is_opened(tmp_path):
+    # parse_csv would refuse the file with "empty case id"
+    log = build_log({"k": [Event("a", T0)], "": [Event("b", T0)]})
+    out = tmp_path / "out.csv"
+    with pytest.raises(SchemaError, match="^case '' has a case id written as '', which parse_csv"):
+        write_csv(log, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case_id, activity, role, text", [
+    (" k", "a", "a case id", " k"),
+    ("k\t", "a", "a case id", "k\t"),
+    ("k", "a ", "an activity", "a "),
+    ("k", "\na", "an activity", "\na"),
+    ("k", "\u3000a", "an activity", "\u3000a"),  # an ideographic space, which str.strip strips
+])
+def test_label_with_whitespace_at_an_end_is_refused(tmp_path, case_id, activity, role, text):
+    log = build_log({"c0": [Event("a", T0)], case_id: [Event("a", T0), Event(activity, T0)]})
+    out = tmp_path / "out.csv"
+    with pytest.raises(SchemaError) as raised:
+        write_csv(log, out)
+    assert str(raised.value).startswith(f"case {case_id!r} has {role} written as {text!r},")
+    assert not out.exists()
+
+
+def test_labels_are_checked_as_written_and_only_for_cases_with_rows(tmp_path):
+    # None is written as an empty field; a case without events writes no row
+    no_id = EventLog({None: Case(None, ("a",), array("q", [0]), {}, {})})
+    with pytest.raises(SchemaError, match="^case None has a case id written as ''"):
+        write_csv(no_id, tmp_path / "none.csv")
+    quiet = {"": Case("", (), array("q"), {}, {}), "k": Case("k", ("a",), array("q", [0]), {}, {})}
+    write_csv(EventLog(quiet), tmp_path / "quiet.csv")
+    assert parse_csv(tmp_path / "quiet.csv").num_cases == 1
 
 
 def test_nul_is_written_as_it_is(tmp_path):
@@ -1991,6 +2053,46 @@ def test_bulk_timestamps_mark_what_parse_instant_refuses(texts):
         else:
             assert read == (instant - _EPOCH) // _MS
     assert len(ms) == len(texts)
+
+
+def stamp_texts_checked(ms):
+    """_stamp_texts of epoch milliseconds, checked against format_instant and _epoch_ms_of."""
+    texts = log_model._stamp_texts(np.array(ms, np.int64))
+    assert texts == [format_instant(_EPOCH + m * _MS) for m in ms]
+    with mock.patch.object(log_model, "parse_instant", side_effect=AssertionError("one by one")):
+        assert log_model._epoch_ms_of(texts).tolist() == list(ms)
+    return texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(log_model._MIN_MS, log_model._MAX_MS), max_size=30))
+def test_stamp_texts_match_format_instant_and_read_back(ms):
+    stamp_texts_checked(ms)
+
+
+def test_stamp_texts_at_pinned_instants():
+    day = 86_400_000
+    leap_day = (datetime(2000, 2, 29) - log_model._NAIVE_EPOCH) // _MS
+    march_1900 = (datetime(1900, 3, 1) - log_model._NAIVE_EPOCH) // _MS
+    pinned = {
+        log_model._MIN_MS: "0001-01-01T00:00:00.000+00:00",
+        log_model._MAX_MS: "9999-12-31T23:59:59.999+00:00",
+        -1: "1969-12-31T23:59:59.999+00:00",
+        0: "1970-01-01T00:00:00.000+00:00",
+        1: "1970-01-01T00:00:00.001+00:00",
+        leap_day: "2000-02-29T00:00:00.000+00:00",
+        leap_day + day - 1: "2000-02-29T23:59:59.999+00:00",
+        leap_day + day: "2000-03-01T00:00:00.000+00:00",
+        march_1900 - 1: "1900-02-28T23:59:59.999+00:00",  # 1900 is no leap year
+        march_1900: "1900-03-01T00:00:00.000+00:00",
+    }
+    assert stamp_texts_checked(list(pinned)) == list(pinned.values())
+
+
+@pytest.mark.parametrize("size", [0, 1, log_model.WRITE_BLOCK_ROWS])
+def test_stamp_texts_of_a_whole_block(size):
+    ms = np.linspace(log_model._MIN_MS, log_model._MAX_MS, size).astype(np.int64).tolist()
+    assert len(stamp_texts_checked(ms)) == size
 
 
 def texts_of(log):
