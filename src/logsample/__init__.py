@@ -35,6 +35,7 @@ from .log_model import (
     ColumnMapping,
     Event,
     EventLog,
+    Instant,
     build_log,
     load_log,
     parse_csv,

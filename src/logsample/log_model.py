@@ -3,9 +3,10 @@
 An event log is a set of cases. A case holds its events as columns in
 timestamp order: the activity sequence (its trace), the timestamps as UTC
 epoch milliseconds, and one tuple of values per event attribute, next to
-the case's own attribute map. The log keeps a per-attribute schema (kind
-and scope) so downstream statistics know whether to count values or
-average them.
+the case's own attribute map. An instant attribute value is an Instant,
+which holds its UTC epoch milliseconds as the timestamps do. The log keeps
+a per-attribute schema (kind and scope) so downstream statistics know
+whether to count values or average them.
 """
 
 from __future__ import annotations
@@ -113,6 +114,24 @@ def _epoch_ms(stamps: Iterable[datetime]) -> array:
     )
 
 
+class Instant(int):
+    """An instant attribute value: its UTC epoch milliseconds, which compare and hash as the int.
+
+    Its str is write_csv's text of it, that of :func:`format_instant`. Raises
+    ValueError for a time outside the years 1-9999 in UTC, which no such text holds.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ms: int) -> Instant:
+        if not _MIN_MS <= ms <= _MAX_MS:
+            raise ValueError(f"{ms} ms from the epoch is outside the years 1-9999 in UTC")
+        return super().__new__(cls, ms)
+
+    def __str__(self) -> str:
+        return format_instant(_EPOCH + self * _MS)
+
+
 @dataclass(frozen=True)
 class AttributeSpec:
     """Declared kind and scope of one attribute."""
@@ -129,7 +148,8 @@ class AttributeSpec:
 class Event:
     """One process step, as :func:`build_log` takes it.
 
-    A log keeps no Event objects; its cases hold their events as columns.
+    A log keeps no Event objects; its cases hold their events as columns, and
+    an attribute value that is a datetime as an Instant.
     """
 
     activity: str
@@ -145,7 +165,7 @@ class Case:
     in epoch milliseconds, an ``array('q')``. ``attributes`` are the case's
     own. ``event_attributes`` maps each name that some event holds, in the
     log's column order, to a tuple of one value per event, None where the
-    event lacks it.
+    event lacks it. An instant value, of either scope, is an Instant.
     """
 
     case_id: str
@@ -254,8 +274,8 @@ def _schema_of(case_attributes: Iterable[Mapping], event_columns: Mapping[str, M
     """Each attribute's AttributeSpec, read off its values, none of which is None.
 
     Numeric when every value's type is int or float, instant when every one is
-    datetime, else categorical (a bool too); event-scoped when some event holds it
-    (``event_columns``: name -> values by event).
+    an Instant, else categorical (a bool too); event-scoped when some event holds
+    it (``event_columns``: name -> values by event).
     """
     types: dict[str, set[type]] = {}
     for attributes in case_attributes:
@@ -265,7 +285,7 @@ def _schema_of(case_attributes: Iterable[Mapping], event_columns: Mapping[str, M
         types.setdefault(name, set()).update(map(type, column.values()))
     schema = {}
     for name, held in types.items():
-        kind = NUMERIC if held <= {int, float} else INSTANT if held == {datetime} else CATEGORICAL
+        kind = NUMERIC if held <= {int, float} else INSTANT if held == {Instant} else CATEGORICAL
         schema[name] = AttributeSpec(kind, EVENT_SCOPE if name in event_columns else CASE_SCOPE)
     return schema
 
@@ -283,11 +303,12 @@ def build_log(
     whose tzinfo gives no offset, is taken as UTC, and digits past the
     millisecond are cut. Each case's events are put in timestamp order, ties
     (events within one millisecond) keeping input order. A case or event
-    attribute whose value is None counts as absent. Raises RowError for a
-    case with no events, a timestamp whose UTC time falls outside the years
-    1-9999, or an event with an empty activity. With no ``schema``, the
-    schema is read off the values the cases hold (see _schema_of); one
-    passed is kept as given.
+    attribute whose value is None counts as absent. An attribute value that
+    is a datetime becomes an Instant, read as a timestamp is; an Instant is
+    kept. Raises RowError for a case with no events, a timestamp or a
+    datetime value whose UTC time falls outside the years 1-9999, or an
+    event with an empty activity. With no ``schema``, the schema is read off
+    the values the cases hold (see _schema_of); one passed is kept as given.
     """
     if not cases:
         raise EmptyLogError("no events to assemble into a log")
@@ -305,12 +326,20 @@ def build_log(
             if value is not None:
                 columns.setdefault(name, {})[row] = value
     held = list(compress(cases, counts))  # the cases with events
+    shared = [{name: value for name, value in case_attributes.get(case_id, {}).items()
+               if value is not None} for case_id in held]
+    refused = False  # a datetime value out of range, left as it is to name the error below
+    for values in chain(columns.values(), filter(None, shared)):
+        dated = [key for key, value in values.items() if isinstance(value, datetime)]
+        for key, ms in zip(dated, _epoch_ms(map(values.get, dated))):
+            try:
+                values[key] = Instant(ms)
+            except ValueError:
+                refused = True
     built = _assembled(
-        held, np.repeat(np.arange(len(counts)), counts), stamps, activities, columns,
-        [{name: value for name, value in case_attributes.get(case_id, {}).items()
-          if value is not None} for case_id in held],
+        held, np.repeat(np.arange(len(counts)), counts), stamps, activities, columns, shared
     )
-    if 0 in counts or "" in activities or min(stamps) < _MIN_MS or max(stamps) > _MAX_MS:
+    if refused or 0 in counts or "" in activities or min(stamps) < _MIN_MS or max(stamps) > _MAX_MS:
         for case_id in cases:  # the first case that cannot be built names the error
             case = built.get(case_id)
             if case is None:
@@ -323,6 +352,13 @@ def build_log(
                 raise RowError(
                     f"event {case.trace.index('')} of case {case_id!r} has an empty activity"
                 )
+            named = ((name, [value]) for name, value in case.attributes.items())
+            for name, values in chain(named, case.event_attributes.items()):
+                if any(isinstance(value, datetime) for value in values):
+                    raise RowError(
+                        f"case {case_id!r} has attribute {name!r} with an instant outside"
+                        " the years 1-9999 in UTC"
+                    )
     schema = _schema_of(map(_attributes, built.values()), columns) if schema is None else schema
     return EventLog(built, dict(schema))
 
@@ -371,20 +407,6 @@ class ColumnMapping:
                 )
 
 
-def _infer_kind(values: list[str]) -> str:
-    if not values:
-        return CATEGORICAL
-    if all(map(_is_number_text, values)):
-        return NUMERIC
-    try:
-        for v in values:
-            parse_instant(v)
-        return INSTANT
-    except ValueError:
-        pass
-    return CATEGORICAL
-
-
 def _number(value: str) -> int | float:
     try:
         return int(value)
@@ -406,6 +428,7 @@ def _is_number_text(text: str) -> bool:
 
 
 _CONVERTERS = {NUMERIC: _number, INSTANT: parse_instant}
+
 
 # parse_csv reads the file in blocks of this many records and checks and
 # files each block column by column, and parse_xes converts its timestamp
@@ -648,10 +671,12 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
         raise EmptyLogError(f"{path}: no data rows")
 
     # Each column is settled once, in header order: its kind is declared or
-    # inferred from every value; it moves to the cases when every row holds
-    # it with its case's first text (a case's number is the position of its
-    # first row); numeric and instant values are converted, categorical ones
-    # stay the text read; an empty cell is an absent value.
+    # inferred, each test stopping at its first text of another kind, and its
+    # texts are converted to it once; categorical ones stay the text read. It
+    # moves to the cases when every row holds it with its case's first value,
+    # as write_csv writes the values back (a case's number is the position
+    # of its first row): two spellings of one instant are one value, but 1
+    # and 1.0 are two. An empty cell is an absent value.
     case_attributes: list[dict[str, object]] = [{} for _ in numbers]
     event_columns = {}
     schema: dict[str, AttributeSpec] = {}
@@ -659,19 +684,25 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
         values = list(filter(None, texts))
         if not values:
             continue
-        kind = mapping.attribute_kinds.get(name) or _infer_kind(values)
-        convert = _CONVERTERS.get(kind)
-        if len(values) == len(texts) and list(map(texts.__getitem__, keys)) == texts:
+        kind = mapping.attribute_kinds.get(name)
+        if kind == NUMERIC or kind is None and all(map(_is_number_text, values)):
+            kind, values = NUMERIC, list(map(_number, values))
+        elif kind in (None, INSTANT):
+            try:  # Instant refuses the _MIN_MS - 1 of a text parse_instant refuses
+                kind, values = INSTANT, list(map(Instant, map(_instant_ms, values)))
+            except ValueError:
+                kind = CATEGORICAL
+        written = list(map(str, values)) if kind == NUMERIC else values
+        if len(values) == len(texts) and list(map(written.__getitem__, keys)) == written:
             schema[name] = AttributeSpec(kind, CASE_SCOPE)
             for attributes, row in zip(case_attributes, numbers.values()):
-                attributes[name] = texts[row] if convert is None else convert(texts[row])
+                attributes[name] = values[row]
             continue
         schema[name] = AttributeSpec(kind, EVENT_SCOPE)
-        if convert is not None:
-            texts = [convert(v) if v else None for v in texts]
-        elif len(values) < len(texts):
-            texts = [v or None for v in texts]
-        event_columns[name] = texts
+        if len(values) < len(texts):
+            held = iter(values)
+            values = [next(held) if text else None for text in texts]
+        event_columns[name] = values
     built = _assembled(
         numbers, np.frombuffer(keys, np.int64), np.concatenate(stamps), activities,
         event_columns, case_attributes,
@@ -717,34 +748,6 @@ def _quoted(texts: list[str]) -> list[str]:
     if not _needs_quotes("".join(texts)):
         return texts
     return list(map(csv_field, texts))
-
-
-def _render(value) -> str:
-    """An attribute value as write_csv writes it."""
-    if isinstance(value, datetime):
-        return format_instant(value)
-    return str(value)
-
-
-def _out_of_range(log: EventLog) -> SchemaError:
-    """The error naming the first case that holds an instant write_csv cannot write.
-
-    That is a timestamp, or an instant value, whose UTC time is outside the
-    years 1-9999.
-    """
-    for case in log.cases.values():
-        named = [(None, case.timestamps)]
-        named += [(name, [value]) for name, value in case.attributes.items()]
-        named += case.event_attributes.items()
-        for name, values in named:
-            if name is not None:
-                values = _epoch_ms(v for v in values if isinstance(v, datetime))
-            if any(not _MIN_MS <= ms <= _MAX_MS for ms in values):
-                held = "an event timestamp" if name is None else f"attribute {name!r} with an instant"
-                return SchemaError(
-                    f"case {case.case_id!r} has {held} outside the years 1-9999 in UTC,"
-                    " which the CSV could not write"
-                )
 
 
 def _check_labels(log: EventLog) -> None:
@@ -824,7 +827,7 @@ def _block_text(block: list[Case], stamps: np.ndarray, attr_names: list[str]) ->
         try:
             columns.append(_quoted(values))
         except TypeError:  # not all str
-            columns.append(_quoted([v if type(v) is str else _render(v) for v in values]))
+            columns.append(_quoted(list(map(str, values))))
     return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
 
@@ -837,26 +840,29 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
     :func:`csv_field`), except that a NUL character is written as it is on
     every Python version, where Python 3.10's ``csv.writer`` refuses it.
     Timestamps are written from their epoch milliseconds in the form of
-    :func:`format_instant`, which writes instant values, a block of rows at
-    a time by :func:`_stamp_texts`.
+    :func:`format_instant`, a block of rows at a time by :func:`_stamp_texts`;
+    an attribute value is written as its ``str``, which for an Instant is
+    that same form.
 
-    Raises SchemaError naming the case, before the file is opened, when a
+    Raises SchemaError, before the file is opened: naming the case, when a
     case with events has a case id or an activity that is written empty or
-    with whitespace at an end, which parse_csv would strip or refuse.
-    Raises SchemaError, before the file is opened, when a timestamp's UTC
-    time falls outside the years 1-9999, when an attribute has the name of
-    one of the mapping's columns, or when every event of a case has an
-    attribute of the name of one of the case's own with another value,
-    which would leave the case's value on no row. Raises SchemaError naming
-    the case, and the attribute when it is one, for an instant value whose
-    UTC time falls outside the years 1-9999; the file is then removed.
+    with whitespace at an end, which parse_csv would strip or refuse, or a
+    timestamp whose UTC time falls outside the years 1-9999; when an
+    attribute has the name of one of the mapping's columns; or when every
+    event of a case has an attribute of the name of one of the case's own
+    with another value, which would leave the case's value on no row.
     """
     mapping = mapping or ColumnMapping()
     _check_labels(log)
     cases = log.cases.values()
     stamps = np.frombuffer(b"".join(case.timestamps for case in cases), np.int64)
     if stamps.size and (stamps.min() < _MIN_MS or stamps.max() > _MAX_MS):
-        raise _out_of_range(log)
+        for case in cases:  # the first that holds one names the error
+            if any(not _MIN_MS <= ms <= _MAX_MS for ms in case.timestamps):
+                raise SchemaError(
+                    f"case {case.case_id!r} has an event timestamp outside the years 1-9999"
+                    " in UTC, which the CSV could not write"
+                )
     event_names = {name for case in cases for name in case.event_attributes}
     case_names = {name for case in cases for name in case.attributes}
     for case in cases:
@@ -865,11 +871,7 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
                 continue
             # an event without the name leaves the case's value on its row
             own = case.event_attributes.get(name, [None] * len(case.trace))
-            try:
-                shadowed = all(v is not None and _render(v) != _render(value) for v in own)
-            except OverflowError:
-                raise _out_of_range(log) from None
-            if shadowed:
+            if all(v is not None and str(v) != str(value) for v in own):
                 raise SchemaError(
                     f"case {case.case_id!r} has attribute {name!r} and each of its events"
                     " has another value of it, so the case's value would be on no row of"
@@ -884,17 +886,12 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
                 " so the CSV could not be read back; rename the attribute or the column"
             )
 
-    path = Path(path)
-    try:
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(map(csv_field, header)) + "\r\n")
-            start = 0
-            for block, rows in _blocks(cases):
-                fh.write(_block_text(block, stamps[start:start + rows], attr_names))
-                start += rows
-    except OverflowError:
-        path.unlink()
-        raise _out_of_range(log) from None
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(csv_field, header)) + "\r\n")
+        start = 0
+        for block, rows in _blocks(cases):
+            fh.write(_block_text(block, stamps[start:start + rows], attr_names))
+            start += rows
 
 
 # ---------------------------------------------------------------------------
@@ -923,10 +920,10 @@ def _xes_value(elem: ET.Element):
             return key, int(raw)
         if tag == "float":
             value = float(raw)
-            # nan and inf stay text, as in a CSV column (see _infer_kind)
+            # nan and inf stay text, as in a CSV column (see _is_number_text)
             return key, value if math.isfinite(value) else raw
-        if tag == "date":
-            return key, parse_instant(raw)
+        if tag == "date":  # Instant refuses the _MIN_MS - 1 of a text parse_instant refuses
+            return key, Instant(_instant_ms(raw))
     except ValueError:
         raise ValueError(f"bad {tag} value {raw!r} for key {key!r}") from None
     return key, raw
@@ -991,8 +988,8 @@ def parse_xes(path: str | Path) -> EventLog:
 
     ``concept:name`` supplies the case id on traces and the activity on
     events; ``time:timestamp`` supplies the event timestamp. Remaining
-    string/id/int/float/date/boolean attributes keep their tag's type, and the
-    schema is read off those values (see _schema_of).
+    string/id/int/float/date/boolean attributes keep their tag's type, a date
+    as an Instant, and the schema is read off those values (see _schema_of).
     A trace without a name is case ``case_<index>``, or, when a named trace
     holds that id, ``case_<index>_<n>`` with the least free n >= 1.
 
@@ -1064,12 +1061,9 @@ def parse_xes(path: str | Path) -> EventLog:
                                     column[len(activities)] = value
                                 continue
                             # a stamp under another tag or namespace is read now
-                            if not isinstance(value, datetime):
-                                try:
-                                    value = parse_instant(str(value))
-                                except ValueError:
-                                    raise ValueError(f"unreadable time:timestamp {value!r}") from None
-                            text = format_instant(value)
+                            text = str(value)
+                            if _instant_ms(text) < _MIN_MS:
+                                raise ValueError(f"unreadable time:timestamp {value!r}")
                         if stamp is not None and _instant_ms(stamp) < _MIN_MS:
                             # the last stamp is the event's, yet an earlier one is still read
                             raise ValueError(f"bad date value {stamp!r} for key 'time:timestamp'")

@@ -47,6 +47,17 @@ def test_variants_table(runner, skewed_csv):
     assert len(table) == 4
 
 
+def test_variants_print_instant_modal_values_as_write_csv_writes_them(runner):
+    result = runner.invoke(cli, ["variants", str(DATA / "xes_core.xes"), "--attr", "due,opened"])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [
+        "variant,frequency,modal_due,modal_opened",
+        '"a,a",1,,2021-03-03T00:00:00.000+00:00',
+        '"a,b,c",1,2021-03-05T17:00:00.000+00:00,2021-03-01T07:00:00.000+00:00',
+        '"b,a,d",1,2021-03-02T18:30:00.000+00:00,',
+    ]
+
+
 def test_sample_writes_log_and_report(runner, skewed_csv, tmp_path):
     out = tmp_path / "sampled.csv"
     report_path = tmp_path / "report.json"

@@ -39,7 +39,8 @@ from logsample.log_model import (
     _CONVERTERS,
     _EPOCH,
     _MS,
-    _infer_kind,
+    Instant,
+    _is_number_text,
     build_log,
     csv_field,
     format_instant,
@@ -406,8 +407,27 @@ def test_write_csv_timestamps_are_read_without_parse_instant(tmp_path, monkeypat
     assert parse_csv(tmp_path / "back.csv") == log
 
 
+def _infer_kind(values: list[str]) -> str:
+    """The kind parse_csv inferred for a column's texts before it converted each text once."""
+    if not values:
+        return CATEGORICAL
+    if all(map(_is_number_text, values)):
+        return NUMERIC
+    try:
+        for v in values:
+            parse_instant(v)
+        return INSTANT
+    except ValueError:
+        pass
+    return CATEGORICAL
+
+
 def reference_parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLog:
-    """``parse_csv`` before it built each event once, kept verbatim as the oracle.
+    """``parse_csv`` before it built each event once, kept as the oracle.
+
+    It is kept verbatim but for one step: a column's texts are compared, to
+    decide its scope, as write_csv writes their values back, so that two
+    spellings of one instant are one value.
 
     Raises SchemaError when a mandatory column is missing or a column name
     repeats, RowError with the line number for unusable rows (including rows
@@ -498,17 +518,23 @@ def reference_parse_csv(path: str | Path, mapping: ColumnMapping | None = None) 
             kinds[name] = _infer_kind(observed)
 
     # A column is promoted to a case attribute when, in every case, it is
-    # present on every row with one constant value.
+    # present on every row with one constant value, as write_csv writes it.
     rows_per_case: dict[str, list[dict[str, str]]] = {}
     for case_id, _, _, attrs in raw_rows:
         rows_per_case.setdefault(case_id, []).append(attrs)
+
+    def written(name, text):
+        if text is None or kinds[name] == CATEGORICAL:
+            return text
+        value = _CONVERTERS[kinds[name]](text)
+        return format_instant(value) if kinds[name] == INSTANT else str(value)
 
     promoted: list[str] = []
     for _, name in attr_cols:
         constant = True
         seen_any = False
         for attr_rows in rows_per_case.values():
-            values = {attrs.get(name) for attrs in attr_rows}
+            values = {written(name, attrs.get(name)) for attrs in attr_rows}
             if len(values) != 1 or None in values:
                 constant = False
                 break
@@ -709,21 +735,6 @@ def by_name(result):
     )
 
 
-def case_constants(path, schema):
-    """Event-scoped columns of a written CSV that hold one text on every row of each case."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    texts = {}
-    for name, spec in schema.items():
-        for row in rows:
-            texts.setdefault(name, {}).setdefault(row["case_id"], set()).add(row[name])
-    return [
-        name for name, per_case in texts.items()
-        if schema[name].scope == EVENT_SCOPE
-        and all(len(seen) == 1 and "" not in seen for seen in per_case.values())
-    ]
-
-
 @settings(max_examples=300, deadline=None)
 @given(csv_logs())
 def test_write_then_parse_gives_back_the_parsed_log(generated):
@@ -741,19 +752,12 @@ def test_write_then_parse_gives_back_the_parsed_log(generated):
             assume(False)  # the property is over the inputs parse_csv accepts
         back = Path(tmp) / "back.csv"
         write_csv(log, back)
-        # spellings of one instant are one text once written (see the xfail below)
-        assume(not case_constants(back, log.attribute_schema))
         written = ColumnMapping(
             attribute_kinds={k: v for k, v in declared.items() if k in log.attribute_schema}
         )
         assert by_name(parsed(parse_csv, back, written)) == by_name(parsed(parse_csv, path, mapping))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="parse_csv sets a column's scope by its texts, and write_csv writes the one"
-    " instant that two spellings read as, so the column comes back case-scoped",
-)
 def test_spellings_of_one_instant_keep_their_scope(tmp_path):
     text = (
         "case_id,activity,timestamp,due\n"
@@ -761,7 +765,7 @@ def test_spellings_of_one_instant_keep_their_scope(tmp_path):
         "1,b,2021-01-01T10:05:00,2021-02-01T00:00:00Z\n"
     )
     log = parse_csv(write(tmp_path / "in.csv", text))
-    assert log.attribute_schema["due"].scope == EVENT_SCOPE
+    assert log.attribute_schema["due"].scope == CASE_SCOPE
     write_csv(log, tmp_path / "out.csv")
     assert parse_csv(tmp_path / "out.csv").attribute_schema == log.attribute_schema
 
@@ -990,14 +994,11 @@ def reference_write_csv(
     """The per-row ``csv.writer`` ``write_csv`` the block writer replaced, kept as the oracle.
 
     Like write_csv, it first refuses a log with a case id or an activity
-    that parse_csv would not read back as written.
+    that parse_csv would not read back as written. An attribute value is
+    written as its ``str``, which for an Instant is format_instant's text.
     """
     mapping = mapping or ColumnMapping()
-
-    def render(value) -> str:
-        if isinstance(value, datetime):
-            return format_instant(value)
-        return str(value)
+    render = str
 
     for case in log.cases.values():
         if not case.trace:  # writes no row
@@ -1089,15 +1090,39 @@ READABLE_LABELS = st.one_of(
 )
 
 
+def as_built(value):
+    """An attribute value as build_log holds it: a datetime becomes an Instant.
+
+    A datetime whose UTC time falls outside the years 1-9999, where
+    format_instant overflows, is refused there: that is asserted, and None,
+    an absent value, is given in its place.
+    """
+    if not isinstance(value, datetime):
+        return value
+    ms = log_model._epoch_ms([value])[0]
+    try:
+        text = format_instant(value)
+    except OverflowError:
+        with pytest.raises(ValueError, match="outside the years 1-9999 in UTC"):
+            Instant(ms)
+        return None
+    assert str(Instant(ms)) == text
+    return Instant(ms)
+
+
 def case_of(case_id, events, attributes):
-    """A Case holding ``events`` as given: not sorted, not checked, timestamps of any year."""
+    """A Case holding ``events`` as given: not sorted, not checked, timestamps of any year.
+
+    Its attribute values are converted as build_log converts them (see as_built).
+    """
     names = dict.fromkeys(name for ev in events for name in ev.attributes)
     return Case(
         case_id,
         tuple(ev.activity for ev in events),
         log_model._epoch_ms(ev.timestamp for ev in events),
-        attributes,
-        {name: tuple(ev.attributes.get(name) for ev in events) for name in names},
+        {name: built for name, value in attributes.items()
+         if (built := as_built(value)) is not None},
+        {name: tuple(as_built(ev.attributes.get(name)) for ev in events) for name in names},
     )
 
 
@@ -1110,10 +1135,8 @@ def writable_logs(draw):
     have no events and timestamps outside the years 1-9999 in UTC. Half the
     logs draw their case ids and activities from WRITE_LABELS, which may be
     written empty or with whitespace at an end, so that write_csv refuses
-    them; the others from READABLE_LABELS. A case without events writes no
-    row, so write_csv never formats its attributes, while the oracle does
-    and fails on an instant outside the years 1-9999 in UTC. Such a case
-    holds no instant.
+    them; the others from READABLE_LABELS. Drawn datetime attribute values
+    become Instants, as build_log converts them (see case_of).
     """
     names = st.sampled_from(WRITE_NAMES)
     labels = draw(st.sampled_from([READABLE_LABELS, WRITE_LABELS]))
@@ -1127,8 +1150,7 @@ def writable_logs(draw):
             )
             for _ in range(draw(st.integers(0, 4)))
         ]
-        values = WRITE_VALUES if events else WRITE_PLAIN_VALUES
-        attributes = draw(st.dictionaries(names, values, max_size=2))
+        attributes = draw(st.dictionaries(names, WRITE_VALUES, max_size=2))
         cases[case_id] = case_of(case_id, events, attributes)
     return EventLog(cases)
 
@@ -1151,7 +1173,7 @@ def test_write_csv_matches_reference(log, block_rows):
         with mock.patch.object(log_model, "WRITE_BLOCK_ROWS", block_rows):
             actual = written(write_csv, log, path)
         if isinstance(expected, tuple) and expected[0] is OverflowError:
-            # an instant outside the years 1-9999 in UTC: refused, and no file left
+            # a timestamp outside the years 1-9999 in UTC: refused, and no file left
             assert actual[0] is SchemaError
             assert "outside the years 1-9999 in UTC" in actual[1]
             assert not path.exists()
@@ -1168,36 +1190,24 @@ def test_csv_field_matches_csv_writer(value):
     assert "," + csv_field(value) + "\r\n" == buffer.getvalue()
 
 
-@pytest.mark.parametrize("where", ["timestamp", "naive-block", "event", "case", "shadowed"])
+# 0001-01-01T03:00+05:00 is 22:00 on the last day of year 0 in UTC
+EARLY = datetime(1, 1, 1, 3, tzinfo=timezone(timedelta(hours=5)))
+
+
+@pytest.mark.parametrize("where", ["timestamp", "naive-block"])
 def test_instant_outside_the_years_is_refused(tmp_path, where):
-    # 0001-01-01T03:00+05:00 is 22:00 on the last day of year 0 in UTC
-    early = datetime(1, 1, 1, 3, tzinfo=timezone(timedelta(hours=5)))
-    stamps = {"k0": [T0, T0], "k1": [T0, T0]}
-    event_due = {"k0": [{}, {}], "k1": [{}, {}]}
-    case_due = {"k0": {}, "k1": {}}
-    if where == "timestamp":
-        stamps["k1"][1] = early
-    elif where == "naive-block":  # a naive stamp in the log with the one out of range
+    # A Case built by hand may hold such a timestamp; build_log refuses it (see TestBuildLog)
+    stamps = {"k0": [T0, T0], "k1": [T0, EARLY]}
+    if where == "naive-block":  # a naive stamp in the log with the one out of range
         stamps["k0"][0] = datetime(2021, 1, 1)
-        stamps["k1"][1] = early
-    elif where == "event":
-        event_due["k1"][1] = {"due": early}
-    elif where == "case":
-        case_due["k1"] = {"due": early}
-    else:  # compared with the events' values before the file is opened
-        case_due["k1"] = {"due": early}
-        event_due["k1"] = [{"due": T0}, {"due": T0}]
     log = EventLog({
-        cid: case_of(
-            cid,
-            [Event(a, ts, due) for a, ts, due in zip("ab", stamps[cid], event_due[cid])],
-            case_due[cid],
-        )
+        cid: case_of(cid, [Event(a, ts) for a, ts in zip("ab", stamps[cid])], {})
         for cid in stamps
     })
     out = tmp_path / "out.csv"
-    held = "an event timestamp" if stamps["k1"][1] is early else "attribute 'due' with an instant"
-    with pytest.raises(SchemaError, match=f"case 'k1' has {held} outside the years 1-9999 in UTC"):
+    with pytest.raises(
+        SchemaError, match="case 'k1' has an event timestamp outside the years 1-9999 in UTC"
+    ):
         write_csv(log, out)
     assert not out.exists()
 
@@ -1789,6 +1799,46 @@ class TestBuildLog:
         cases = {"k0": [Event("a", T0)], "k1": [Event("a", T0), Event("b", early)]}
         with pytest.raises(RowError, match="case 'k1' has an event timestamp outside the years"):
             build_log(cases)
+
+    @pytest.mark.parametrize("where", ["event", "case", "shadowed"])
+    def test_instant_value_outside_the_years_is_refused(self, where):
+        event_due = {"k0": [{}, {}], "k1": [{}, {}]}
+        case_due = {"k0": {}, "k1": {}}
+        if where == "event":
+            event_due["k1"][1] = {"due": EARLY}
+        elif where == "case":
+            case_due["k1"] = {"due": EARLY}
+        else:  # a case value that every event's own value would shadow in a CSV
+            case_due["k1"] = {"due": EARLY}
+            event_due["k1"] = [{"due": T0}, {"due": T0}]
+        cases = {
+            cid: [Event(a, T0, due) for a, due in zip("ab", event_due[cid])] for cid in case_due
+        }
+        with pytest.raises(
+            RowError, match="^case 'k1' has attribute 'due' with an instant outside the years"
+            " 1-9999 in UTC$",
+        ):
+            build_log(cases, case_due)
+
+    def test_datetime_values_become_instants(self):
+        east = timezone(timedelta(hours=2))
+        naive = datetime(2021, 1, 1, 10, 0, 0, 999)  # digits past the millisecond are cut
+        seven = Instant(7)
+        log = build_log(
+            {"k": [Event("a", T0, {"due": naive}), Event("b", T0, {"due": seven})]},
+            {"k": {"opened": naive.replace(tzinfo=east)}},
+        )
+        case = log.cases["k"]
+        assert case.event_attributes["due"] == (1609495200000, 7)
+        assert case.event_attributes["due"][1] is seven  # an Instant is kept as it is
+        assert case.attributes["opened"] == 1609488000000
+        held = [*case.event_attributes["due"], case.attributes["opened"]]
+        assert {type(value) for value in held} == {Instant}
+        assert str(case.attributes["opened"]) == "2021-01-01T08:00:00.000+00:00"
+        assert log.attribute_schema == {
+            "opened": AttributeSpec(INSTANT, CASE_SCOPE),
+            "due": AttributeSpec(INSTANT, EVENT_SCOPE),
+        }
 
     def test_attribute_of_none_is_absent(self):
         events = [Event("a", T0, {"x": None, "y": 1}), Event("b", T0, {"x": None})]
