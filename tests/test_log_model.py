@@ -1114,15 +1114,19 @@ def case_of(case_id, events, attributes):
     """A Case holding ``events`` as given: not sorted, not checked, timestamps of any year.
 
     Its attribute values are converted as build_log converts them (see as_built).
+    A name whose every value as_built gives as None is left out, since
+    event_attributes maps only names that some event holds.
     """
     names = dict.fromkeys(name for ev in events for name in ev.attributes)
+    columns = {name: tuple(as_built(ev.attributes.get(name)) for ev in events) for name in names}
     return Case(
         case_id,
         tuple(ev.activity for ev in events),
         log_model._epoch_ms(ev.timestamp for ev in events),
         {name: built for name, value in attributes.items()
          if (built := as_built(value)) is not None},
-        {name: tuple(as_built(ev.attributes.get(name)) for ev in events) for name in names},
+        {name: column for name, column in columns.items()
+         if any(value is not None for value in column)},
     )
 
 
