@@ -25,6 +25,7 @@ from .features import (
     END_MARKER,
     EncodedRows,
     FeatureRow,
+    FeatureRows,
     default_window,
     encode,
     export_features,

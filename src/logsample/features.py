@@ -3,11 +3,13 @@
 Each case of length n yields n-1 rows (prefix of length i, activity i+1) and
 optionally one extra row targeting the end-of-case marker. A row is a view
 of its case: the case's sequence and a cut, so no prefix is ever copied.
-Encoding flattens a prefix into W one-hot blocks over (padding + alphabet),
-newest activity in the rightmost block. :func:`encode` gathers each row's W
-integer codes (0 = padding) and its label with numpy into
-:class:`EncodedRows`, which expands them on demand into uint8 one-hot
-matrices of at most ``BLOCK_BYTES`` each.
+:class:`FeatureRows` holds the rows as columns: each case's sequence once,
+and two integer arrays with each row's case number and cut, so no Python
+object is built per row. Encoding flattens a prefix into W one-hot blocks
+over (padding + alphabet), newest activity in the rightmost block.
+:func:`encode` gathers each row's W integer codes (0 = padding) and its
+label with numpy into :class:`EncodedRows`, which expands them on demand
+into uint8 one-hot matrices of at most ``BLOCK_BYTES`` each.
 """
 
 from __future__ import annotations
@@ -85,13 +87,63 @@ class EncodedRows:
             yield block
 
 
-def extract_features(log: EventLog, include_end_marker: bool = True) -> list[FeatureRow]:
+@dataclass(frozen=True, eq=False)
+class FeatureRows:
+    """Feature rows as columns, in order; iterating gives each as a :class:`FeatureRow`.
+
+    Row i is ``sequences[n]`` cut at ``cuts[i]``, of case ``case_ids[n]``,
+    where n is ``numbers[i]``. Both columns are ``array('q')``. Row sets
+    have no value equality; compare ``list(rows)``.
+    """
+
+    sequences: list[tuple[str, ...]]
+    case_ids: list[str]
+    numbers: array
+    cuts: array
+
+    def __len__(self) -> int:
+        return len(self.cuts)
+
+    def __iter__(self) -> Iterator[FeatureRow]:
+        sequences = map(self.sequences.__getitem__, self.numbers)
+        case_ids = map(self.case_ids.__getitem__, self.numbers)
+        # tuple.__new__ builds each row without the Python frame of FeatureRow's __new__
+        return map(tuple.__new__, repeat(FeatureRow), zip(sequences, self.cuts, case_ids))
+
+
+def as_feature_rows(rows: Iterable[FeatureRow]) -> FeatureRows:
+    """Any rows as :class:`FeatureRows`, in order; a FeatureRows is returned as it is.
+
+    Each run of rows sharing one sequence object and one case id becomes
+    one entry of ``sequences``. Cuts are not checked here: each reader of
+    the rows refuses a bad cut with its own error.
+    """
+    if isinstance(rows, FeatureRows):
+        return rows
+    sequences: list[tuple[str, ...]] = []
+    case_ids: list[str] = []
+    numbers, cuts = array("q"), array("q")
+    last = last_id = None
+    for sequence, cut, case_id in rows:
+        if sequence is not last or case_id != last_id:
+            last, last_id = sequence, case_id
+            sequences.append(sequence)
+            case_ids.append(case_id)
+        numbers.append(len(sequences) - 1)
+        cuts.append(cut)
+    return FeatureRows(sequences, case_ids, numbers, cuts)
+
+
+def extract_features(log: EventLog, include_end_marker: bool = True) -> FeatureRows:
     """All (prefix, next activity) rows of a log, case by case.
 
     With the end marker enabled, every full trace additionally predicts
     END_MARKER, so a case of length n contributes n rows instead of n-1.
+    A case that yields no row is left out of the columns.
     """
-    rows: list[FeatureRow] = []
+    sequences: list[tuple[str, ...]] = []
+    case_ids: list[str] = []
+    numbers, cuts = array("q"), array("q")
     for cid, case in log.cases.items():
         sequence = case.trace
         if END_MARKER in sequence:
@@ -100,10 +152,12 @@ def extract_features(log: EventLog, include_end_marker: bool = True) -> list[Fea
             )
         if include_end_marker:
             sequence = (*sequence, END_MARKER)
-        # tuple.__new__ builds each row without the Python frame of FeatureRow's __new__
-        fields = zip(repeat(sequence), range(1, len(sequence)), repeat(cid))
-        rows.extend(map(tuple.__new__, repeat(FeatureRow), fields))
-    return rows
+        if len(sequence) > 1:
+            numbers.extend(repeat(len(sequences), len(sequence) - 1))
+            cuts.extend(range(1, len(sequence)))
+            sequences.append(sequence)
+            case_ids.append(cid)
+    return FeatureRows(sequences, case_ids, numbers, cuts)
 
 
 def label_space(alphabet: Sequence[str]) -> list[str]:
@@ -121,38 +175,45 @@ def encode(
     Every activity of a row's sequence must be in the alphabet, and
     END_MARKER may only be a target.
 
-    Each run of rows sharing one sequence object maps that sequence to codes
+    Each sequence of the rows (see :class:`FeatureRows`) is mapped to codes
     once, behind W padding codes; a row is then the offset of its target,
-    and numpy gathers the W codes before it and the target's code.
+    its sequence's start plus its cut, and numpy gathers the W codes before
+    it and the target's code.
     """
     if window < 1:
         raise EncodingError(f"window must be >= 1, got {window}")
+    rows = as_feature_rows(rows)
     end_code = len(alphabet) + 1
+    if not rows:
+        return EncodedRows(np.zeros((0, window), np.uintc), np.zeros(0, np.uintc), end_code)
     code = {act: i for i, act in enumerate(label_space(alphabet), 1)}.__getitem__
     pad = array("I", bytes(4 * window))
 
     codes = array("I")
-    ends = array("q")
-    last = None
-    for sequence, cut, case_id in rows:
-        if sequence is not last:
-            codes += pad
-            base = len(codes)
-            try:
-                codes.extend(map(code, sequence))
-            except KeyError as exc:
-                raise EncodingError(
-                    f"activity {exc.args[0]!r} of case {case_id!r} is not in the alphabet"
-                ) from None
-            last, length = sequence, len(sequence)
-        if not 0 <= cut < length:
+    bases = array("q")
+    for sequence, case_id in zip(rows.sequences, rows.case_ids):
+        codes += pad
+        bases.append(len(codes))
+        try:
+            codes.extend(map(code, sequence))
+        except KeyError as exc:
             raise EncodingError(
-                f"row of case {case_id!r} cuts at {cut}, outside its {length}-item sequence"
-            )
-        ends.append(base + cut)
+                f"activity {exc.args[0]!r} of case {case_id!r} is not in the alphabet"
+            ) from None
 
-    if not ends:
-        return EncodedRows(np.zeros((0, window), np.uintc), np.zeros(0, np.uintc), end_code)
+    numbers = np.frombuffer(rows.numbers, np.int64)
+    cuts = np.frombuffer(rows.cuts, np.int64)
+    lengths = np.fromiter(map(len, rows.sequences), np.uint64, len(rows.sequences))
+    # read as unsigned, a negative cut is larger than any length
+    outside = cuts.view(np.uint64) >= lengths[numbers]
+    if outside.any():
+        i = int(outside.argmax())
+        number, cut = rows.numbers[i], rows.cuts[i]
+        raise EncodingError(
+            f"row of case {rows.case_ids[number]!r} cuts at {cut}, outside its"
+            f" {len(rows.sequences[number])}-item sequence"
+        )
+    ends = np.frombuffer(bases, np.int64)[numbers] + cuts
     # The sliding window view of the codes: windows[s] is codes[s : s + W + 1],
     # a row's W prefix codes and then its target's. It is built as a strided
     # ndarray because numpy's sliding_window_view checks its arguments for
@@ -161,7 +222,7 @@ def encode(
     step = codes.itemsize
     shape = (len(codes) - window, window + 1)
     windows = np.ndarray(shape, np.uintc, codes, strides=(step, step))
-    gathered = windows[np.frombuffer(ends, dtype=np.int64) - window]
+    gathered = windows[ends - window]
     matrix = gathered[:, :window]
     if matrix.max() == end_code:
         raise EncodingError(f"the end-of-case marker {END_MARKER!r} is inside a prefix")

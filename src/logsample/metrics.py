@@ -14,24 +14,34 @@ speedup.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem
 from typing import Iterable
 
+import numpy as np
+
 from .errors import EvaluationError, UndefinedRatioError
-from .features import FeatureRow
+from .features import FeatureRow, FeatureRows, as_feature_rows
 from .predictor import PrefixTreeModel
 
 
-class TestRows(tuple[FeatureRow, ...]):
+class TestRows(FeatureRows):
     """One test fold's feature rows, grouped by key once per horizon.
 
+    Built from any rows, as :func:`~logsample.features.as_feature_rows`
+    takes them; a :class:`FeatureRows` lends its columns without a copy.
     The key of a row is its prefix cut to the last ``horizon`` activities;
     a horizon at least as long as the prefix keeps all of it. Every model
     scored on the fold shares the grouping of its horizon, so each horizon
     is grouped once, and the fold's support per class is summed once.
     """
+
+    def __init__(self, rows: Iterable[FeatureRow]):
+        rows = as_feature_rows(rows)
+        super().__init__(rows.sequences, rows.case_ids, rows.numbers, rows.cuts)
 
     @cached_property
     def _groups(self) -> dict[int, dict[tuple[str, ...], dict[str, int]]]:
@@ -42,9 +52,12 @@ class TestRows(tuple[FeatureRow, ...]):
         groups = self._groups.get(horizon)
         if groups is None:
             groups = self._groups[horizon] = {}
-            pairs = (
-                (sequence[max(cut - horizon, 0) : cut], sequence[cut]) for sequence, cut, _ in self
-            )
+            sequences = list(map(self.sequences.__getitem__, self.numbers))
+            # sys.maxsize keeps a longer horizon in int64; it keeps every prefix whole too
+            back = np.frombuffer(self.cuts, np.int64) - min(horizon, sys.maxsize)
+            starts = np.maximum(back, 0).tolist()
+            keys = map(getitem, sequences, map(slice, starts, self.cuts))
+            pairs = zip(keys, map(getitem, sequences, self.cuts))
             for (key, target), rows in Counter(pairs).items():
                 groups.setdefault(key, {})[target] = rows
         return groups

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, TrainingError
-from .features import END_MARKER, FeatureRow
+from .features import END_MARKER, FeatureRow, as_feature_rows
 
 Suffix = tuple[str, ...]
 
@@ -138,16 +138,20 @@ def train(
     if not (smoothing >= 0 and math.isfinite(smoothing)):
         raise TrainingError(f"smoothing must be finite and >= 0, got {smoothing}")
 
+    rows = as_feature_rows(rows)
+    sequences = rows.sequences
     root: dict[str, int] = {}
     counts = [root]
     children: list[dict[str, int]] = [{}]
     last = None
-    for sequence, cut, case_id in rows:
-        if sequence is not last:  # the rows of a case share one sequence: reverse it once
-            last, length, backwards = sequence, len(sequence), sequence[::-1]
+    for number, cut in zip(rows.numbers, rows.cuts):
+        if number != last:  # the rows of a case share one sequence: reverse it once
+            sequence = sequences[number]
+            last, length, backwards = number, len(sequence), sequence[::-1]
         if not 0 <= cut < length:
             raise TrainingError(
-                f"row of case {case_id!r} cuts at {cut}, outside its {length}-item sequence"
+                f"row of case {rows.case_ids[number]!r} cuts at {cut}, outside its"
+                f" {length}-item sequence"
             )
         target = sequence[cut]
         root[target] = root.get(target, 0) + 1

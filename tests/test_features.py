@@ -1,27 +1,37 @@
 """Feature extraction, one-hot encoding, and the CSV export."""
 
 import csv
+import json
+import re
+from array import array
 from collections import Counter
+from itertools import repeat
 from random import Random
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logsample import features
-from logsample.errors import EncodingError
+import logsample
+from logsample import experiment, features, metrics
+from logsample.errors import EncodingError, TrainingError
+from logsample.experiment import ExperimentConfig, run_experiment
 from logsample.features import (
     BLOCK_BYTES,
     END_MARKER,
     FeatureRow,
+    FeatureRows,
+    as_feature_rows,
     default_window,
     encode,
     export_features,
     extract_features,
     label_space,
 )
+from logsample.metrics import evaluate
+from logsample.predictor import train
 from logsample.sampling import DIVISION, RANDOM_ORDER, SamplingConfig, sample
 from logsample.variants import build_variant_index
 
@@ -46,7 +56,7 @@ class TestExtractFeatures:
 
     def test_single_activity_case(self):
         log = log_from_variants([(("a",), 1)])
-        assert extract_features(log, include_end_marker=False) == []
+        assert list(extract_features(log, include_end_marker=False)) == []
         rows = extract_features(log, include_end_marker=True)
         assert [(r.prefix, r.target) for r in rows] == [(("a",), END_MARKER)]
 
@@ -103,6 +113,176 @@ def test_extract_features_matches_copying_extractor(variants, with_marker):
     assert [(r.prefix, r.target, r.case_id) for r in rows] == copying_extract_features(
         log, with_marker
     )
+
+
+def per_row_extract_features(log, include_end_marker=True):
+    """The extractor that built one FeatureRow tuple per row, kept as the oracle."""
+    rows = []
+    for cid, case in log.cases.items():
+        sequence = case.trace
+        if END_MARKER in sequence:
+            raise EncodingError(
+                f"case {cid!r} uses the reserved end-of-case label {END_MARKER!r}"
+            )
+        if include_end_marker:
+            sequence = (*sequence, END_MARKER)
+        fields = zip(repeat(sequence), range(1, len(sequence)), repeat(cid))
+        rows.extend(map(tuple.__new__, repeat(FeatureRow), fields))
+    return rows
+
+
+def one_entry_per_row(rows):
+    """The rows as FeatureRows that share no sequence entry between rows."""
+    rows = list(rows)
+    return FeatureRows(
+        [row.sequence for row in rows],
+        [row.case_id for row in rows],
+        array("q", range(len(rows))),
+        array("q", [row.cut for row in rows]),
+    )
+
+
+def kernel_outcomes(rows, alphabet):
+    """What encode, train and evaluate make of some rows: results, or each error's text.
+
+    A model is compared by its saved JSON text, which keeps each counts
+    dict's insertion order. evaluate does not check cuts, so a cut past its
+    sequence's end fails there with IndexError.
+    """
+    outcomes = []
+    for kernel in (
+        lambda: encode(rows, alphabet, window=3),
+        lambda: train(rows, max_order=2),
+        lambda: evaluate(train(list(rows)[:1], max_order=2), rows),
+    ):
+        try:
+            result = kernel()
+        except (EncodingError, TrainingError, IndexError) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+            continue
+        if isinstance(result, features.EncodedRows):
+            outcomes.append((result.codes.tolist(), result.labels.tolist(), result.slots))
+        elif isinstance(result, metrics.EvaluationResult):
+            outcomes.append(result)
+        else:
+            outcomes.append(json.dumps(result.to_dict()))
+    return outcomes
+
+
+@settings(max_examples=100, deadline=None)
+@given(variant_specs, st.booleans())
+def test_feature_rows_equal_the_per_row_list(variants, with_marker):
+    log = log_from_variants(variants)
+    rows = extract_features(log, with_marker)
+    expected = per_row_extract_features(log, with_marker)
+    assert isinstance(rows, FeatureRows)
+    assert len(rows) == len(expected)
+    assert list(rows) == expected
+    # row order is kept exactly: a saved model writes each counts dict in the order rows met it
+    if expected:
+        alphabet = sorted(log.activity_alphabet)
+        outcome = kernel_outcomes(rows, alphabet)
+        assert outcome == kernel_outcomes(expected, alphabet)
+        assert outcome == kernel_outcomes(one_entry_per_row(expected), alphabet)
+
+
+@st.composite
+def hand_built_rows(draw):
+    """Rows that interleave cases, share one sequence object between cases, and may hold a bad cut."""
+    sequences = draw(
+        st.lists(
+            st.builds(
+                lambda acts, end: (*acts, END_MARKER) if end else tuple(acts),
+                st.lists(st.sampled_from("abc"), min_size=1, max_size=5),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(sequences) - 1), st.sampled_from(["k0", "k1", "k2"])),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    rows = []
+    for number, case_id in picks:
+        sequence = sequences[number]
+        rows.append(FeatureRow(sequence, draw(st.integers(0, len(sequence) - 1)), case_id))
+    bad = draw(st.one_of(st.none(), st.integers(0, len(rows) - 1)))
+    if bad is not None:
+        length = len(rows[bad].sequence)
+        rows[bad] = rows[bad]._replace(cut=draw(st.sampled_from([-1, length, length + 2])))
+    return rows
+
+
+SHARED = ("a", "b", END_MARKER)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hand_built_rows())
+@example([FeatureRow(SHARED, 1, "k0"), FeatureRow(("c", "a"), 1, "k1"), FeatureRow(SHARED, 2, "k0")])
+@example([FeatureRow(SHARED, 1, "k0"), FeatureRow(SHARED, 2, "k1"), FeatureRow(SHARED, 0, "k0")])
+@example([FeatureRow(SHARED, 1, "k0"), FeatureRow(("c", "a"), 3, "k1"), FeatureRow(SHARED, -1, "k0")])
+def test_hand_built_rows_give_the_same_results_as_columns(rows):
+    columns = as_feature_rows(rows)
+    assert list(columns) == rows
+    assert list(one_entry_per_row(rows)) == rows
+    alphabet = ["a", "b", "c"]
+    outcome = kernel_outcomes(rows, alphabet)
+    assert outcome == kernel_outcomes(columns, alphabet)
+    assert outcome == kernel_outcomes(one_entry_per_row(rows), alphabet)
+    bad = [row for row in rows if not 0 <= row.cut < len(row.sequence)]
+    if bad:
+        first = bad[0]
+        message = (
+            f"row of case {first.case_id!r} cuts at {first.cut}, outside its"
+            f" {len(first.sequence)}-item sequence"
+        )
+        with pytest.raises(EncodingError, match=re.escape(message)):
+            encode(columns, alphabet, window=2)
+        with pytest.raises(TrainingError, match=re.escape(message)):
+            train(columns)
+    else:
+        assert [(v.tolist(), l) for v, l in pairs(encode(columns, alphabet, 3))] == [
+            (v.tolist(), l) for v, l in reference_encode(rows, alphabet, 3)
+        ]
+
+
+def test_the_benchmark_harness_view_of_the_package(tmp_path, monkeypatch):
+    """What the benchmark harness reads of the package, which it reads without change."""
+    log = log_from_variants([(("a", "b", "c"), 3), (("a", "c"), 2), (("b",), 1)])
+    # the number of rows of a log, with and without the end row
+    rows = logsample.extract_features(log)
+    assert len(rows) == log.num_events
+    assert len(logsample.extract_features(log, False)) == log.num_events - log.num_cases
+    # the rows and a test fold iterate as FeatureRows with a prefix and a target
+    for view in (rows, logsample.TestRows(rows)):
+        assert all(isinstance(row, FeatureRow) for row in view)
+        assert {(row.prefix[-5:], row.target) for row in view} == {
+            (("a",), "b"), (("a", "b"), "c"), (("a", "b", "c"), END_MARKER),
+            (("a",), "c"), (("a", "c"), END_MARKER), (("b",), END_MARKER),
+        }
+    # the rows a cell trains on are counted by len() of train's first argument
+    trained = []
+    real_train = experiment.train
+    monkeypatch.setattr(
+        experiment,
+        "train",
+        lambda *a, **k: trained.append((len(a[0]), len(list(a[0])))) or real_train(*a, **k),
+    )
+    run_experiment(log, ExperimentConfig(folds=2, repeats=1, grid=experiment.default_grid()[:1]))
+    assert trained and all(counted == walked > 0 for counted, walked in trained)
+    # export_features takes (rows, alphabet, window, path) positionally
+    alphabet = sorted(log.activity_alphabet)
+    window = logsample.default_window([len(log.trace(cid)) for cid in log.cases])
+    logsample.export_features(rows, alphabet, window, tmp_path / "features.csv")
+    with (tmp_path / "features.csv").open(newline="") as fh:
+        assert sum(1 for _ in csv.reader(fh)) == len(rows) + 1
+    # EventLog.trace gives a case's activities
+    assert all(log.trace(cid) is case.trace for cid, case in log.cases.items())
 
 
 class TestFeatureRowViews:
@@ -259,7 +439,7 @@ def test_encode_matches_reference_on_shuffled_shared_rows(variants, with_marker,
     # the rows of one sequence with rows of others
     log = log_from_variants(variants)
     alphabet = sorted(log.activity_alphabet)
-    rows = extract_features(log, with_marker)
+    rows = list(extract_features(log, with_marker))
     rnd.shuffle(rows)
     encoded = encode(rows, alphabet, window)
     expected = reference_encode(rows, alphabet, window)

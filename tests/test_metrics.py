@@ -254,7 +254,7 @@ class TestFoldRows:
         test_rows = self.four_rows()
         assert test_rows.keys(1) is test_rows.keys(1)  # built once, then reused
         test_rows.keys(0)
-        for model in (train(test_rows, 1), train(test_rows, 0), train(test_rows[:2], 1)):
+        for model in (train(test_rows, 1), train(test_rows, 0), train(list(test_rows)[:2], 1)):
             evaluate(model, test_rows)
         assert len(counted) == 2
 

@@ -118,7 +118,7 @@ class TestPredict:
         log = log_from_variants(random_variant_freqs(rnd, max_variants=5, max_freq=6))
         rows = extract_features(log)
         model = train(rows, max_order=3, smoothing=0.01)
-        some_prefixes = [r.prefix for r in rows[:10]] + [("unseen",)]
+        some_prefixes = [r.prefix for r in list(rows)[:10]] + [("unseen",)]
         for prefix in some_prefixes:
             dist = model.distribution(prefix)
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
@@ -232,7 +232,8 @@ def test_trie_matches_slicing_reference(tmp_path_factory, seed, max_order, with_
     shuffled, so runs break; and in order but each holding its own equal copy."""
     rnd = Random(seed)
     log = log_from_variants(random_variant_freqs(rnd, max_variants=8, max_freq=4, max_len=8))
-    rows = extract_features(log, with_marker)
+    extracted = extract_features(log, with_marker)
+    rows = list(extracted)
     if order == "shuffled":
         rnd.shuffle(rows)
     elif order == "copied":
@@ -240,7 +241,7 @@ def test_trie_matches_slicing_reference(tmp_path_factory, seed, max_order, with_
         assert all(a.sequence is not b.sequence for a, b in zip(rows, rows[1:]))
     if not rows:  # without the marker, one-event cases give no rows
         return
-    model = train(rows, max_order=max_order)
+    model = train(extracted if order == "extracted" else rows, max_order=max_order)
     tables, targets = slicing_train(rows, max_order)
     # key order too: to_dict writes each counts dict in insertion order
     as_items = lambda t: {suffix: list(counts.items()) for suffix, counts in t.items()}
