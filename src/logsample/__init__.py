@@ -46,7 +46,6 @@ from .log_model import (
 )
 from .metrics import (
     EvaluationResult,
-    TestRows,
     evaluate,
     relative_accuracy,
     speedup,

@@ -36,7 +36,7 @@ class EmptySampleError(LogSampleError):
 
 
 class EncodingError(LogSampleError):
-    """A feature row contains an activity outside the encoding alphabet."""
+    """A feature row's activity is outside the encoding alphabet, or its columns are bad."""
 
 
 class TrainingError(LogSampleError):

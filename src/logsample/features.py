@@ -5,8 +5,10 @@ optionally one extra row targeting the end-of-case marker. A row is a view
 of its case: the case's sequence and a cut, so no prefix is ever copied.
 :class:`FeatureRows` holds the rows as columns: each case's sequence once,
 and two integer arrays with each row's case number and cut, so no Python
-object is built per row. Encoding flattens a prefix into W one-hot blocks
-over (padding + alphabet), newest activity in the rightmost block.
+object is built per row. It is the one form rows take to their readers,
+and building it is the one place their columns are checked. Encoding
+flattens a prefix into W one-hot blocks over (padding + alphabet), newest
+activity in the rightmost block.
 :func:`encode` gathers each row's W integer codes (0 = padding) and its
 label with numpy into :class:`EncodedRows`, which expands them on demand
 into uint8 one-hot matrices of at most ``BLOCK_BYTES`` each.
@@ -15,11 +17,15 @@ into uint8 one-hot matrices of at most ``BLOCK_BYTES`` each.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
+from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import getitem
+from pathlib import Path
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,14 +98,44 @@ class FeatureRows:
     """Feature rows as columns, in order; iterating gives each as a :class:`FeatureRow`.
 
     Row i is ``sequences[n]`` cut at ``cuts[i]``, of case ``case_ids[n]``,
-    where n is ``numbers[i]``. Both columns are ``array('q')``. Row sets
-    have no value equality; compare ``list(rows)``.
+    where n is ``numbers[i]``. Both columns are ``array('q')``. Building
+    the rows checks the columns: a bad one raises EncodingError naming the
+    first bad row, so the readers of the rows trust every number and cut.
+    The rows group themselves by key (:meth:`keys`) once per horizon, so
+    every model scored on them shares each grouping. Row sets have no value
+    equality; compare ``list(rows)``.
     """
 
     sequences: list[tuple[str, ...]]
     case_ids: list[str]
     numbers: array
     cuts: array
+
+    def __post_init__(self) -> None:
+        sequences, numbers, cuts = self.sequences, self.numbers, self.cuts
+        if (getattr(numbers, "typecode", None), getattr(cuts, "typecode", None)) != ("q", "q"):
+            raise EncodingError("row numbers and cuts must each be an array('q')")
+        if len(numbers) != len(cuts):
+            raise EncodingError(f"row {min(len(numbers), len(cuts))} lacks a number or a cut")
+        if len(self.case_ids) != len(sequences):
+            raise EncodingError(f"{len(self.case_ids)} case ids for {len(sequences)} sequences")
+        if not cuts:
+            return
+        # read as unsigned, a negative number or cut is larger than any count
+        at = np.frombuffer(numbers, np.uint64)
+        lengths = np.fromiter(map(len, sequences), np.uint64, len(sequences))
+        if at.max() < len(sequences) and (np.frombuffer(cuts, np.uint64) < lengths[at]).all():
+            return
+        for i, (number, cut) in enumerate(zip(numbers, cuts)):  # name the first bad row
+            if not 0 <= number < len(sequences):
+                raise EncodingError(
+                    f"row {i} is of sequence {number}, outside the {len(sequences)} sequences"
+                )
+            if not 0 <= cut < len(sequences[number]):
+                raise EncodingError(
+                    f"row of case {self.case_ids[number]!r} cuts at {cut}, outside its"
+                    f" {len(sequences[number])}-item sequence"
+                )
 
     def __len__(self) -> int:
         return len(self.cuts)
@@ -110,28 +146,38 @@ class FeatureRows:
         # tuple.__new__ builds each row without the Python frame of FeatureRow's __new__
         return map(tuple.__new__, repeat(FeatureRow), zip(sequences, self.cuts, case_ids))
 
+    @cached_property
+    def _groups(self) -> dict[int, dict[tuple[str, ...], dict[str, int]]]:
+        return {}
 
-def as_feature_rows(rows: Iterable[FeatureRow]) -> FeatureRows:
-    """Any rows as :class:`FeatureRows`, in order; a FeatureRows is returned as it is.
+    def keys(self, horizon: int) -> dict[tuple[str, ...], dict[str, int]]:
+        """The rows at ``horizon`` as ``{key: {target: rows}}``, grouped once per horizon.
 
-    Each run of rows sharing one sequence object and one case id becomes
-    one entry of ``sequences``. Cuts are not checked here: each reader of
-    the rows refuses a bad cut with its own error.
-    """
-    if isinstance(rows, FeatureRows):
-        return rows
-    sequences: list[tuple[str, ...]] = []
-    case_ids: list[str] = []
-    numbers, cuts = array("q"), array("q")
-    last = last_id = None
-    for sequence, cut, case_id in rows:
-        if sequence is not last or case_id != last_id:
-            last, last_id = sequence, case_id
-            sequences.append(sequence)
-            case_ids.append(case_id)
-        numbers.append(len(sequences) - 1)
-        cuts.append(cut)
-    return FeatureRows(sequences, case_ids, numbers, cuts)
+        The key of a row is its prefix cut to the last ``horizon`` activities;
+        a horizon at least as long as the prefix keeps all of it.
+        """
+        groups = self._groups.get(horizon)
+        if groups is None:
+            groups = self._groups[horizon] = {}
+            sequences = list(map(self.sequences.__getitem__, self.numbers))
+            # sys.maxsize keeps a longer horizon in int64; it keeps every prefix whole too
+            back = np.frombuffer(self.cuts, np.int64) - min(horizon, sys.maxsize)
+            starts = np.maximum(back, 0).tolist()
+            keys = map(getitem, sequences, map(slice, starts, self.cuts))
+            pairs = zip(keys, map(getitem, sequences, self.cuts))
+            for (key, target), rows in Counter(pairs).items():
+                groups.setdefault(key, {})[target] = rows
+        return groups
+
+    @cached_property
+    def support(self) -> dict[str, int]:
+        """Rows per target, summed over the first grouping :meth:`keys` built, or horizon 0's."""
+        support: dict[str, int] = {}
+        grouped = next(iter(self._groups.values())) if self._groups else self.keys(0)
+        for tally in grouped.values():
+            for target, rows in tally.items():
+                support[target] = support.get(target, 0) + rows
+        return support
 
 
 def extract_features(log: EventLog, include_end_marker: bool = True) -> FeatureRows:
@@ -166,7 +212,7 @@ def label_space(alphabet: Sequence[str]) -> list[str]:
 
 
 def encode(
-    rows: Iterable[FeatureRow], alphabet: Sequence[str], window: int
+    rows: FeatureRows, alphabet: Sequence[str], window: int
 ) -> EncodedRows:
     """One-hot encode rows against an alphabet with a fixed window length.
 
@@ -182,7 +228,6 @@ def encode(
     """
     if window < 1:
         raise EncodingError(f"window must be >= 1, got {window}")
-    rows = as_feature_rows(rows)
     end_code = len(alphabet) + 1
     if not rows:
         return EncodedRows(np.zeros((0, window), np.uintc), np.zeros(0, np.uintc), end_code)
@@ -203,16 +248,6 @@ def encode(
 
     numbers = np.frombuffer(rows.numbers, np.int64)
     cuts = np.frombuffer(rows.cuts, np.int64)
-    lengths = np.fromiter(map(len, rows.sequences), np.uint64, len(rows.sequences))
-    # read as unsigned, a negative cut is larger than any length
-    outside = cuts.view(np.uint64) >= lengths[numbers]
-    if outside.any():
-        i = int(outside.argmax())
-        number, cut = rows.numbers[i], rows.cuts[i]
-        raise EncodingError(
-            f"row of case {rows.case_ids[number]!r} cuts at {cut}, outside its"
-            f" {len(rows.sequences[number])}-item sequence"
-        )
     ends = np.frombuffer(bases, np.int64)[numbers] + cuts
     # The sliding window view of the codes: windows[s] is codes[s : s + W + 1],
     # a row's W prefix codes and then its target's. It is built as a strided
@@ -230,7 +265,7 @@ def encode(
 
 
 def export_features(
-    rows: Iterable[FeatureRow],
+    rows: FeatureRows,
     alphabet: Sequence[str],
     window: int,
     path: str | Path,

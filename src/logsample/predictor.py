@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, TrainingError
-from .features import END_MARKER, FeatureRow, as_feature_rows
+from .features import END_MARKER, FeatureRows
 
 Suffix = tuple[str, ...]
 
@@ -72,6 +73,11 @@ class PrefixTreeModel:
     def _rank(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
 
+    @cached_property
+    def _reach(self) -> int:
+        # islice takes no stop above sys.maxsize; no prefix is that long
+        return min(self.max_order, sys.maxsize)
+
     def _match(self, prefix: Sequence[str]) -> int:
         """The node of the longest stored suffix of the prefix.
 
@@ -80,7 +86,7 @@ class PrefixTreeModel:
         """
         counts, children = self.counts, self.children
         node = found = 0
-        for activity in islice(reversed(prefix), self.max_order):
+        for activity in islice(reversed(prefix), self._reach):
             node = children[node].get(activity)
             if node is None:
                 break
@@ -126,19 +132,18 @@ class PrefixTreeModel:
 
 
 def train(
-    rows: Iterable[FeatureRow], max_order: int = 5, smoothing: float = 0.01
+    rows: FeatureRows, max_order: int = 5, smoothing: float = 0.01
 ) -> PrefixTreeModel:
     """Count suffix -> next-activity transitions for all orders 0..max_order.
 
     Each row walks back from its cut at most max_order activities, one trie
-    step per activity, counting its target at each node; a bad cut raises TrainingError.
+    step per activity, counting its target at each node.
     """
     if max_order < 0:
         raise TrainingError(f"max_order must be >= 0, got {max_order}")
     if not (smoothing >= 0 and math.isfinite(smoothing)):
         raise TrainingError(f"smoothing must be finite and >= 0, got {smoothing}")
 
-    rows = as_feature_rows(rows)
     sequences = rows.sequences
     root: dict[str, int] = {}
     counts = [root]
@@ -148,11 +153,6 @@ def train(
         if number != last:  # the rows of a case share one sequence: reverse it once
             sequence = sequences[number]
             last, length, backwards = number, len(sequence), sequence[::-1]
-        if not 0 <= cut < length:
-            raise TrainingError(
-                f"row of case {rows.case_ids[number]!r} cuts at {cut}, outside its"
-                f" {length}-item sequence"
-            )
         target = sequence[cut]
         root[target] = root.get(target, 0) + 1
         node = 0

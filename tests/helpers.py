@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from random import Random
 
-from logsample.features import FeatureRow
+from logsample.features import FeatureRows
 from logsample.log_model import (
     CATEGORICAL,
     EVENT_SCOPE,
@@ -21,10 +22,30 @@ T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
-def feature_row(prefix, target: str, case_id: str = "x") -> FeatureRow:
-    """The row that predicts ``target`` after ``prefix``, as a view of ``(*prefix, target)``."""
-    prefix = tuple(prefix)
-    return FeatureRow((*prefix, target), len(prefix), case_id)
+def feature_rows(specs) -> FeatureRows:
+    """One row per ``(prefix, target, case_id)`` spec, in order.
+
+    Each spec gets its own sequence ``(*prefix, target)``, cut before the
+    target, so no two rows share a sequence entry.
+    """
+    specs = [(tuple(prefix), target, case_id) for prefix, target, case_id in specs]
+    return FeatureRows(
+        [(*prefix, target) for prefix, target, _ in specs],
+        [case_id for _, _, case_id in specs],
+        array("q", range(len(specs))),
+        array("q", [len(prefix) for prefix, _, _ in specs]),
+    )
+
+
+def pick_rows(rows: FeatureRows, positions) -> FeatureRows:
+    """The rows at ``positions``, in that order, over the same sequences."""
+    positions = list(positions)
+    return FeatureRows(
+        rows.sequences,
+        rows.case_ids,
+        array("q", [rows.numbers[i] for i in positions]),
+        array("q", [rows.cuts[i] for i in positions]),
+    )
 
 
 def log_from_variants(

@@ -165,6 +165,40 @@ def test_evaluate_pins_a_root_only_walk_and_an_unseen_activity(tmp_path, monkeyp
     assert out.splitlines()[1] == "8,0.625,0.6333333333333333"
 
 
+def test_a_max_order_past_sys_maxsize_predicts_and_evaluates_as_a_long_one(
+    tmp_path, monkeypatch, capsys
+):
+    """load_model takes any max_order >= 0; one past sys.maxsize walks back like any long one."""
+    core = DATA / "write_core.csv"
+    run_main(monkeypatch, capsys, "train", core, "-o", tmp_path / "m.json")
+    model = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+    outputs = []
+    for max_order in (1000, 10**20):
+        path = tmp_path / f"m{max_order}.json"
+        path.write_text(json.dumps({**model, "max_order": max_order}), encoding="utf-8")
+        predictions = [
+            run_main(monkeypatch, capsys, "predict", path, "--prefix", prefix)
+            for prefix in ("a", "a,b", "zz")
+        ]
+        outputs.append([*predictions, run_main(monkeypatch, capsys, "evaluate", path, core)])
+    assert outputs[0] == outputs[1]
+
+
+def test_bench_at_a_max_order_past_sys_maxsize_reports_as_a_long_one(
+    tmp_path, monkeypatch, capsys
+):
+    reports = []
+    for max_order in (1000, 10**20):
+        config = tmp_path / f"c{max_order}.json"
+        settings = {"folds": 2, "repeats": 1, "grid": ["d2"], "max_order": max_order}
+        config.write_text(json.dumps(settings))
+        out = tmp_path / f"b{max_order}.csv"
+        core = DATA / "write_core.csv"
+        run_main(monkeypatch, capsys, "bench", core, "--config", config, "-o", out)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize(
     "text",
     [

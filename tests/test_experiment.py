@@ -10,7 +10,7 @@ from random import Random
 
 import pytest
 
-from logsample import experiment, metrics
+from logsample import experiment, features
 from logsample.errors import ConfigurationError, EvaluationError, SplitError, TrainingError
 from logsample.experiment import (
     BASELINE,
@@ -298,7 +298,7 @@ class TestRunExperiment:
                 counted.append(1)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "Counter", SpyCounter)
+        monkeypatch.setattr(features, "Counter", SpyCounter)
         config = ExperimentConfig(folds=3, repeats=2, grid=grid("d2", "log2", "unique"), seed=1)
         report = run_experiment(skewed_log(), config)
         assert len(report.rows) == 3 * 2 * 4

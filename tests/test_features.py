@@ -15,15 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import logsample
-from logsample import experiment, features, metrics
-from logsample.errors import EncodingError, TrainingError
+from logsample import experiment, features
+from logsample.errors import EncodingError
 from logsample.experiment import ExperimentConfig, run_experiment
 from logsample.features import (
     BLOCK_BYTES,
     END_MARKER,
     FeatureRow,
     FeatureRows,
-    as_feature_rows,
     default_window,
     encode,
     export_features,
@@ -35,7 +34,7 @@ from logsample.predictor import train
 from logsample.sampling import DIVISION, RANDOM_ORDER, SamplingConfig, sample
 from logsample.variants import build_variant_index
 
-from helpers import feature_row, log_from_variants, random_variant_freqs
+from helpers import feature_rows, log_from_variants, pick_rows, random_variant_freqs
 
 
 def pairs(encoded):
@@ -132,41 +131,22 @@ def per_row_extract_features(log, include_end_marker=True):
 
 
 def one_entry_per_row(rows):
-    """The rows as FeatureRows that share no sequence entry between rows."""
-    rows = list(rows)
-    return FeatureRows(
-        [row.sequence for row in rows],
-        [row.case_id for row in rows],
-        array("q", range(len(rows))),
-        array("q", [row.cut for row in rows]),
-    )
+    """The same rows, each with a sequence entry of its own."""
+    return feature_rows((row.prefix, row.target, row.case_id) for row in rows)
 
 
 def kernel_outcomes(rows, alphabet):
-    """What encode, train and evaluate make of some rows: results, or each error's text.
+    """What encode, train and evaluate make of some rows.
 
     A model is compared by its saved JSON text, which keeps each counts
-    dict's insertion order. evaluate does not check cuts, so a cut past its
-    sequence's end fails there with IndexError.
+    dict's insertion order.
     """
-    outcomes = []
-    for kernel in (
-        lambda: encode(rows, alphabet, window=3),
-        lambda: train(rows, max_order=2),
-        lambda: evaluate(train(list(rows)[:1], max_order=2), rows),
-    ):
-        try:
-            result = kernel()
-        except (EncodingError, TrainingError, IndexError) as exc:
-            outcomes.append((type(exc).__name__, str(exc)))
-            continue
-        if isinstance(result, features.EncodedRows):
-            outcomes.append((result.codes.tolist(), result.labels.tolist(), result.slots))
-        elif isinstance(result, metrics.EvaluationResult):
-            outcomes.append(result)
-        else:
-            outcomes.append(json.dumps(result.to_dict()))
-    return outcomes
+    encoded = encode(rows, alphabet, window=3)
+    return [
+        (encoded.codes.tolist(), encoded.labels.tolist(), encoded.slots),
+        json.dumps(train(rows, max_order=2).to_dict()),
+        evaluate(train(pick_rows(rows, [0]), max_order=2), rows),
+    ]
 
 
 @settings(max_examples=100, deadline=None)
@@ -182,13 +162,15 @@ def test_feature_rows_equal_the_per_row_list(variants, with_marker):
     if expected:
         alphabet = sorted(log.activity_alphabet)
         outcome = kernel_outcomes(rows, alphabet)
-        assert outcome == kernel_outcomes(expected, alphabet)
-        assert outcome == kernel_outcomes(one_entry_per_row(expected), alphabet)
+        assert outcome == kernel_outcomes(one_entry_per_row(rows), alphabet)
 
 
 @st.composite
-def hand_built_rows(draw):
-    """Rows that interleave cases, share one sequence object between cases, and may hold a bad cut."""
+def hand_built_columns(draw):
+    """Valid row columns: rows interleave cases, and cases may share one sequence object.
+
+    Returns the four columns as FeatureRows takes them.
+    """
     sequences = draw(
         st.lists(
             st.builds(
@@ -200,55 +182,103 @@ def hand_built_rows(draw):
             max_size=3,
         )
     )
-    picks = draw(
+    entries = draw(
         st.lists(
-            st.tuples(st.integers(0, len(sequences) - 1), st.sampled_from(["k0", "k1", "k2"])),
+            st.tuples(st.sampled_from(sequences), st.sampled_from(["k0", "k1", "k2"])),
             min_size=1,
-            max_size=12,
+            max_size=4,
         )
     )
-    rows = []
-    for number, case_id in picks:
-        sequence = sequences[number]
-        rows.append(FeatureRow(sequence, draw(st.integers(0, len(sequence) - 1)), case_id))
-    bad = draw(st.one_of(st.none(), st.integers(0, len(rows) - 1)))
-    if bad is not None:
-        length = len(rows[bad].sequence)
-        rows[bad] = rows[bad]._replace(cut=draw(st.sampled_from([-1, length, length + 2])))
-    return rows
+    numbers = draw(st.lists(st.integers(0, len(entries) - 1), min_size=1, max_size=12))
+    cuts = [draw(st.integers(0, len(entries[n][0]) - 1)) for n in numbers]
+    return [s for s, _ in entries], [c for _, c in entries], array("q", numbers), array("q", cuts)
 
 
 SHARED = ("a", "b", END_MARKER)
 
 
 @settings(max_examples=150, deadline=None)
-@given(hand_built_rows())
-@example([FeatureRow(SHARED, 1, "k0"), FeatureRow(("c", "a"), 1, "k1"), FeatureRow(SHARED, 2, "k0")])
-@example([FeatureRow(SHARED, 1, "k0"), FeatureRow(SHARED, 2, "k1"), FeatureRow(SHARED, 0, "k0")])
-@example([FeatureRow(SHARED, 1, "k0"), FeatureRow(("c", "a"), 3, "k1"), FeatureRow(SHARED, -1, "k0")])
-def test_hand_built_rows_give_the_same_results_as_columns(rows):
-    columns = as_feature_rows(rows)
-    assert list(columns) == rows
-    assert list(one_entry_per_row(rows)) == rows
+@given(hand_built_columns())
+@example(([SHARED, ("c", "a")], ["k0", "k1"], array("q", [0, 1, 0]), array("q", [1, 1, 2])))
+@example(([SHARED, SHARED], ["k0", "k1"], array("q", [0, 1, 0]), array("q", [1, 2, 0])))
+def test_hand_built_rows_give_the_same_results_as_columns(columns):
+    rows = FeatureRows(*columns)
+    assert list(rows) == [
+        FeatureRow(columns[0][n], cut, columns[1][n]) for n, cut in zip(columns[2], columns[3])
+    ]
     alphabet = ["a", "b", "c"]
-    outcome = kernel_outcomes(rows, alphabet)
-    assert outcome == kernel_outcomes(columns, alphabet)
-    assert outcome == kernel_outcomes(one_entry_per_row(rows), alphabet)
-    bad = [row for row in rows if not 0 <= row.cut < len(row.sequence)]
-    if bad:
-        first = bad[0]
+    assert kernel_outcomes(rows, alphabet) == kernel_outcomes(one_entry_per_row(rows), alphabet)
+    assert [(v.tolist(), l) for v, l in pairs(encode(rows, alphabet, 3))] == [
+        (v.tolist(), l) for v, l in reference_encode(list(rows), alphabet, 3)
+    ]
+
+
+def cut_message(sequences, case_ids, number, cut):
+    return (
+        f"row of case {case_ids[number]!r} cuts at {cut}, outside its"
+        f" {len(sequences[number])}-item sequence"
+    )
+
+
+@st.composite
+def one_bad_column(draw):
+    """Hand-built columns with one bad column, bad in one or more rows; and the error text.
+
+    The text names the first bad row, or for case ids, which belong to no row, the counts.
+    """
+    sequences, case_ids, numbers, cuts = draw(hand_built_columns())
+    rows = draw(st.sets(st.integers(0, len(cuts) - 1), min_size=1))
+    first = min(rows)
+    bad = draw(st.sampled_from(["negative cut", "cut past the end", "number", "rows", "case ids"]))
+    if bad == "negative cut":
+        for i in rows:
+            cuts[i] = -1 - cuts[i]
+        message = cut_message(sequences, case_ids, numbers[first], cuts[first])
+    elif bad == "cut past the end":
+        for i in rows:
+            cuts[i] = len(sequences[numbers[i]]) + i % 2
+        message = cut_message(sequences, case_ids, numbers[first], cuts[first])
+    elif bad == "number":
+        for i in rows:
+            numbers[i] = -1 if i % 2 else len(sequences) + i
         message = (
-            f"row of case {first.case_id!r} cuts at {first.cut}, outside its"
-            f" {len(first.sequence)}-item sequence"
+            f"row {first} is of sequence {numbers[first]}, outside the {len(sequences)} sequences"
         )
-        with pytest.raises(EncodingError, match=re.escape(message)):
-            encode(columns, alphabet, window=2)
-        with pytest.raises(TrainingError, match=re.escape(message)):
-            train(columns)
+    elif bad == "rows":  # the last row loses its cut, or its number
+        (numbers if first % 2 else cuts).pop()
+        message = f"row {min(len(numbers), len(cuts))} lacks a number or a cut"
     else:
-        assert [(v.tolist(), l) for v, l in pairs(encode(columns, alphabet, 3))] == [
-            (v.tolist(), l) for v, l in reference_encode(rows, alphabet, 3)
-        ]
+        case_ids = case_ids[:-1] if first % 2 else [*case_ids, "extra"]
+        message = f"{len(case_ids)} case ids for {len(sequences)} sequences"
+    return (sequences, case_ids, numbers, cuts), message
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_bad_column())
+# one case of the sequence SHARED, whose two rows cut at 1 and at its end; at -1 and at its
+# end; and at 1 twice, the second row of a sequence 1 that does not exist
+@example(
+    (
+        ([SHARED], ["k0"], array("q", [0, 0]), array("q", [1, 3])),
+        cut_message([SHARED], ["k0"], 0, 3),
+    )
+)
+@example(
+    (
+        ([SHARED], ["k0"], array("q", [0, 0]), array("q", [-1, 3])),
+        cut_message([SHARED], ["k0"], 0, -1),
+    )
+)
+@example(
+    (
+        ([SHARED], ["k0"], array("q", [0, 1]), array("q", [1, 1])),
+        "row 1 is of sequence 1, outside the 1 sequences",
+    )
+)
+def test_a_bad_row_column_is_refused_when_the_rows_are_built(case):
+    columns, message = case
+    with pytest.raises(EncodingError, match=re.escape(message)):
+        FeatureRows(*columns)
 
 
 def test_the_benchmark_harness_view_of_the_package(tmp_path, monkeypatch):
@@ -258,13 +288,13 @@ def test_the_benchmark_harness_view_of_the_package(tmp_path, monkeypatch):
     rows = logsample.extract_features(log)
     assert len(rows) == log.num_events
     assert len(logsample.extract_features(log, False)) == log.num_events - log.num_cases
-    # the rows and a test fold iterate as FeatureRows with a prefix and a target
-    for view in (rows, logsample.TestRows(rows)):
-        assert all(isinstance(row, FeatureRow) for row in view)
-        assert {(row.prefix[-5:], row.target) for row in view} == {
-            (("a",), "b"), (("a", "b"), "c"), (("a", "b", "c"), END_MARKER),
-            (("a",), "c"), (("a", "c"), END_MARKER), (("b",), END_MARKER),
-        }
+    # the rows, which evaluate also takes as a test fold, iterate as FeatureRows with a
+    # prefix and a target
+    assert all(isinstance(row, FeatureRow) for row in rows)
+    assert {(row.prefix[-5:], row.target) for row in rows} == {
+        (("a",), "b"), (("a", "b"), "c"), (("a", "b", "c"), END_MARKER),
+        (("a",), "c"), (("a", "c"), END_MARKER), (("b",), END_MARKER),
+    }
     # the rows a cell trains on are counted by len() of train's first argument
     trained = []
     real_train = experiment.train
@@ -303,57 +333,62 @@ class TestFeatureRowViews:
 
 class TestEncode:
     def test_short_prefix_left_padded(self):
-        rows = [feature_row(("a",), "b", "c1")]
+        rows = feature_rows([(("a",), "b", "c1")])
         [(vector, label)] = pairs(encode(rows, ["a", "b"], window=2))
         # blocks of size 3: [PAD][a]
         assert vector.tolist() == [1, 0, 0, 0, 1, 0]
         assert label == 1
 
     def test_long_prefix_keeps_last_window(self):
-        rows = [feature_row(("a", "b", "a"), "b", "c1")]
+        rows = feature_rows([(("a", "b", "a"), "b", "c1")])
         [(vector, _)] = pairs(encode(rows, ["a", "b"], window=2))
         # last two activities are b, a
         assert vector.tolist() == [0, 0, 1, 0, 1, 0]
 
     def test_end_marker_label_is_last(self):
-        rows = [feature_row(("a",), END_MARKER, "c1")]
+        rows = feature_rows([(("a",), END_MARKER, "c1")])
         [(_, label)] = pairs(encode(rows, ["a", "b"], window=1))
         assert label == 2
 
     def test_every_block_has_exactly_one_hot_slot(self):
-        rows = [feature_row(("a", "b"), "a", "c1"), feature_row(("b",), "b", "c2")]
+        rows = feature_rows([(("a", "b"), "a", "c1"), (("b",), "b", "c2")])
         for vector, _ in pairs(encode(rows, ["a", "b"], window=3)):
             blocks = vector.reshape(3, 3)
             assert (blocks.sum(axis=1) == 1).all()
 
     def test_unknown_activity_is_named_in_error(self):
         with pytest.raises(EncodingError, match="zz"):
-            encode([feature_row(("zz",), "a", "c1")], ["a"], window=1)
+            encode(feature_rows([(("zz",), "a", "c1")]), ["a"], window=1)
         with pytest.raises(EncodingError, match="zz"):
-            encode([feature_row(("a",), "zz", "c1")], ["a"], window=1)
+            encode(feature_rows([(("a",), "zz", "c1")]), ["a"], window=1)
 
     def test_end_marker_inside_a_prefix_is_an_encoding_error(self):
         with pytest.raises(EncodingError, match=END_MARKER):
-            encode([FeatureRow(("a", END_MARKER, "a"), 2, "c1")], ["a"], window=2)
+            encode(feature_rows([(("a", END_MARKER), "a", "c1")]), ["a"], window=2)
 
     @pytest.mark.parametrize("cut", [-1, 2, 3])
     def test_cut_outside_the_sequence_is_an_encoding_error(self, cut):
-        # without the check, the gather would read a neighbouring sequence's codes
-        rows = [FeatureRow(("a", "b"), cut, "c1"), feature_row(("b", "a"), "b", "c2")]
+        # refused when the rows are built; unchecked, encode's gather would read a
+        # neighbouring sequence's codes
         with pytest.raises(EncodingError, match="c1"):
-            encode(rows, ["a", "b"], window=2)
+            FeatureRows(
+                [("a", "b"), ("b", "a", "b")],
+                ["c1", "c2"],
+                array("q", [0, 1]),
+                array("q", [cut, 2]),
+            )
 
     def test_window_must_be_positive(self):
         with pytest.raises(EncodingError):
-            encode([], ["a"], window=0)
+            encode(feature_rows([]), ["a"], window=0)
 
     def test_encoding_injective_on_truncated_pairs(self):
         alphabet = ["a", "b"]
-        rows = [
-            feature_row(p, t, "x")
+        rows = feature_rows(
+            (p, t, "x")
             for p in [("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
             for t in ["a", "b", END_MARKER]
-        ]
+        )
         seen = set()
         for vector, label in pairs(encode(rows, alphabet, window=2)):
             key = (tuple(vector.tolist()), label)
@@ -362,7 +397,7 @@ class TestEncode:
 
 
     def test_empty_rows_give_no_blocks(self):
-        encoded = encode([], ["a", "b"], window=3)
+        encoded = encode(feature_rows([]), ["a", "b"], window=3)
         assert len(encoded) == 0
         assert list(encoded.blocks()) == []
         assert pairs(encoded) == []
@@ -400,12 +435,12 @@ def encode_cases(draw):
     alphabet = list("abcdef"[: draw(st.integers(1, 6))])
     window = draw(st.integers(1, 8))
     activity = st.sampled_from(alphabet)
-    row = st.builds(
-        lambda prefix, target: feature_row(tuple(prefix), target, "x"),
+    spec = st.tuples(
         st.lists(activity, min_size=1, max_size=12),
         st.sampled_from(label_space(alphabet)),
+        st.just("x"),
     )
-    rows = draw(st.lists(row, max_size=40))
+    rows = feature_rows(draw(st.lists(spec, max_size=40)))
     block_bytes = draw(st.one_of(st.integers(1, 300), st.just(BLOCK_BYTES)))
     return alphabet, window, rows, block_bytes
 
@@ -439,8 +474,10 @@ def test_encode_matches_reference_on_shuffled_shared_rows(variants, with_marker,
     # the rows of one sequence with rows of others
     log = log_from_variants(variants)
     alphabet = sorted(log.activity_alphabet)
-    rows = list(extract_features(log, with_marker))
-    rnd.shuffle(rows)
+    rows = extract_features(log, with_marker)
+    positions = list(range(len(rows)))
+    rnd.shuffle(positions)
+    rows = pick_rows(rows, positions)
     encoded = encode(rows, alphabet, window)
     expected = reference_encode(rows, alphabet, window)
     assert len(encoded) == len(rows)
@@ -449,11 +486,13 @@ def test_encode_matches_reference_on_shuffled_shared_rows(variants, with_marker,
 
 class TestExportFeatures:
     def test_shape(self, tmp_path):
-        rows = [
-            feature_row(("a",), "b", "x"),
-            feature_row(("a", "b"), "a", "x"),
-            feature_row(("b",), END_MARKER, "x"),
-        ]
+        rows = feature_rows(
+            [
+                (("a",), "b", "x"),
+                (("a", "b"), "a", "x"),
+                (("b",), END_MARKER, "x"),
+            ]
+        )
         out = tmp_path / "features.csv"
         export_features(rows, ["a", "b"], window=2, path=out)
         with out.open() as fh:
@@ -464,7 +503,7 @@ class TestExportFeatures:
 
     def test_empty_rows_give_header_only(self, tmp_path):
         out = tmp_path / "features.csv"
-        export_features([], ["a"], window=1, path=out)
+        export_features(feature_rows([]), ["a"], window=1, path=out)
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
 
@@ -500,13 +539,13 @@ QUOTING_ALPHABET = ["a,b", '"q"', "two\nlines", "plain", " spaced "]
 @given(
     window=st.integers(1, 5),
     rows=st.lists(
-        st.builds(
-            lambda prefix, target: feature_row(tuple(prefix), target, "x"),
+        st.tuples(
             st.lists(st.sampled_from(QUOTING_ALPHABET), min_size=1, max_size=8),
             st.sampled_from(label_space(QUOTING_ALPHABET)),
+            st.just("x"),
         ),
         max_size=30,
-    ),
+    ).map(feature_rows),
     block_bytes=st.one_of(st.integers(1, 200), st.just(BLOCK_BYTES)),
 )
 def test_export_matches_csv_writer(tmp_path_factory, window, rows, block_bytes):

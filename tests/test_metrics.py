@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsample import metrics
+from logsample import features
 from logsample.errors import EvaluationError, UndefinedRatioError
 from logsample.features import END_MARKER, FeatureRow, extract_features
 from logsample.metrics import ClassTally, evaluate, relative_accuracy, speedup
 from logsample.predictor import PrefixTreeModel, load_model, train
 
-from helpers import feature_row, log_from_variants
+from helpers import feature_rows, log_from_variants, pick_rows
 
 
 def loaded_model(max_order, tables):
@@ -46,7 +46,7 @@ def last_activity():
 
 
 def rows(target_sequence):
-    return [feature_row(("a",), t, f"c{i}") for i, t in enumerate(target_sequence)]
+    return feature_rows((("a",), t, f"c{i}") for i, t in enumerate(target_sequence))
 
 
 def per_row_reference(model, test_rows):
@@ -127,7 +127,7 @@ class TestEvaluate:
 
     def test_empty_test_set(self):
         with pytest.raises(EvaluationError):
-            evaluate(fixed("b"), [])
+            evaluate(fixed("b"), feature_rows([]))
 
     def test_supports_sum_to_n(self):
         result = evaluate(fixed("b"), rows(["b", "c", "c", "d"]))
@@ -143,9 +143,9 @@ class TestEvaluate:
     )
     def test_repeated_prefixes_match_per_row_tally(self, train_pairs, test_spec, orders):
         """One fold's rows, scored by models of every horizon in any order."""
-        train_rows = [feature_row(p, t, f"t{i}") for i, (p, t) in enumerate(train_pairs)]
-        test_rows = metrics.TestRows(
-            feature_row(prefix, target, f"c{i}")
+        train_rows = feature_rows((p, t, f"t{i}") for i, (p, t) in enumerate(train_pairs))
+        test_rows = feature_rows(
+            (prefix, target, f"c{i}")
             for i, ((prefix, target), times) in enumerate(test_spec)
             for _ in range(times)
         )
@@ -165,22 +165,22 @@ class TestEvaluate:
             for i, (trace, n) in enumerate(test_spec)
         ]
         model = train(extract_features(log_from_variants(train_spec)), order)
-        test_rows = metrics.TestRows(extract_features(log_from_variants(test_spec)))
+        test_rows = extract_features(log_from_variants(test_spec))
         assert_matches_per_row(model, test_rows)
         assert_matches_per_row(without_some_tables(model, lambda i: rnd.random() < 0.5), test_rows)
 
     def test_tied_counts_go_to_the_earliest_label(self):
         model = loaded_model(1, {(): {"c": 2, "b": 2}, ("a",): {END_MARKER: 1, "d": 1}})
-        result = evaluate(model, [feature_row(("a",), "d"), feature_row(("b",), "b")])
+        result = evaluate(model, feature_rows([(("a",), "d", "x"), (("b",), "b", "x")]))
         assert result.per_class == {"b": ClassTally(1, 1), "d": ClassTally(1, 1)}
 
     def test_predicts_each_distinct_prefix_once(self):
-        test_rows = [
-            feature_row(prefix, target, f"c{i}")
+        test_rows = feature_rows(
+            (prefix, target, f"c{i}")
             for i, (prefix, target) in enumerate(
                 [(("a",), "b"), (("a",), "c"), (("a", "b"), "c"), (("a",), "b")]
             )
-        ]
+        )
         model = loaded_model(sys.maxsize, {(): {"c": 1}, ("a",): {"b": 1}, ("a", "b"): {"b": 1}})
         with argmax_spy() as spy:
             result = evaluate(model, test_rows)
@@ -192,10 +192,10 @@ class TestEvaluate:
 
     def test_predicts_each_distinct_key_of_its_horizon_once(self):
         # horizon 1: the keys are (b,), (b,), (b,) and (c,)
-        test_rows = [
-            feature_row(prefix, "b", f"c{i}")
+        test_rows = feature_rows(
+            (prefix, "b", f"c{i}")
             for i, prefix in enumerate([("a", "b"), ("x", "b"), ("b",), ("a", "c")])
-        ]
+        )
         model = loaded_model(1, {(): {"c": 1}, ("b",): {"b": 1}})
         with argmax_spy() as spy:
             result = evaluate(model, test_rows)
@@ -203,12 +203,12 @@ class TestEvaluate:
         assert result.per_class["b"] == ClassTally(4, 3)
 
     def test_argmax_is_taken_once_per_credited_node(self):
-        test_rows = [
-            feature_row(prefix, target, f"c{i}")
+        test_rows = feature_rows(
+            (prefix, target, f"c{i}")
             for i, (prefix, target) in enumerate(
                 [(("a",), "b"), (("a",), "c"), (("a", "b"), "c"), (("a",), "b"), ((), "b")]
             )
-        ]
+        )
         model = loaded_model(sys.maxsize, {(): {"b": 1}, ("x", "a"): {"c": 1}})
         with argmax_spy() as spy:
             result = evaluate(model, test_rows)
@@ -219,16 +219,17 @@ class TestEvaluate:
         assert result.per_class["c"] == ClassTally(2, 0)
 
 
-# metrics.TestRows is read through the module so pytest does not collect it as a test class
 class TestFoldRows:
+    """A test fold's rows, grouped by key once per horizon for every model scored on them."""
+
     @staticmethod
     def four_rows():
-        return metrics.TestRows(
+        return feature_rows(
             [
-                feature_row(("a", "b"), "c", "c0"),
-                feature_row(("x", "b"), "c", "c1"),
-                feature_row(("x", "b"), "d", "c2"),
-                feature_row((), "a", "c3"),
+                (("a", "b"), "c", "c0"),
+                (("x", "b"), "c", "c1"),
+                (("x", "b"), "d", "c2"),
+                ((), "a", "c3"),
             ]
         )
 
@@ -250,11 +251,12 @@ class TestFoldRows:
                 counted.append(1)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "Counter", SpyCounter)
+        monkeypatch.setattr(features, "Counter", SpyCounter)
         test_rows = self.four_rows()
         assert test_rows.keys(1) is test_rows.keys(1)  # built once, then reused
         test_rows.keys(0)
-        for model in (train(test_rows, 1), train(test_rows, 0), train(list(test_rows)[:2], 1)):
+        first_two = pick_rows(test_rows, [0, 1])
+        for model in (train(test_rows, 1), train(test_rows, 0), train(first_two, 1)):
             evaluate(model, test_rows)
         assert len(counted) == 2
 
@@ -262,22 +264,19 @@ class TestFoldRows:
     def test_support_does_not_depend_on_the_horizon_grouped_first(self, first):
         test_rows = self.four_rows()
         test_rows.keys(first)
-        assert test_rows._support == {"a": 1, "c": 2, "d": 1}
+        assert test_rows.support == {"a": 1, "c": 2, "d": 1}
         result = evaluate(train(test_rows, 1), test_rows)
-        assert {label: t.support for label, t in result.per_class.items()} == test_rows._support
+        assert {label: t.support for label, t in result.per_class.items()} == test_rows.support
 
     def test_is_a_sequence_of_feature_rows(self):
-        rows = [feature_row(("a", "b"), "c", "c0"), feature_row(("a",), "b", "c0")]
-        test_rows = metrics.TestRows(rows)
+        test_rows = feature_rows([(("a", "b"), "c", "c0"), (("a",), "b", "c0")])
         assert len(test_rows) == 2
-        assert list(test_rows) == rows
+        assert list(test_rows) == [
+            FeatureRow(("a", "b", "c"), 2, "c0"),
+            FeatureRow(("a", "b"), 1, "c0"),
+        ]
         assert all(isinstance(row, FeatureRow) for row in test_rows)
         assert [(row.prefix, row.target) for row in test_rows] == [(("a", "b"), "c"), (("a",), "b")]
-
-    def test_evaluate_accepts_any_iterable_of_rows(self):
-        test_rows = rows(["b", "b", "c"])
-        expected = evaluate(fixed("b"), metrics.TestRows(test_rows))
-        assert evaluate(fixed("b"), iter(test_rows)) == expected
 
 
 class TestRatios:

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from array import array
 from collections import Counter, defaultdict
 from random import Random
 
@@ -10,15 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logsample.errors import ConfigurationError, TrainingError
-from logsample.features import END_MARKER, FeatureRow, extract_features
+from logsample.errors import ConfigurationError, EncodingError, TrainingError
+from logsample.features import END_MARKER, FeatureRows, extract_features
 from logsample.predictor import PrefixTreeModel, load_model, save_model, train
 
-from helpers import feature_row, log_from_variants, random_variant_freqs
+from helpers import feature_rows, log_from_variants, pick_rows, random_variant_freqs
 
 
 def rows_from_pairs(pairs):
-    return [feature_row(tuple(prefix), target, f"c{i}") for i, (prefix, target) in enumerate(pairs)]
+    return feature_rows((prefix, target, f"c{i}") for i, (prefix, target) in enumerate(pairs))
 
 
 class TestTrain:
@@ -41,7 +42,7 @@ class TestTrain:
 
     def test_empty_training_set(self):
         with pytest.raises(TrainingError):
-            train([])
+            train(feature_rows([]))
 
     def test_negative_max_order_is_refused(self):
         with pytest.raises(TrainingError, match="max_order must be >= 0, got -1"):
@@ -55,12 +56,12 @@ class TestTrain:
     @pytest.mark.parametrize("cut", [-1, 3])
     @pytest.mark.parametrize("after_good_row", [False, True])
     def test_a_cut_outside_its_sequence_is_refused(self, cut, after_good_row):
-        # at -1 the sequence abc would otherwise count (a, b) -> c; at 3 there is no target
-        good = FeatureRow(("a", "b", "c"), 1, "k")
-        rows = [good, good._replace(cut=cut)] if after_good_row else [good._replace(cut=cut)]
+        # at -1 the sequence abc would otherwise count (a, b) -> c; at 3 there is no target;
+        # the rows refuse the cut when they are built, before train can read it
+        cuts = [1, cut] if after_good_row else [cut]
         message = f"row of case 'k' cuts at {cut}, outside its 3-item sequence"
-        with pytest.raises(TrainingError, match=re.escape(message)):
-            train(rows)
+        with pytest.raises(EncodingError, match=re.escape(message)):
+            FeatureRows([("a", "b", "c")], ["k"], array("q", [0] * len(cuts)), array("q", cuts))
 
     def test_suffixes_of_all_training_rows_are_stored(self):
         rows = rows_from_pairs([("abc", "d"), ("bc", "d"), ("c", "a")])
@@ -118,7 +119,8 @@ class TestPredict:
         log = log_from_variants(random_variant_freqs(rnd, max_variants=5, max_freq=6))
         rows = extract_features(log)
         model = train(rows, max_order=3, smoothing=0.01)
-        some_prefixes = [r.prefix for r in list(rows)[:10]] + [("unseen",)]
+        some_prefixes = [r.prefix for r in pick_rows(rows, range(min(10, len(rows))))]
+        some_prefixes.append(("unseen",))
         for prefix in some_prefixes:
             dist = model.distribution(prefix)
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
@@ -228,20 +230,21 @@ def slicing_train(rows, max_order):
 @example(seed=7, max_order=3, with_marker=True, order="shuffled")
 @example(seed=7, max_order=3, with_marker=False, order="copied")
 def test_trie_matches_slicing_reference(tmp_path_factory, seed, max_order, with_marker, order):
-    """Rows as extract_features gives them, in runs that share one sequence object;
-    shuffled, so runs break; and in order but each holding its own equal copy."""
+    """Rows as extract_features gives them, in runs that share one sequence entry;
+    shuffled, so runs break; and in order but each with a sequence entry of its own."""
     rnd = Random(seed)
     log = log_from_variants(random_variant_freqs(rnd, max_variants=8, max_freq=4, max_len=8))
-    extracted = extract_features(log, with_marker)
-    rows = list(extracted)
+    columns = extract_features(log, with_marker)
     if order == "shuffled":
-        rnd.shuffle(rows)
+        positions = list(range(len(columns)))
+        rnd.shuffle(positions)
+        columns = pick_rows(columns, positions)
     elif order == "copied":
-        rows = [row._replace(sequence=tuple(list(row.sequence))) for row in rows]
-        assert all(a.sequence is not b.sequence for a, b in zip(rows, rows[1:]))
+        columns = feature_rows((row.prefix, row.target, row.case_id) for row in columns)
+    rows = list(columns)
     if not rows:  # without the marker, one-event cases give no rows
         return
-    model = train(extracted if order == "extracted" else rows, max_order=max_order)
+    model = train(columns, max_order=max_order)
     tables, targets = slicing_train(rows, max_order)
     # key order too: to_dict writes each counts dict in insertion order
     as_items = lambda t: {suffix: list(counts.items()) for suffix, counts in t.items()}
