@@ -905,28 +905,25 @@ def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _xes_value(elem: ET.Element):
-    """``(key, value)`` of one attribute element, or ``(None, None)`` to skip it.
+def _xes_value(tag: str, key: str, raw: str):
+    """The value of an attribute element whose local name is ``tag``, one of _XES_TAGS.
 
     The value has its tag's type; string, id and boolean values and non-finite
     floats stay text. Raises ValueError naming the tag, the value and the key
     when the value does not read as its tag's type; the caller adds where it stands.
     """
-    tag, key, raw = _local_name(elem.tag), elem.get("key"), elem.get("value")
-    if tag not in _XES_TAGS or key is None or raw is None:
-        return None, None  # unsupported (nested containers, extensions) or keyless
     try:
         if tag == "int":
-            return key, int(raw)
+            return int(raw)
         if tag == "float":
             value = float(raw)
             # nan and inf stay text, as in a CSV column (see _is_number_text)
-            return key, value if math.isfinite(value) else raw
+            return value if math.isfinite(value) else raw
         if tag == "date":  # Instant refuses the _MIN_MS - 1 of a text parse_instant refuses
-            return key, Instant(_instant_ms(raw))
+            return Instant(_instant_ms(raw))
     except ValueError:
         raise ValueError(f"bad {tag} value {raw!r} for key {key!r}") from None
-    return key, raw
+    return raw
 
 
 def _xes_traces(path: Path) -> Iterator[ET.Element]:
@@ -994,12 +991,13 @@ def parse_xes(path: str | Path) -> EventLog:
     holds that id, ``case_<index>_<n>`` with the least free n >= 1.
 
     Each event is appended to columns of the whole log, and the cases are
-    sliced out of them at the end. An event's ``<string key="concept:name">``
-    and ``<date key="time:timestamp">`` are read straight off the element.
-    The timestamp texts are converted in bulk, at the end of a trace once
-    READ_BLOCK_ROWS of them are held and after the last trace; an error met
-    before then yields to a refused timestamp read before it, so the first
-    fault in the file names the error. Activities and attribute keys pass
+    sliced out of them at the end. Every element is read by its local name,
+    split off its tag once per distinct tag, so a namespace changes nothing.
+    A ``<date>`` timestamp's text is converted in bulk, at the end of a trace
+    once READ_BLOCK_ROWS of them are held and after the last trace, and a
+    stamp under another tag is read where it stands; an error met before
+    then yields to a refused timestamp read before it, so the first fault in
+    the file names the error. Activities and attribute keys pass
     through a table local to the parse, so the log holds one string object
     per distinct label and key; attribute values and case ids stay as read.
     """
@@ -1013,25 +1011,28 @@ def parse_xes(path: str | Path) -> EventLog:
     stamps = array("q")
     texts: list[str] = []  # the time:timestamp texts of the events after those in stamps
     columns: dict[str, dict[int, object]] = {}  # per key, its value by event
+    names: dict[str, str] = {}  # per full tag ("{uri}string", "date", ...), its local name
 
     try:
         for t_idx, trace in enumerate(_xes_traces(path)):
             case_id: str | int = t_idx
             trace_attrs: dict[str, object] = {}
-            ns = trace.tag[:-5]  # "{uri}" of the trace's namespace, or ""
-            event_tag, string_tag, date_tag = ns + "event", ns + "string", ns + "date"
             events = []
             for child in trace:
-                if child.tag == event_tag or _local_name(child.tag) == "event":
+                tag = names.get(child.tag) or names.setdefault(child.tag, _local_name(child.tag))
+                if tag == "event":
                     events.append(child)
                     continue
+                key, text = child.get("key"), child.get("value")
+                if tag not in _XES_TAGS or key is None or text is None:
+                    continue  # unsupported (nested containers, extensions), keyless or valueless
                 try:
-                    key, value = _xes_value(child)
+                    value = _xes_value(tag, key, text)
                 except ValueError as exc:
                     raise XesParseError(f"{path}: trace {t_idx}: {exc}") from None
                 if key == "concept:name":
                     case_id = str(value)
-                elif key is not None:
+                else:
                     trace_attrs[canon(key, key)] = value
             if not events:
                 raise XesParseError(f"{path}: {_trace_label(t_idx, case_id)} has no events")
@@ -1043,24 +1044,19 @@ def parse_xes(path: str | Path) -> EventLog:
                 activity = stamp = None
                 try:
                     for child in event:
-                        key = child.get("key")
-                        if key == "concept:name" and child.tag == string_tag:
-                            activity = child.get("value", activity)
+                        tag = names.get(child.tag) or names.setdefault(child.tag, _local_name(child.tag))
+                        key, text = child.get("key"), child.get("value")
+                        if tag not in _XES_TAGS or key is None or text is None:
                             continue
-                        if key == "time:timestamp" and child.tag == date_tag:
-                            text = child.get("value")
-                            if text is None:
-                                continue
-                        else:
-                            key, value = _xes_value(child)
-                            if key != "time:timestamp":
-                                if key == "concept:name":
-                                    activity = str(value)
-                                elif key is not None:
-                                    column = columns.setdefault(canon(key, key), {})
-                                    column[len(activities)] = value
-                                continue
-                            # a stamp under another tag or namespace is read now
+                        if key == "concept:name":
+                            activity = text if tag == "string" else str(_xes_value(tag, key, text))
+                            continue
+                        if key != "time:timestamp":
+                            column = columns.setdefault(canon(key, key), {})
+                            column[len(activities)] = _xes_value(tag, key, text)
+                            continue
+                        if tag != "date":  # a stamp under another tag is read now
+                            value = _xes_value(tag, key, text)
                             text = str(value)
                             if _instant_ms(text) < _MIN_MS:
                                 raise ValueError(f"unreadable time:timestamp {value!r}")

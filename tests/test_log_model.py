@@ -84,6 +84,8 @@ EVENT_A = (
     '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/></event>'
 )
 BAD_STAMP_EVENT = EVENT_A.replace("2021-01-01T00:00:00Z", "never")
+# the refused stamp under a <date> tag of a second namespace
+FOREIGN_BAD_STAMP_EVENT = BAD_STAMP_EVENT.replace("<date ", '<y:date xmlns:y="urn:example:other" ')
 
 
 def shadowed_xes(case_value, event_values):
@@ -1342,9 +1344,11 @@ class TestParseXes:
             f'<date key="time:timestamp" value="{OUT_OF_RANGE}"/>',
             '<string key="time:timestamp" value="garbage"/>',
             '<int key="time:timestamp" value="5"/>',
+            '<float key="time:timestamp" value="2.5"/>',
+            f'<y:date xmlns:y="urn:example:other" key="time:timestamp" value="{OUT_OF_RANGE}"/>',
             "",
         ],
-        ids=["date-out-of-range", "string-garbage", "int", "missing"],
+        ids=["date-out-of-range", "string-garbage", "int", "float", "foreign-date", "missing"],
     )
     def test_unreadable_timestamp_names_case_and_event(self, tmp_path, stamp):
         text = (
@@ -1433,12 +1437,41 @@ class TestParseXes:
                  + BAD_STAMP_EVENT.replace("<event>", '<event><int key="n" value="x"/>')],
                 "case 't' event 0: bad int value 'x' for key 'n'",
             ),
+            (
+                ['<string key="concept:name" value="t"/>' + EVENT_A.replace(
+                    "<date ", '<int key="time:timestamp" value="5"/><date '
+                )],
+                "case 't' event 0: unreadable time:timestamp 5",
+            ),
+            (
+                ['<string key="concept:name" value="t"/>' + EVENT_A.replace(
+                    "<date ", '<float key="time:timestamp" value="2.5"/><date '
+                )],
+                "case 't' event 0: unreadable time:timestamp 2.5",
+            ),
+            (
+                ['<string key="concept:name" value="t"/>' + FOREIGN_BAD_STAMP_EVENT],
+                "case 't' event 0: bad date value 'never' for key 'time:timestamp'",
+            ),
+            (
+                ['<string key="concept:name" value="t"/>'
+                 + FOREIGN_BAD_STAMP_EVENT.replace("</event>", '<int key="n" value="x"/></event>')],
+                "case 't' event 0: bad date value 'never' for key 'time:timestamp'",
+            ),
+            (
+                ['<string key="concept:name" value="t"/>' + FOREIGN_BAD_STAMP_EVENT.replace(
+                    "</event>", '<date key="time:timestamp" value="2021-01-01T00:00:00Z"/></event>'
+                )],
+                "case 't' event 0: bad date value 'never' for key 'time:timestamp'",
+            ),
         ],
         ids=[
             "then-bad-int-in-the-event", "then-missing-activity-in-the-trace",
             "then-missing-activity-in-a-later-trace", "then-duplicate-case-id",
             "then-no-events", "then-bad-trace-value", "first-of-two-stamps",
             "stamp-held-as-string", "after-bad-trace-value", "after-bad-int-in-the-event",
+            "stamp-held-as-int", "stamp-held-as-float", "foreign-stamp",
+            "foreign-stamp-then-bad-int-in-the-event", "foreign-stamp-then-second-stamp",
         ],
     )
     def test_first_error_in_the_file_wins(self, tmp_path, traces, message):
@@ -1522,6 +1555,55 @@ class TestParseXes:
     def test_only_direct_children_are_traces_and_events(self, tmp_path, text):
         log = parse_xes(write(tmp_path / "log.xes", text))
         assert {cid: case.trace for cid, case in log.cases.items()} == {"t": ("a",)}
+
+    @pytest.mark.parametrize(
+        "forms",
+        [
+            {"name": '<x:string key="concept:name" value="7"/>',
+             "stamp": '<x:date key="time:timestamp" value="2021-01-01T09:00:00.123+00:00"/>'},
+            {"name": '<y:string key="concept:name" value="7"/>',
+             "stamp": '<y:date key="time:timestamp" value="2021-01-01T09:00:00.123+00:00"/>',
+             "attr": '<y:int key="n" value="1"/>'},
+            {"name": '<id key="concept:name" value="7"/>'},
+            {"name": '<int key="concept:name" value="07"/>'},
+            {"stamp": '<string key="time:timestamp" value="2021-01-01T09:00:00.123+00:00"/>'},
+            {"stamp": '<y:date key="time:timestamp" value="2021-01-01T10:00:00.123456+01:00"/>'},
+        ],
+        ids=["prefixed", "foreign-namespace", "id-name", "int-name", "string-stamp",
+             "foreign-date-with-microseconds-and-offset"],
+    )
+    def test_element_forms_read_as_the_plain_form(self, tmp_path, forms):
+        plain = {
+            "name": '<string key="concept:name" value="7"/>',
+            "stamp": '<date key="time:timestamp" value="2021-01-01T09:00:00.123+00:00"/>',
+            "attr": '<int key="n" value="1"/>',
+        }
+
+        def log_of(parts):
+            text = (
+                '<log xmlns="http://www.xes-standard.org/"'
+                ' xmlns:x="http://www.xes-standard.org/" xmlns:y="urn:example:other">'
+                f'<trace>{parts["name"]}<event>{parts["name"]}{parts["stamp"]}{parts["attr"]}'
+                f'</event>{EVENT_A}</trace></log>'
+            )
+            return parse_xes(write(tmp_path / "log.xes", text))
+
+        log = log_of(plain | forms)
+        assert log == log_of(plain)
+        assert log.trace("7") == ("a", "7")
+        assert log.cases["7"].timestamps[1] == 1_609_491_600_123
+
+    def test_tags_are_split_once_each_whatever_the_event_count(self, tmp_path, monkeypatch):
+        spy = mock.Mock(wraps=log_model._local_name)
+        monkeypatch.setattr(log_model, "_local_name", spy)
+        event = EVENT_A.replace("</event>", '<string key="org:resource" value="r"/></event>')
+        counts = []
+        for n in (10, 100):
+            text = f'<log><trace><string key="concept:name" value="t"/>{event * n}</trace></log>'
+            spy.reset_mock()
+            assert parse_xes(write(tmp_path / "log.xes", text)).num_events == n
+            counts.append(spy.call_count)
+        assert counts[0] == counts[1]
 
     def test_keyless_and_unsupported_elements_are_skipped(self, tmp_path):
         text = (
