@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import chain, compress, count, islice, repeat, zip_longest
 from operator import attrgetter, not_
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -84,22 +84,8 @@ def parse_instant(text: str) -> datetime:
     return dt
 
 
-def format_instant(dt: datetime) -> str:
-    """Render a datetime the way :func:`parse_instant` reads it back.
-
-    Naive datetimes, and aware ones whose tzinfo gives no UTC offset, are
-    taken as UTC. For any other the result equals
-    ``dt.astimezone(timezone.utc).isoformat(timespec="milliseconds")``.
-    """
-    if dt.utcoffset():
-        dt = dt.astimezone(timezone.utc)
-    return "%04d-%02d-%02dT%02d:%02d:%02d.%03d+00:00" % (
-        dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second, dt.microsecond // 1000
-    )
-
-
 def _epoch_ms(stamps: Iterable[datetime]) -> array:
-    """UTC epoch milliseconds of datetimes, each cut to the millisecond as format_instant cuts it.
+    """UTC epoch milliseconds of datetimes, each cut down to the millisecond.
 
     Naive datetimes, and ones whose tzinfo gives no UTC offset, are UTC.
     Values may lie outside the years 1-9999.
@@ -117,8 +103,9 @@ def _epoch_ms(stamps: Iterable[datetime]) -> array:
 class Instant(int):
     """An instant attribute value: its UTC epoch milliseconds, which compare and hash as the int.
 
-    Its str is write_csv's text of it, that of :func:`format_instant`. Raises
-    ValueError for a time outside the years 1-9999 in UTC, which no such text holds.
+    Its str is write_csv's text of it, ``isoformat(timespec="milliseconds")`` of
+    its UTC datetime. Raises ValueError for a time outside the years 1-9999 in
+    UTC, which no such text holds.
     """
 
     __slots__ = ()
@@ -129,7 +116,7 @@ class Instant(int):
         return super().__new__(cls, ms)
 
     def __str__(self) -> str:
-        return format_instant(_EPOCH + self * _MS)
+        return (_EPOCH + self * _MS).isoformat(timespec="milliseconds")
 
 
 @dataclass(frozen=True)
@@ -456,7 +443,7 @@ _PAIR_ROW = np.dtype({
 def _stamp_texts(ms: np.ndarray) -> list[str]:
     """write_csv's texts of UTC epoch milliseconds in [_MIN_MS, _MAX_MS]; _epoch_ms_of reads them.
 
-    Each text is that of :func:`format_instant` for the same instant. The
+    Each text is the ``str`` of the :class:`Instant` of the same milliseconds. The
     digits of every stamp are written into one copy of _STAMP per stamp,
     two at a time from _PAIRS, and the whole is decoded once.
     """
@@ -743,11 +730,16 @@ def csv_field(value) -> str:
     return '"' + value.replace('"', '""') + '"'
 
 
-def _quoted(texts: list[str]) -> list[str]:
-    """A column of texts as fields: quoted one by one only when some text needs it."""
-    if not _needs_quotes("".join(texts)):
-        return texts
-    return list(map(csv_field, texts))
+def _quoted(values: list, text: Callable[[object], str]) -> list[str]:
+    """A column of values as fields: converted by ``text`` unless all are str, quoted as needed."""
+    try:
+        joined = "".join(values)
+    except TypeError:  # not all str
+        values = list(map(text, values))
+        joined = "".join(values)
+    if not _needs_quotes(joined):
+        return values
+    return list(map(csv_field, values))
 
 
 def _check_labels(log: EventLog) -> None:
@@ -805,12 +797,8 @@ def _block_text(block: list[Case], stamps: np.ndarray, attr_names: list[str]) ->
     counts = [len(case.trace) for case in block]
     case_ids = list(chain.from_iterable(map(repeat, [case.case_id for case in block], counts)))
     activities = list(chain.from_iterable(case.trace for case in block))
-    columns = []
-    for texts in (case_ids, activities):
-        try:
-            columns.append(_quoted(texts))
-        except TypeError:  # not all str: converted as csv.writer converts them
-            columns.append(list(map(csv_field, texts)))
+    # labels converted as csv.writer converts them
+    columns = [_quoted(case_ids, _field_text), _quoted(activities, _field_text)]
     columns.append(_stamp_texts(stamps))
 
     for name in attr_names:
@@ -824,10 +812,7 @@ def _block_text(block: list[Case], stamps: np.ndarray, attr_names: list[str]) ->
                 values += [shared if value is None else value for value in own]
             else:
                 values += own
-        try:
-            columns.append(_quoted(values))
-        except TypeError:  # not all str
-            columns.append(_quoted(list(map(str, values))))
+        columns.append(_quoted(values, str))
     return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
 
@@ -839,10 +824,9 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
     with the default dialect (QUOTE_MINIMAL, CRLF line ends; see
     :func:`csv_field`), except that a NUL character is written as it is on
     every Python version, where Python 3.10's ``csv.writer`` refuses it.
-    Timestamps are written from their epoch milliseconds in the form of
-    :func:`format_instant`, a block of rows at a time by :func:`_stamp_texts`;
-    an attribute value is written as its ``str``, which for an Instant is
-    that same form.
+    Timestamps are written from their epoch milliseconds, a block of rows at
+    a time by :func:`_stamp_texts`, in the form of an :class:`Instant`'s
+    ``str``; an attribute value is written as its ``str``.
 
     Raises SchemaError, before the file is opened: naming the case, when a
     case with events has a case id or an activity that is written empty or

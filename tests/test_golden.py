@@ -66,6 +66,7 @@ from logsample.log_model import (
     AttributeSpec,
     Event,
     build_log,
+    parse_csv,
     parse_xes,
     write_csv,
 )
@@ -271,3 +272,14 @@ def test_parse_xes_is_unchanged(tmp_path):
     out = tmp_path / "log.csv"
     write_csv(log, out)
     assert out.read_bytes() == (DATA / "xes_core.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["write_core.csv", "xes_core.csv", "sample_rep_core.csv"])
+def test_golden_csv_is_written_back_as_it_is(tmp_path, name):
+    """A golden CSV read by parse_csv and written again gives its own bytes back.
+
+    ``xes_core.csv`` carries floats, boolean texts and instants through the round trip.
+    """
+    out = tmp_path / name
+    write_csv(parse_csv(DATA / name), out)
+    assert out.read_bytes() == (DATA / name).read_bytes()

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logsample.errors import EmptyLogError, RowError, SchemaError, XesParseError
@@ -43,7 +43,6 @@ from logsample.log_model import (
     _is_number_text,
     build_log,
     csv_field,
-    format_instant,
     load_log,
     parse_csv,
     parse_instant,
@@ -409,6 +408,16 @@ def test_write_csv_timestamps_are_read_without_parse_instant(tmp_path, monkeypat
     assert parse_csv(tmp_path / "back.csv") == log
 
 
+def isoformat_utc(dt: datetime) -> str:
+    """write_csv's text of a datetime, kept as the oracle: the ``isoformat`` of its UTC time.
+
+    A naive datetime is taken as UTC.
+    """
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc).isoformat(timespec="milliseconds")
+
+
 def _infer_kind(values: list[str]) -> str:
     """The kind parse_csv inferred for a column's texts before it converted each text once."""
     if not values:
@@ -529,7 +538,7 @@ def reference_parse_csv(path: str | Path, mapping: ColumnMapping | None = None) 
         if text is None or kinds[name] == CATEGORICAL:
             return text
         value = _CONVERTERS[kinds[name]](text)
-        return format_instant(value) if kinds[name] == INSTANT else str(value)
+        return isoformat_utc(value) if kinds[name] == INSTANT else str(value)
 
     promoted: list[str] = []
     for _, name in attr_cols:
@@ -997,7 +1006,7 @@ def reference_write_csv(
 
     Like write_csv, it first refuses a log with a case id or an activity
     that parse_csv would not read back as written. An attribute value is
-    written as its ``str``, which for an Instant is format_instant's text.
+    written as its ``str``, which for an Instant is the isoformat_utc text.
     """
     mapping = mapping or ColumnMapping()
     render = str
@@ -1049,7 +1058,7 @@ def reference_write_csv(
                 rows.append([
                     case_id,
                     activity,
-                    format_instant(stamp),
+                    isoformat_utc(stamp),
                     *[
                         render(own[name]) if name in own else shared.get(name, "")
                         for name in attr_names
@@ -1096,14 +1105,14 @@ def as_built(value):
     """An attribute value as build_log holds it: a datetime becomes an Instant.
 
     A datetime whose UTC time falls outside the years 1-9999, where
-    format_instant overflows, is refused there: that is asserted, and None,
+    isoformat_utc overflows, is refused there: that is asserted, and None,
     an absent value, is given in its place.
     """
     if not isinstance(value, datetime):
         return value
     ms = log_model._epoch_ms([value])[0]
     try:
-        text = format_instant(value)
+        text = isoformat_utc(value)
     except OverflowError:
         with pytest.raises(ValueError, match="outside the years 1-9999 in UTC"):
             Instant(ms)
@@ -2030,12 +2039,6 @@ def local_time_east_of_utc(monkeypatch):
     time.tzset()
 
 
-def test_datetime_without_offset_is_formatted_as_utc(local_time_east_of_utc):
-    assert format_instant(datetime(2021, 1, 1, 12, tzinfo=NoOffset())) == format_instant(
-        datetime(2021, 1, 1, 12)
-    )
-
-
 def test_timestamp_without_offset_is_written_as_utc(tmp_path, local_time_east_of_utc):
     written = []
     for zone in (NoOffset(), None):
@@ -2113,28 +2116,18 @@ def outcome(function, *args):
         return type(exc)
 
 
-TIMEZONES = st.one_of(
-    st.none(),
-    st.just(timezone.utc),
-    st.just(timezone(timedelta(0), "GMT")),
-    st.builds(
-        timezone,
-        st.timedeltas(min_value=timedelta(hours=-14), max_value=timedelta(hours=14)),
-    ),
-)
-
-
-def old_format_instant(dt):
-    """``format_instant`` before it stopped calling ``isoformat``, kept as the oracle."""
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc).isoformat(timespec="milliseconds")
-
-
 @settings(max_examples=500, deadline=None)
-@given(st.datetimes(timezones=TIMEZONES))
-def test_format_instant_matches_isoformat(dt):
-    assert outcome(format_instant, dt) == outcome(old_format_instant, dt)
+@given(st.integers(log_model._MIN_MS, log_model._MAX_MS))
+@example(log_model._MIN_MS)
+@example(log_model._MAX_MS)
+@example(-1)
+@example(0)
+@example((datetime(2000, 3, 1) - log_model._NAIVE_EPOCH) // _MS - 1)  # 2000-02-29T23:59:59.999
+def test_instant_text_is_isoformat(ms):
+    text = str(Instant(ms))
+    assert text == isoformat_utc(_EPOCH + ms * _MS)
+    assert text == log_model._stamp_texts(np.array([ms], np.int64))[0]
+    assert log_model._instant_ms(text) == ms
 
 
 @st.composite
@@ -2170,7 +2163,7 @@ def test_parse_instant_matches_old_implementation(text):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.datetimes(), min_size=1, max_size=30))
 def test_bulk_timestamps_match_parse_instant(stamps):
-    texts = list(map(format_instant, stamps))  # write_csv's form, years 1-9999
+    texts = list(map(isoformat_utc, stamps))  # write_csv's form, years 1-9999
     expected = [(parse_instant(text) - _EPOCH) // _MS for text in texts]
     with mock.patch.object(log_model, "parse_instant", side_effect=AssertionError("one by one")):
         assert log_model._epoch_ms_of(texts).tolist() == expected
@@ -2178,7 +2171,7 @@ def test_bulk_timestamps_match_parse_instant(stamps):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(
-    st.sampled_from(STAMPS), st.datetimes().map(format_instant), iso_stamps()
+    st.sampled_from(STAMPS), st.datetimes().map(isoformat_utc), iso_stamps()
 )))
 def test_bulk_timestamps_mark_what_parse_instant_refuses(texts):
     ms = log_model._epoch_ms_of(texts).tolist()
@@ -2192,9 +2185,9 @@ def test_bulk_timestamps_mark_what_parse_instant_refuses(texts):
 
 
 def stamp_texts_checked(ms):
-    """_stamp_texts of epoch milliseconds, checked against format_instant and _epoch_ms_of."""
+    """_stamp_texts of epoch milliseconds, checked against isoformat_utc and _epoch_ms_of."""
     texts = log_model._stamp_texts(np.array(ms, np.int64))
-    assert texts == [format_instant(_EPOCH + m * _MS) for m in ms]
+    assert texts == [isoformat_utc(_EPOCH + m * _MS) for m in ms]
     with mock.patch.object(log_model, "parse_instant", side_effect=AssertionError("one by one")):
         assert log_model._epoch_ms_of(texts).tolist() == list(ms)
     return texts
@@ -2202,7 +2195,7 @@ def stamp_texts_checked(ms):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(log_model._MIN_MS, log_model._MAX_MS), max_size=30))
-def test_stamp_texts_match_format_instant_and_read_back(ms):
+def test_stamp_texts_match_isoformat_and_read_back(ms):
     stamp_texts_checked(ms)
 
 
