@@ -206,18 +206,12 @@ def kfold_split(
     Random(f"{seed}|kfold").shuffle(case_ids)
 
     base, extra = divmod(len(case_ids), folds)
-    groups: list[list[str]] = []
-    start = 0
-    for i in range(folds):
-        size = base + (1 if i < extra else 0)
-        groups.append(case_ids[start : start + size])
-        start += size
-
     splits = []
+    end = 0
     for i in range(folds):
-        test_ids = groups[i]
-        train_ids = [cid for j, g in enumerate(groups) if j != i for cid in g]
-        splits.append((subset_log(log, train_ids), subset_log(log, test_ids)))
+        start, end = end, end + base + (i < extra)
+        train_ids = case_ids[:start] + case_ids[end:]
+        splits.append((subset_log(log, train_ids), subset_log(log, case_ids[start:end])))
     return splits
 
 

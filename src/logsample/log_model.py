@@ -56,32 +56,26 @@ def _six_digit_fraction(match: re.Match) -> str:
     return f"{match[1]}.{match[2][:6]:0<6}"
 
 
-def parse_instant(text: str) -> datetime:
-    """Parse an ISO-8601 timestamp into a UTC datetime at millisecond precision.
+def _instant_ms(text: str) -> int:
+    """UTC epoch milliseconds of an ISO-8601 timestamp text; _MIN_MS - 1 when it is refused.
 
-    Naive inputs are assumed to be UTC. Fractions of a second may have any
-    number of digits; those beyond the millisecond are cut. Raises
-    ValueError on anything that is not ISO-8601, or whose UTC time falls
-    outside the years 1-9999.
+    Naive texts are UTC. Fractions of a second may have any number of
+    digits; those beyond the millisecond are cut. A text is refused when it
+    is not ISO-8601, or when its UTC time falls outside the years 1-9999.
     """
     s = text.strip()
     if s.endswith(("Z", "z")):
         s = s[:-1] + "+00:00"
     try:
-        dt = datetime.fromisoformat(s)
-    except ValueError:
-        dt = datetime.fromisoformat(_FRACTION.sub(_six_digit_fraction, s, count=1))
-    tz = dt.tzinfo
-    if tz is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    elif tz is not timezone.utc:
         try:
-            dt = dt.astimezone(timezone.utc)
-        except OverflowError:
-            raise ValueError(f"{text!r} is out of range in UTC") from None
-    if dt.microsecond % 1000:
-        dt = dt.replace(microsecond=dt.microsecond // 1000 * 1000)
-    return dt
+            dt = datetime.fromisoformat(s)
+        except ValueError:
+            dt = datetime.fromisoformat(_FRACTION.sub(_six_digit_fraction, s, count=1))
+    except ValueError:
+        return _MIN_MS - 1
+    # fromisoformat gives either no tzinfo or a fixed UTC offset
+    ms = (dt - (_EPOCH if dt.tzinfo else _NAIVE_EPOCH)) // _MS
+    return ms if _MIN_MS <= ms <= _MAX_MS else _MIN_MS - 1
 
 
 def _epoch_ms(stamps: Iterable[datetime]) -> array:
@@ -414,7 +408,7 @@ def _is_number_text(text: str) -> bool:
     return str(value) == text and (type(value) is int or math.isfinite(value))
 
 
-_CONVERTERS = {NUMERIC: _number, INSTANT: parse_instant}
+_CONVERTERS = {NUMERIC: _number, INSTANT: lambda text: Instant(_instant_ms(text))}
 
 
 # parse_csv reads the file in blocks of this many records and checks and
@@ -466,23 +460,15 @@ def _stamp_texts(ms: np.ndarray) -> list[str]:
     return texts
 
 
-def _instant_ms(text: str) -> int:
-    """UTC epoch milliseconds of a timestamp text; _MIN_MS - 1 when parse_instant refuses it."""
-    try:
-        return (parse_instant(text) - _EPOCH) // _MS
-    except ValueError:
-        return _MIN_MS - 1
-
-
 def _epoch_ms_of(texts: Sequence[str]) -> np.ndarray:
     """UTC epoch milliseconds of timestamp texts, and one below _MIN_MS for a text refused.
 
-    A text is refused when parse_instant refuses it. When every text has
+    A text is refused when _instant_ms refuses it. When every text has
     write_csv's form ``YYYY-MM-DDTHH:MM:SS.mmm+00:00`` and names a day and
     time of the calendar, numpy reads all their digits at once, the inverse
     of the :func:`_stamp_texts` that wrote them; a year 0000 reads as a
-    time before the year 1, refused as parse_instant refuses it. Any other
-    texts are read one by one. numpy's own cast of text to datetime64 is not
+    time before the year 1, which is refused. Any other texts are read one
+    by one with _instant_ms. numpy's own cast of text to datetime64 is not
     used: numpy 2.4 crashed the interpreter when it refused a text in a
     cast of 1,000 byte strings.
     """
@@ -675,7 +661,7 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
         if kind == NUMERIC or kind is None and all(map(_is_number_text, values)):
             kind, values = NUMERIC, list(map(_number, values))
         elif kind in (None, INSTANT):
-            try:  # Instant refuses the _MIN_MS - 1 of a text parse_instant refuses
+            try:  # Instant refuses the _MIN_MS - 1 of a refused text
                 kind, values = INSTANT, list(map(Instant, map(_instant_ms, values)))
             except ValueError:
                 kind = CATEGORICAL
@@ -903,7 +889,7 @@ def _xes_value(tag: str, key: str, raw: str):
             value = float(raw)
             # nan and inf stay text, as in a CSV column (see _is_number_text)
             return value if math.isfinite(value) else raw
-        if tag == "date":  # Instant refuses the _MIN_MS - 1 of a text parse_instant refuses
+        if tag == "date":  # Instant refuses the _MIN_MS - 1 of a refused text
             return Instant(_instant_ms(raw))
     except ValueError:
         raise ValueError(f"bad {tag} value {raw!r} for key {key!r}") from None
@@ -947,7 +933,7 @@ def _read_stamps(path: Path, stamps: array, texts: list[str], traces: array, cas
     ``texts`` are the texts of the events that follow those in ``stamps``,
     and are cleared; ``traces`` holds each event's trace index and ``cases``
     its trace's case id, in trace order. Raises the XesParseError that
-    reading the events one by one raises for the first text parse_instant refuses.
+    reading the events one by one raises for the first text _instant_ms refuses.
     """
     ms = _epoch_ms_of(texts)
     refused = np.flatnonzero(ms < _MIN_MS)

@@ -183,14 +183,14 @@ def sample(
         n_keep = math.ceil(Fraction(str(config.fraction)) * log.num_cases)
         rnd = Random(f"{config.seed}|random-selection")
         kept_ids = set(rnd.sample(sorted(log.cases), n_keep))
+        kept = [len(kept_ids.intersection(v.member_case_ids)) for v in index.variants]
     else:
+        # ranked[:count] keeps count members: rank_traces returns each member once
+        kept = [sample_count(config, v.frequency) for v in index.variants]
         kept_ids = set()
-        for variant in index.variants:
-            count = sample_count(config, variant.frequency)
-            if count == 0:
-                continue
-            ranked = rank_traces(variant, index, config.sorting, config.seed)
-            kept_ids.update(ranked[:count])
+        for variant, count in zip(index.variants, kept):
+            if count:
+                kept_ids.update(rank_traces(variant, index, config.sorting, config.seed)[:count])
 
     if not kept_ids:
         raise EmptySampleError(
@@ -199,22 +199,14 @@ def sample(
         )
 
     sampled = subset_log(log, kept_ids)
-
-    per_variant = []
-    kept_variants = 0
-    for variant in index.variants:
-        kept = len(kept_ids.intersection(variant.member_case_ids))
-        if kept:
-            kept_variants += 1
-        per_variant.append((variant.activities, kept, variant.frequency))
-
+    kept_variants = len(kept) - kept.count(0)
     report = SampleReport(
         original_cases=log.num_cases,
         sampled_cases=sampled.num_cases,
         original_variants=len(index.variants),
         sampled_variants=kept_variants,
         reduction_rate=log.num_cases / sampled.num_cases,
-        per_variant=tuple(per_variant),
+        per_variant=tuple((v.activities, n, v.frequency) for v, n in zip(index.variants, kept)),
         variant_preserving=kept_variants == len(index.variants),
     )
     return sampled, report

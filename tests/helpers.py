@@ -121,6 +121,18 @@ def random_variant_freqs(rnd: Random, max_variants=50, max_freq=100, max_len=4):
     return [(seq, rnd.randint(1, max_freq)) for seq in sorted(seqs)]
 
 
+def attributed_log(rnd: Random, **freqs) -> EventLog:
+    """A log of random_variant_freqs whose events hold a random categorical resource.
+
+    Every sorting ranks it, representative sorting included.
+    """
+    return log_from_variants(
+        random_variant_freqs(rnd, **freqs),
+        event_attrs=lambda n, j: {"resource": rnd.choice("xyz")},
+        schema=resource_schema(),
+    )
+
+
 def skewed_log() -> EventLog:
     """Three variants with frequencies 900 / 90 / 10 (1000 cases)."""
     return log_from_variants(

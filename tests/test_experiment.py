@@ -9,11 +9,14 @@ from collections import Counter
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from logsample import experiment, features
 from logsample.errors import ConfigurationError, EvaluationError, SplitError, TrainingError
 from logsample.experiment import (
     BASELINE,
+    CORE_COLUMNS,
     ExperimentConfig,
     config_from_dict,
     default_grid,
@@ -26,9 +29,16 @@ from logsample.experiment import (
 from logsample.features import extract_features
 from logsample.metrics import evaluate
 from logsample.predictor import train
-from logsample.sampling import RANDOM_ORDER, SamplingConfig, parse_method_token
+from logsample.sampling import (
+    NEWEST_FIRST,
+    OLDEST_FIRST,
+    RANDOM_ORDER,
+    REPRESENTATIVE,
+    SamplingConfig,
+    parse_method_token,
+)
 
-from helpers import log_from_variants, random_variant_freqs, skewed_log
+from helpers import attributed_log, log_from_variants, random_variant_freqs, skewed_log
 
 
 def small_log():
@@ -395,6 +405,20 @@ class TestRunExperiment:
             for field in dataclasses.fields(a):
                 if field.name not in timing_fields:
                     assert getattr(a, field.name) == getattr(b, field.name)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_sorting_changes_no_core_row(seed):
+    """unique, dN and logN keep a count per variant, so the sorting changes no trace or core row."""
+    log = attributed_log(Random(seed), max_variants=6, max_freq=12)
+    assume(log.num_cases >= 2)
+    cores = []
+    for sorting in (REPRESENTATIVE, OLDEST_FIRST, NEWEST_FIRST, RANDOM_ORDER):
+        grid = tuple(parse_method_token(t, sorting=sorting) for t in ("d2", "log2", "unique"))
+        rows = run_experiment(log, ExperimentConfig(folds=2, repeats=1, grid=grid, seed=seed)).rows
+        cores.append([tuple(getattr(row, name) for name in CORE_COLUMNS) for row in rows])
+    assert all(core == cores[0] for core in cores)
 
 
 class TestRendering:

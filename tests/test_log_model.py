@@ -5,6 +5,7 @@ import gc
 import gzip
 import io
 import math
+import re
 import sys
 import tempfile
 import time
@@ -38,6 +39,7 @@ from logsample.log_model import (
     EventLog,
     _CONVERTERS,
     _EPOCH,
+    _MIN_MS,
     _MS,
     Instant,
     _is_number_text,
@@ -45,7 +47,6 @@ from logsample.log_model import (
     csv_field,
     load_log,
     parse_csv,
-    parse_instant,
     parse_xes,
     subset_log,
     write_csv,
@@ -402,9 +403,9 @@ def test_write_csv_timestamps_are_read_without_parse_instant(tmp_path, monkeypat
     write_csv(log, tmp_path / "back.csv")
 
     def refuse(text):
-        raise AssertionError(f"parse_instant read {text!r}")
+        raise AssertionError(f"_instant_ms read {text!r}")
 
-    monkeypatch.setattr(log_model, "parse_instant", refuse)
+    monkeypatch.setattr(log_model, "_instant_ms", refuse)
     assert parse_csv(tmp_path / "back.csv") == log
 
 
@@ -477,7 +478,7 @@ def reference_parse_csv(path: str | Path, mapping: ColumnMapping | None = None) 
         checked = [
             (i, name, kind)
             for i, name in attr_cols
-            if (kind := mapping.attribute_kinds.get(name)) in _CONVERTERS
+            if (kind := mapping.attribute_kinds.get(name)) in CONVERTERS
         ]
 
         raw_rows: list[tuple[str, str, datetime, dict[str, str]]] = []
@@ -505,7 +506,7 @@ def reference_parse_csv(path: str | Path, mapping: ColumnMapping | None = None) 
             for i, name, kind in checked:
                 if row[i] != "":
                     try:
-                        _CONVERTERS[kind](row[i])
+                        CONVERTERS[kind](row[i])
                     except ValueError:
                         raise RowError(
                             f"column {name!r} holds unreadable {kind} value {row[i]!r}", line
@@ -537,7 +538,7 @@ def reference_parse_csv(path: str | Path, mapping: ColumnMapping | None = None) 
     def written(name, text):
         if text is None or kinds[name] == CATEGORICAL:
             return text
-        value = _CONVERTERS[kinds[name]](text)
+        value = CONVERTERS[kinds[name]](text)
         return isoformat_utc(value) if kinds[name] == INSTANT else str(value)
 
     promoted: list[str] = []
@@ -560,7 +561,7 @@ def reference_parse_csv(path: str | Path, mapping: ColumnMapping | None = None) 
     for name, kind in kinds.items():
         if kind == CATEGORICAL:
             continue
-        convert = _CONVERTERS[kind]
+        convert = CONVERTERS[kind]
         for attrs in first_rows if name in promoted else map(itemgetter(3), raw_rows):
             if name in attrs:
                 attrs[name] = convert(attrs[name])
@@ -602,7 +603,7 @@ WRITTEN_STAMPS = [
 ]
 
 # Row timestamps: ties, one instant in several spellings, write_csv's own form,
-# and near misses of that form, which parse_instant reads or refuses as it will.
+# and near misses of that form, which _instant_ms reads or refuses as it will.
 STAMPS = [
     "2021-01-01T10:00:00",
     "2021-01-01T10:00:00Z",
@@ -1502,6 +1503,61 @@ class TestParseXes:
             f"{path}: trace 0 event 0: bad date value 'never' for key 'time:timestamp'"
         )
 
+    @staticmethod
+    def long_xes(stamps):
+        """A log of len(stamps) traces t0, t1, ..., trace t's events stamped stamps[t]."""
+        traces = "".join(
+            f'<trace><string key="concept:name" value="t{t}"/>' + "".join(
+                f'<event><string key="concept:name" value="a{e % 3}"/>'
+                f'<date key="time:timestamp" value="{stamp}"/></event>'
+                for e, stamp in enumerate(trace)
+            ) + "</trace>"
+            for t, trace in enumerate(stamps)
+        )
+        return f"<log>{traces}</log>"
+
+    @staticmethod
+    def long_stamps():
+        """60 traces of 25 stamps: the first 40 in write_csv's form, the rest in three others."""
+        forms = ["{}+00:00", "{}999Z", "{}-02:30"]
+        return [
+            [
+                (forms[t % 3] if t >= 40 else forms[0]).format(
+                    (datetime(2021, 1, 1, t % 24, e) + timedelta(milliseconds=7 * t + e))
+                    .isoformat(timespec="milliseconds")
+                )
+                for e in range(25)
+            ]
+            for t in range(60)
+        ]
+
+    def test_stamps_are_converted_once_a_block_is_held(self, tmp_path, monkeypatch):
+        stamps = self.long_stamps()
+        read_stamps, held = log_model._read_stamps, []
+
+        def counted(*args):
+            held.append(len(args[2]))
+            return read_stamps(*args)
+
+        monkeypatch.setattr(log_model, "_read_stamps", counted)
+        log = parse_xes(write(tmp_path / "long.xes", self.long_xes(stamps)))
+        assert len(held) > 1 and sum(held) == 60 * 25  # converted during the parse and after it
+        assert [list(case.timestamps) for case in log.cases.values()] == [
+            list(map(oracle_ms, trace)) for trace in stamps
+        ]
+
+    @pytest.mark.parametrize("t, e", [(40, 0), (50, 7), (59, 24)])
+    def test_refused_stamp_after_the_first_conversion(self, tmp_path, t, e):
+        stamps = self.long_stamps()
+        stamps[t][e] = "2021-02-29T10:00:00.000+00:00"
+        path = write(tmp_path / "long.xes", self.long_xes(stamps))
+        with pytest.raises(XesParseError) as caught:
+            parse_xes(path)
+        assert str(caught.value) == (
+            f"{path}: case 't{t}' event {e}: "
+            "bad date value '2021-02-29T10:00:00.000+00:00' for key 'time:timestamp'"
+        )
+
     def test_trace_without_events_rejected_with_case_id(self, tmp_path):
         text = (
             '<log><trace><string key="concept:name" value="empty-one"/></trace></log>'
@@ -1758,9 +1814,9 @@ class TestCollectorPause:
                 return fn(*args)
             return call
 
-        # parse_csv reads the due column with parse_instant; parse_xes reads XES_BASIC's
+        # parse_csv reads the due column with _instant_ms; parse_xes reads XES_BASIC's
         # write_csv-form stamps in bulk, and its other attributes with _xes_value
-        monkeypatch.setattr(log_model, "parse_instant", recording(parse_instant))
+        monkeypatch.setattr(log_model, "_instant_ms", recording(log_model._instant_ms))
         monkeypatch.setattr(log_model, "_xes_value", recording(log_model._xes_value))
         path = write(tmp_path / ("log.csv" if parse is parse_csv else "log.xes"), text)
         was_enabled = gc.isenabled()
@@ -2049,50 +2105,93 @@ def test_timestamp_without_offset_is_written_as_utc(tmp_path, local_time_east_of
     assert b",2021-01-01T12:00:00.000+00:00,2021-01-01T12:00:00.000+00:00\r\n" in written[0]
 
 
+def ms_of(*args):
+    """UTC epoch milliseconds of the datetime(*args) taken as UTC."""
+    return (datetime(*args) - log_model._NAIVE_EPOCH) // _MS
+
+
 class TestInstantParsing:
     def test_z_suffix_and_offset_agree(self):
-        assert parse_instant("2021-01-01T10:00:00Z") == parse_instant(
+        assert log_model._instant_ms("2021-01-01T10:00:00Z") == log_model._instant_ms(
             "2021-01-01T10:00:00+00:00"
-        )
+        ) == ms_of(2021, 1, 1, 10)
 
     def test_naive_assumed_utc(self):
-        dt = parse_instant("2021-01-01T10:00:00")
-        assert dt.tzinfo == timezone.utc
+        assert log_model._instant_ms("2021-01-01T10:00:00") == ms_of(2021, 1, 1, 10)
 
     def test_truncates_to_milliseconds(self):
-        dt = parse_instant("2021-01-01T10:00:00.123456Z")
-        assert dt.microsecond == 123000
+        assert log_model._instant_ms("2021-01-01T10:00:00.123456Z") == ms_of(2021, 1, 1, 10) + 123
+        assert log_model._instant_ms("1969-12-31T23:59:59.999999") == -1
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_instant("yesterday-ish")
+        assert log_model._instant_ms("yesterday-ish") == _MIN_MS - 1
 
     def test_any_number_of_fraction_digits(self):
         # Python 3.10 reads only 3 or 6 digits; the result must not depend on it
-        assert parse_instant("2021-01-01T10:00:00.12") == datetime(
-            2021, 1, 1, 10, 0, 0, 120000, tzinfo=timezone.utc
+        assert log_model._instant_ms("2021-01-01T10:00:00.12") == ms_of(2021, 1, 1, 10, 0, 0, 120000)
+        assert log_model._instant_ms("2021-01-01T10:00:00.123456789Z") == ms_of(
+            2021, 1, 1, 10, 0, 0, 123000
         )
-        assert parse_instant("2021-01-01T10:00:00.123456789Z") == datetime(
-            2021, 1, 1, 10, 0, 0, 123000, tzinfo=timezone.utc
+        assert log_model._instant_ms("2021-01-01T10:00:00.9999999+05:30") == ms_of(
+            2021, 1, 1, 4, 30, 0, 999000
         )
-        assert parse_instant("2021-01-01T10:00:00.9999999+05:30") == datetime(
-            2021, 1, 1, 4, 30, 0, 999000, tzinfo=timezone.utc
-        )
-        assert parse_instant("2021-01-01 10:00:00,5") == datetime(
-            2021, 1, 1, 10, 0, 0, 500000, tzinfo=timezone.utc
-        )
-        assert parse_instant("2021-01-01T10:00:00.1234-01:00") == datetime(
-            2021, 1, 1, 11, 0, 0, 123000, tzinfo=timezone.utc
+        assert log_model._instant_ms("2021-01-01 10:00:00,5") == ms_of(2021, 1, 1, 10, 0, 0, 500000)
+        assert log_model._instant_ms("2021-01-01T10:00:00.1234-01:00") == ms_of(
+            2021, 1, 1, 11, 0, 0, 123000
         )
 
     def test_fraction_without_digits_is_rejected(self):
-        with pytest.raises(ValueError):
-            parse_instant("2021-01-01T10:00:00.")
+        assert log_model._instant_ms("2021-01-01T10:00:00.") == _MIN_MS - 1
 
     @pytest.mark.parametrize("text", [OUT_OF_RANGE, "0001-01-01T00:00:00+01:00"])
     def test_out_of_range_in_utc_is_a_value_error(self, text):
-        with pytest.raises(ValueError, match="out of range"):
-            parse_instant(text)
+        assert log_model._instant_ms(text) == _MIN_MS - 1
+        with pytest.raises(ValueError, match="outside the years 1-9999"):
+            _CONVERTERS[INSTANT](text)
+
+
+def parse_instant(text: str) -> datetime:
+    """The reader of an instant text before it read straight to milliseconds, kept as the oracle.
+
+    An ISO-8601 timestamp becomes a UTC datetime at millisecond precision.
+    Naive inputs are assumed to be UTC. Fractions of a second may have any
+    number of digits; those beyond the millisecond are cut. Raises
+    ValueError on anything that is not ISO-8601, or whose UTC time falls
+    outside the years 1-9999.
+    """
+    s = text.strip()
+    if s.endswith(("Z", "z")):
+        s = s[:-1] + "+00:00"
+    try:
+        dt = datetime.fromisoformat(s)
+    except ValueError:
+        # Python 3.10 reads only 3- or 6-digit fractions of a second
+        s = re.sub(r"(\d\d:\d\d:\d\d)[.,](\d+)", lambda m: f"{m[1]}.{m[2][:6]:0<6}", s, count=1)
+        dt = datetime.fromisoformat(s)
+    tz = dt.tzinfo
+    if tz is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    elif tz is not timezone.utc:
+        try:
+            dt = dt.astimezone(timezone.utc)
+        except OverflowError:
+            raise ValueError(f"{text!r} is out of range in UTC") from None
+    if dt.microsecond % 1000:
+        dt = dt.replace(microsecond=dt.microsecond // 1000 * 1000)
+    return dt
+
+
+# parse_csv's conversion of a numeric or an instant text, as the oracles use it:
+# an instant text becomes the UTC datetime parse_instant reads
+CONVERTERS = {NUMERIC: log_model._number, INSTANT: parse_instant}
+
+
+def oracle_ms(text: str) -> int:
+    """parse_instant's UTC epoch milliseconds of a text, _MIN_MS - 1 where it raises."""
+    try:
+        return (parse_instant(text) - _EPOCH) // _MS
+    except ValueError:
+        return _MIN_MS - 1
 
 
 def old_parse_instant(text):
@@ -2150,14 +2249,13 @@ def iso_stamps(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(iso_stamps())
+@given(st.one_of(iso_stamps(), st.sampled_from(STAMPS), st.text()))
 def test_parse_instant_matches_old_implementation(text):
-    expected = outcome(old_parse_instant, text)
-    if expected is OverflowError:
-        expected = ValueError  # out-of-range stamps are now rejected as unreadable input
-    actual = outcome(parse_instant, text)
-    assert actual == expected
-    assert repr(actual) == repr(expected)
+    assert log_model._instant_ms(text) == oracle_ms(text)
+    old = outcome(old_parse_instant, text)
+    if old is not ValueError:  # Python 3.10 refuses some fractions that parse_instant reads
+        # out-of-range stamps are rejected as unreadable input
+        assert repr(outcome(parse_instant, text)) == repr(ValueError if old is OverflowError else old)
 
 
 @settings(max_examples=300, deadline=None)
@@ -2165,7 +2263,7 @@ def test_parse_instant_matches_old_implementation(text):
 def test_bulk_timestamps_match_parse_instant(stamps):
     texts = list(map(isoformat_utc, stamps))  # write_csv's form, years 1-9999
     expected = [(parse_instant(text) - _EPOCH) // _MS for text in texts]
-    with mock.patch.object(log_model, "parse_instant", side_effect=AssertionError("one by one")):
+    with mock.patch.object(log_model, "_instant_ms", side_effect=AssertionError("one by one")):
         assert log_model._epoch_ms_of(texts).tolist() == expected
 
 
@@ -2176,11 +2274,11 @@ def test_bulk_timestamps_match_parse_instant(stamps):
 def test_bulk_timestamps_mark_what_parse_instant_refuses(texts):
     ms = log_model._epoch_ms_of(texts).tolist()
     for text, read in zip(texts, ms):
-        instant = outcome(parse_instant, text)
-        if instant is ValueError:
-            assert read < log_model._MIN_MS
+        expected = oracle_ms(text)
+        if expected < _MIN_MS:
+            assert read < _MIN_MS
         else:
-            assert read == (instant - _EPOCH) // _MS
+            assert read == expected
     assert len(ms) == len(texts)
 
 
@@ -2188,7 +2286,7 @@ def stamp_texts_checked(ms):
     """_stamp_texts of epoch milliseconds, checked against isoformat_utc and _epoch_ms_of."""
     texts = log_model._stamp_texts(np.array(ms, np.int64))
     assert texts == [isoformat_utc(_EPOCH + m * _MS) for m in ms]
-    with mock.patch.object(log_model, "parse_instant", side_effect=AssertionError("one by one")):
+    with mock.patch.object(log_model, "_instant_ms", side_effect=AssertionError("one by one")):
         assert log_model._epoch_ms_of(texts).tolist() == list(ms)
     return texts
 

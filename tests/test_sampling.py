@@ -42,7 +42,14 @@ from logsample.sampling import (
 )
 from logsample.variants import build_variant_index
 
-from helpers import T0, log_from_variants, random_variant_freqs, resource_schema, trace_counts
+from helpers import (
+    T0,
+    attributed_log,
+    log_from_variants,
+    random_variant_freqs,
+    resource_schema,
+    trace_counts,
+)
 
 
 # --- independent oracle -----------------------------------------------------
@@ -472,28 +479,64 @@ def test_log_keeps_variant_iff_frequency_reaches_k(seed, k):
         assert (variant.activities in kept_variants) == (variant.frequency >= k)
 
 
+SORTINGS = (REPRESENTATIVE, OLDEST_FIRST, NEWEST_FIRST, RANDOM_ORDER)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_sample_matches_oracle_per_variant(seed):
     rnd = Random(seed)
-    log = log_from_variants(random_variant_freqs(rnd, max_variants=6, max_freq=20))
+    log = attributed_log(rnd, max_variants=6, max_freq=20)
     index = build_variant_index(log)
     freqs = [v.frequency for v in index.variants]
     k = rnd.choice([2, 3, 5, 10])
-    for method in (UNIQUE, DIVISION, LOGARITHMIC):
-        cfg = SamplingConfig(
-            method,
-            k=None if method == UNIQUE else k,
-            sorting=RANDOM_ORDER,
-            seed=seed,
-        )
-        expected = oracle_kept(freqs, method, k)
-        try:
-            _, report = sample(log, index, cfg)
-        except EmptySampleError:
-            assert sum(expected) == 0
-            continue
-        assert [kept for _, kept, _ in report.per_variant] == expected
+    fraction = rnd.choice([0.1, 0.3, 0.5, 1.0])
+    for method in (UNIQUE, DIVISION, LOGARITHMIC, RANDOM):
+        for sorting in SORTINGS:
+            cfg = SamplingConfig(
+                method,
+                k=k if method in (DIVISION, LOGARITHMIC) else None,
+                fraction=fraction if method == RANDOM else None,
+                sorting=sorting,
+                seed=seed,
+            )
+            try:
+                sampled, report = sample(log, index, cfg)
+            except EmptySampleError:
+                assert method != RANDOM and sum(oracle_kept(freqs, method, k)) == 0
+                continue
+            kept = [kept for _, kept, _ in report.per_variant]
+            if method != RANDOM:
+                assert kept == oracle_kept(freqs, method, k)
+            held = set(sampled.cases)
+            assert kept == [len(held & set(v.member_case_ids)) for v in index.variants]
+            assert [(seq, total) for seq, _, total in report.per_variant] == [
+                (v.activities, v.frequency) for v in index.variants
+            ]
+            assert report.sampled_variants == sum(n > 0 for n in kept)
+            assert report.variant_preserving == (report.sampled_variants == len(index.variants))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from(["unique", "d2", "d3", "log2", "log3"]),
+)
+def test_sorting_and_seed_choose_cases_not_traces(seed, token):
+    """Per-variant counts fix the kept traces: sorting and seed only pick which members."""
+    rnd = Random(seed)
+    log = attributed_log(rnd, max_variants=6, max_freq=20)
+    index = build_variant_index(log)
+    outcomes = []
+    for sorting in SORTINGS:
+        for sample_seed in (seed, seed + 1):
+            try:
+                sampled, report = sample(log, index, parse_method_token(token, sorting, sample_seed))
+            except EmptySampleError:
+                outcomes.append(EmptySampleError)
+                continue
+            outcomes.append((trace_counts(sampled), report))
+    assert all(outcome == outcomes[0] for outcome in outcomes)
 
 
 @settings(max_examples=40, deadline=None)
