@@ -395,19 +395,6 @@ def _number(value: str) -> int | float:
         return float(value)
 
 
-def _is_number_text(text: str) -> bool:
-    """Whether ``text`` is a finite number as ``str`` writes it, so write_csv gives it back.
-
-    "007", "+7" and "1e3" are numbers to int() and float() but not this text.
-    """
-    try:
-        value = _number(text)
-    except ValueError:
-        return False
-    # nan and inf stay text: a NaN never equals itself as a modal value
-    return str(value) == text and (type(value) is int or math.isfinite(value))
-
-
 _CONVERTERS = {NUMERIC: _number, INSTANT: lambda text: Instant(_instant_ms(text))}
 
 
@@ -490,14 +477,14 @@ def _epoch_ms_of(texts: Sequence[str]) -> np.ndarray:
     return np.array(list(map(_instant_ms, texts)), np.int64)
 
 
-def _readable(convert, text: str) -> bool:
-    """Whether a cell is empty or holds a value that ``convert`` reads."""
-    if text:
-        try:
-            convert(text)
-        except ValueError:
-            return False
-    return True
+def _read(convert, text: str):
+    """A cell's value as ``convert`` reads it; None if it is empty, the text if it is refused."""
+    if not text:
+        return None
+    try:
+        return convert(text)
+    except ValueError:
+        return text
 
 
 def _record_blocks(fh, path: Path) -> Iterator[list[list[str]]]:
@@ -591,13 +578,14 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
             if declared not in (CATEGORICAL, NUMERIC, INSTANT):
                 raise SchemaError(f"unknown attribute kind {declared!r} for column {name!r}")
 
-        # Values of a column declared numeric or instant are checked as they
-        # are read, where the line is known; inferred kinds read every value.
+        # Values of a column declared numeric or instant are read once, as
+        # their block is checked, where the line is known.
         checked = [
             (i, name, kind)
             for i, name in attr_cols
             if (kind := mapping.attribute_kinds.get(name)) in _CONVERTERS
         ]
+        declared: dict[str, list] = {name: [] for _, name, _ in checked}  # values read
         width = len(header)
         cells: list[list[str]] = [[] for _ in attr_cols]  # per attribute column, its texts
         first = 1  # the number of the block's first record
@@ -608,12 +596,13 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
             ids = list(map(str.strip, columns[case_idx]))
             names = list(map(str.strip, columns[act_idx]))
             ms = _epoch_ms_of(columns[time_idx])
+            reads = [list(map(_read, repeat(_CONVERTERS[c]), columns[i])) for i, _, c in checked]
             if len(columns) > width or "" in ids or "" in names \
                     or ms.min(initial=_MIN_MS) < _MIN_MS or checked:
                 # per check, in the order a row is checked, whether each row passes it
                 passes = [
                     map(width.__ge__, map(len, rows)), ids, names, (ms >= _MIN_MS).tolist(),
-                    *(map(_readable, repeat(_CONVERTERS[c]), columns[i]) for i, _, c in checked),
+                    *((type(value) is not str for value in read) for read in reads),
                 ]
                 failing = [next(compress(count(), map(not_, p)), len(rows)) for p in passes]
                 at = min(failing)
@@ -639,32 +628,42 @@ def parse_csv(path: str | Path, mapping: ColumnMapping | None = None) -> EventLo
             stamps.append(ms)
             for texts, (i, _) in zip(cells, attr_cols):
                 texts += columns[i]
+            for values, read in zip(declared.values(), reads):
+                values += [value for value in read if value is not None]
 
     if not numbers:
         raise EmptyLogError(f"{path}: no data rows")
 
-    # Each column is settled once, in header order: its kind is declared or
-    # inferred, each test stopping at its first text of another kind, and its
-    # texts are converted to it once; categorical ones stay the text read. It
-    # moves to the cases when every row holds it with its case's first value,
-    # as write_csv writes the values back (a case's number is the position
-    # of its first row): two spellings of one instant are one value, but 1
-    # and 1.0 are two. An empty cell is an absent value.
+    # Each column is settled once, in header order. A declared column keeps
+    # the values its blocks read. Any other is numeric when str writes each
+    # text's number back as the text and none is nan or inf (a NaN never
+    # equals itself as a modal value), else instant when each text reads as
+    # one, else categorical; its texts are parsed once. It moves to the cases
+    # when every row holds it with its case's first value, as write_csv
+    # writes the values back (a case's number is the position of its first
+    # row): two spellings of one instant are one value, but 1 and 1.0 are two.
+    # An empty cell is an absent value.
     case_attributes: list[dict[str, object]] = [{} for _ in numbers]
     event_columns = {}
     schema: dict[str, AttributeSpec] = {}
     for (_, name), texts in zip(attr_cols, cells):
-        values = list(filter(None, texts))
+        values = declared[name] if name in declared else list(filter(None, texts))
         if not values:
             continue
         kind = mapping.attribute_kinds.get(name)
-        if kind == NUMERIC or kind is None and all(map(_is_number_text, values)):
-            kind, values = NUMERIC, list(map(_number, values))
-        elif kind in (None, INSTANT):
-            try:  # Instant refuses the _MIN_MS - 1 of a refused text
-                kind, values = INSTANT, list(map(Instant, map(_instant_ms, values)))
+        if kind is None:
+            try:
+                parsed = list(map(_number, values))
             except ValueError:
-                kind = CATEGORICAL
+                parsed = []
+            if list(map(str, parsed)) == values and all(
+                    type(v) is int or math.isfinite(v) for v in parsed):
+                kind, values = NUMERIC, parsed
+            else:
+                try:  # Instant refuses the _MIN_MS - 1 of a refused text
+                    kind, values = INSTANT, list(map(Instant, map(_instant_ms, values)))
+                except ValueError:
+                    kind = CATEGORICAL
         written = list(map(str, values)) if kind == NUMERIC else values
         if len(values) == len(texts) and list(map(written.__getitem__, keys)) == written:
             schema[name] = AttributeSpec(kind, CASE_SCOPE)
@@ -887,7 +886,7 @@ def _xes_value(tag: str, key: str, raw: str):
             return int(raw)
         if tag == "float":
             value = float(raw)
-            # nan and inf stay text, as in a CSV column (see _is_number_text)
+            # nan and inf stay text, as in a CSV column (see parse_csv)
             return value if math.isfinite(value) else raw
         if tag == "date":  # Instant refuses the _MIN_MS - 1 of a refused text
             return Instant(_instant_ms(raw))

@@ -42,7 +42,6 @@ from logsample.log_model import (
     _MIN_MS,
     _MS,
     Instant,
-    _is_number_text,
     build_log,
     csv_field,
     load_log,
@@ -269,6 +268,22 @@ class TestParseCsv:
             parse_csv(write(tmp_path / "log.csv", text), mapping)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "kind, zero, value",
+        [(NUMERIC, "0", 0), (NUMERIC, "0.0", 0.0), (INSTANT, "1970-01-01T00:00:00Z", Instant(0))],
+    )
+    def test_declared_kind_keeps_a_falsy_value(self, tmp_path, kind, zero, value):
+        text = (
+            "case_id,activity,timestamp,cost\n"
+            f"1,a,2021-01-01T10:00:00,{zero}\n"
+            "1,b,2021-01-01T10:05:00,\n"
+            f"1,c,2021-01-01T10:10:00,{zero}\n"
+        )
+        mapping = ColumnMapping(attribute_kinds={"cost": kind})
+        log = parse_csv(write(tmp_path / "log.csv", text), mapping)
+        held = log.cases["1"].event_attributes["cost"]
+        assert held == (value, None, value) and type(held[0]) is type(value)
+
     def test_declared_kind_rejects_an_unreadable_case_value(self, tmp_path):
         text = (
             "case_id,activity,timestamp,cost\n"
@@ -334,11 +349,11 @@ def long_rows():
     ]
 
 
-def write_rows(path, rows):
+def write_rows(path, rows, header=("case_id", "activity", "timestamp")):
     """The header and rows as csv.writer writes them (CRLF line ends); the path."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["case_id", "activity", "timestamp"])
+        writer.writerow(header)
         writer.writerows(rows)
     return path
 
@@ -397,6 +412,23 @@ class TestParseCsvErrorsAfterTheFirstBlock:
         with pytest.raises(RowError, match=r"^line 4202: empty case id$"):
             parse_csv(write_rows(tmp_path / "log.csv", rows))
 
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            ({(1_500, 3): "abc", (2_500, 0): ""},
+             "column 'cost' holds unreadable numeric value 'abc'"),
+            ({(2_500, 3): "abc", (1_500, 1): ""}, "empty activity"),
+        ],
+        ids=["declared-value-first", "empty-activity-first"],
+    )
+    def test_declared_value_faults_keep_file_order(self, tmp_path, faults, message):
+        rows = [row + [str(n)] for n, row in enumerate(long_rows()[:3_000])]
+        for (n, column), text in faults.items():
+            rows[n][column] = text
+        path = write_rows(tmp_path / "log.csv", rows, ("case_id", "activity", "timestamp", "cost"))
+        with pytest.raises(RowError, match=f"^line 1502: {message}$"):
+            parse_csv(path, ColumnMapping(attribute_kinds={"cost": NUMERIC}))
+
 
 def test_write_csv_timestamps_are_read_without_parse_instant(tmp_path, monkeypatch):
     log = parse_csv(write_rows(tmp_path / "log.csv", long_rows()))
@@ -407,6 +439,40 @@ def test_write_csv_timestamps_are_read_without_parse_instant(tmp_path, monkeypat
 
     monkeypatch.setattr(log_model, "_instant_ms", refuse)
     assert parse_csv(tmp_path / "back.csv") == log
+
+
+@pytest.mark.parametrize(
+    "declared, calls",
+    [({}, (7, 6)), ({"cost": NUMERIC, "due": INSTANT}, (6, 6))],
+    ids=["inferred", "declared"],
+)
+def test_each_attribute_text_is_parsed_once(tmp_path, monkeypatch, declared, calls):
+    """Calls of _number and _instant_ms: one per text of a numeric or instant column, and
+    one for the first text of each column that a kind's inference refuses there."""
+    rows = [
+        [f"k{n // 2}", "a", f"2021-01-01T10:00:0{n}.000+00:00", str(n), f"2021-02-0{n + 1}",
+         f"g{n}"]
+        for n in range(5)
+    ]
+    path = write_rows(
+        tmp_path / "log.csv", rows, ("case_id", "activity", "timestamp", "cost", "due", "grade")
+    )
+    counts = {}
+
+    def spy(name, function):
+        def counted(text):
+            counts[name] = counts.get(name, 0) + 1
+            return function(text)
+        return counted
+
+    monkeypatch.setattr(log_model, "_number", number := spy("number", log_model._number))
+    monkeypatch.setitem(log_model._CONVERTERS, NUMERIC, number)
+    monkeypatch.setattr(log_model, "_instant_ms", spy("instant", log_model._instant_ms))
+    log = parse_csv(path, ColumnMapping(attribute_kinds=declared))
+    assert (counts["number"], counts["instant"]) == calls
+    assert {name: spec.kind for name, spec in log.attribute_schema.items()} == {
+        "cost": NUMERIC, "due": INSTANT, "grade": CATEGORICAL,
+    }
 
 
 def isoformat_utc(dt: datetime) -> str:
@@ -423,7 +489,7 @@ def _infer_kind(values: list[str]) -> str:
     """The kind parse_csv inferred for a column's texts before it converted each text once."""
     if not values:
         return CATEGORICAL
-    if all(map(_is_number_text, values)):
+    if all(map(writes_as_number, values)):
         return NUMERIC
     try:
         for v in values:
@@ -585,12 +651,16 @@ def reference_parse_csv(path: str | Path, mapping: ColumnMapping | None = None) 
 
 # Cell texts by the kind they read as. "007" and "1e3" read as text, since
 # written back as numbers they would be "7" and "1000.0"; the three
-# spellings of one instant differ as text but not as a datetime.
+# spellings of one instant differ as text but not as a datetime. An int of
+# 400 digits is beyond any float, and the epoch is a falsy Instant.
 CELL_TEXTS = {
-    "int": ["0", "1", "-7", "007", "42"],
+    "int": ["0", "1", "-7", "007", "42", "9" * 400],
     "float": ["1.0", "2.5", "-0.5", "1e3"],
     "non-finite": ["nan", "inf", "-Infinity"],
-    "instant": ["2021-02-01T00:00:00", "2021-02-01T00:00:00Z", "2021-02-01T01:00:00+01:00"],
+    "instant": [
+        "2021-02-01T00:00:00", "2021-02-01T00:00:00Z", "2021-02-01T01:00:00+01:00",
+        "1970-01-01T00:00:00Z",  # Instant(0), a falsy value
+    ],
     "text": ["web", "phone", "a b", "x,y", 'say "hi"', "two\nlines", "two\r\nlines"],
 }
 
@@ -916,7 +986,8 @@ def writes_as_number(text: str) -> bool:
             value = number(text)
         except ValueError:
             continue
-        return math.isfinite(value) and str(value) == text
+        # an int over about 308 digits overflows math.isfinite
+        return (number is int or math.isfinite(value)) and str(value) == text
     return False
 
 
