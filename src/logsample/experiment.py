@@ -35,7 +35,9 @@ from .features import default_window, encode, extract_features
 from .log_model import EventLog, _gc_paused, subset_log
 from .metrics import evaluate, relative_accuracy, speedup
 from .predictor import train
-from .sampling import RANDOM_ORDER, REPRESENTATIVE, SamplingConfig, parse_method_token, sample
+from .sampling import (
+    RANDOM, RANDOM_ORDER, REPRESENTATIVE, SamplingConfig, parse_method_token, sample
+)
 from .variants import build_variant_index
 
 BASELINE = "baseline"
@@ -270,9 +272,12 @@ def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
                 fe_seconds=base_fe, train_seconds=base_train, fe_speedup=1.0, train_speedup=1.0,
                 **fold_fields,
             ))
+            fold_parts = (config.seed, "sample", repeat, fold)
             for entry in config.grid:
-                seed = derive_seed(config.seed, "sample", repeat, fold, entry.label)
-                cfg = replace(entry, seed=seed)
+                # the variant methods share the fold's seed, so the index ranks each variant
+                # once for all of them; each random fraction draws its own cases
+                parts = (*fold_parts, entry.label) if entry.method == RANDOM else fold_parts
+                cfg = replace(entry, seed=derive_seed(*parts))
                 try:
                     start = time.perf_counter()
                     fit_log, report = sample(train_log, index, cfg)

@@ -17,13 +17,10 @@ into uint8 one-hot matrices of at most ``BLOCK_BYTES`` each.
 from __future__ import annotations
 
 import math
-import sys
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import getitem
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -154,19 +151,26 @@ class FeatureRows:
         """The rows at ``horizon`` as ``{key: {target: rows}}``, grouped once per horizon.
 
         The key of a row is its prefix cut to the last ``horizon`` activities;
-        a horizon at least as long as the prefix keeps all of it.
+        a horizon at least as long as the prefix keeps all of it. Rows of
+        equal sequences and cuts share key and target, so numpy counts the
+        rows of each distinct (sequence, cut) pair and each pair is cut once.
         """
         groups = self._groups.get(horizon)
         if groups is None:
             groups = self._groups[horizon] = {}
-            sequences = list(map(self.sequences.__getitem__, self.numbers))
-            # sys.maxsize keeps a longer horizon in int64; it keeps every prefix whole too
-            back = np.frombuffer(self.cuts, np.int64) - min(horizon, sys.maxsize)
-            starts = np.maximum(back, 0).tolist()
-            keys = map(getitem, sequences, map(slice, starts, self.cuts))
-            pairs = zip(keys, map(getitem, sequences, self.cuts))
-            for (key, target), rows in Counter(pairs).items():
-                groups.setdefault(key, {})[target] = rows
+            firsts: dict[tuple[str, ...], int] = {}
+            distinct = [firsts.setdefault(s, len(firsts)) for s in self.sequences]
+            sequences = list(firsts)
+            stride = max(map(len, sequences), default=1)  # above every cut
+            at = np.array(distinct, np.int64)[np.frombuffer(self.numbers, np.int64)]
+            pairs = at * stride + np.frombuffer(self.cuts, np.int64)
+            codes, counts = np.unique(pairs, return_counts=True)
+            for code, rows in zip(codes.tolist(), counts.tolist()):
+                number, cut = divmod(code, stride)
+                sequence = sequences[number]
+                tally = groups.setdefault(sequence[max(cut - horizon, 0) : cut], {})
+                target = sequence[cut]
+                tally[target] = tally.get(target, 0) + rows
         return groups
 
     @cached_property

@@ -818,8 +818,8 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
     with whitespace at an end, which parse_csv would strip or refuse, or a
     timestamp whose UTC time falls outside the years 1-9999; when an
     attribute has the name of one of the mapping's columns; or when every
-    event of a case has an attribute of the name of one of the case's own
-    with another value, which would leave the case's value on no row.
+    event of a case with events has an attribute named as one of the case's
+    own with another value, which would leave the case's value on no row.
     """
     mapping = mapping or ColumnMapping()
     _check_labels(log)
@@ -836,7 +836,7 @@ def write_csv(log: EventLog, path: str | Path, mapping: ColumnMapping | None = N
     case_names = {name for case in cases for name in case.attributes}
     for case in cases:
         for name, value in case.attributes.items():
-            if name not in event_names:
+            if name not in event_names or not case.trace:  # a case without events has no row
                 continue
             # an event without the name leaves the case's value on its row
             own = case.event_attributes.get(name, [None] * len(case.trace))

@@ -6,7 +6,8 @@ accuracy (unweighted mean recall per class).
 A :class:`~logsample.predictor.PrefixTreeModel` is scored without asking
 it row by row: the test rows group themselves by key
 (:meth:`~logsample.features.FeatureRows.keys`), and :func:`evaluate` matches
-each distinct key once through the model's own back-off rule, so every model
+all the distinct keys in one walk through the model's own back-off rule
+(:meth:`~logsample.predictor.PrefixTreeModel._matches`), so every model
 node that test keys back off to is asked for its prediction once.
 The ratio metrics compare a sampled-training run against the full-training
 baseline: relative accuracy, feature-extraction speedup, and training
@@ -48,17 +49,18 @@ def evaluate(model: PrefixTreeModel, test_rows: FeatureRows) -> EvaluationResult
     Targets never seen in training simply form their own class with zero
     correct predictions. The rows are grouped by their key at the model's
     ``max_order`` (:meth:`~logsample.features.FeatureRows.keys`, kept on the
-    rows, so models scored on the same rows share it); each distinct key is
-    matched once by :meth:`~logsample.predictor.PrefixTreeModel._match`, the
-    node ``predict`` would back off to, and that node's argmax is taken once
-    however many keys match it.
+    rows, so models scored on the same rows share it). Those keys are at most
+    ``max_order`` long, so they go straight to one
+    :meth:`~logsample.predictor.PrefixTreeModel._matches` walk, which yields
+    for each the node ``predict`` would back off to; a node's argmax is taken
+    once however many keys match it.
     """
     if not test_rows:
         raise EvaluationError("cannot evaluate on an empty test set")
     labels: dict[int, str] = {}  # the argmax of each matched model node
     correct: dict[str, int] = {}
-    for key, tally in test_rows.keys(model.max_order).items():
-        node = model._match(key)
+    grouped = test_rows.keys(model.max_order)
+    for tally, node in zip(grouped.values(), model._matches(grouped)):
         label = labels.get(node)
         if label is None:
             label = labels[node] = model.argmax(node)

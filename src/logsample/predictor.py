@@ -6,7 +6,9 @@ empty suffix (the global table), and each child adds the activity one step
 further back, so ``counts[n]`` holds the table of the suffix spelled by the
 path to node ``n``. Prediction walks back from the end of the prefix, at
 most ``max_order`` activities, and uses the deepest stored suffix it
-reaches; the empty suffix is always stored, so prediction is total. The
+reaches; the empty suffix is always stored, so prediction is total. That
+back-off rule lives in one place, :meth:`PrefixTreeModel._matches`, which
+walks many keys in one go for :func:`logsample.metrics.evaluate`. The
 predicted label is the argmax of that table's raw counts
 (:meth:`PrefixTreeModel.argmax`, which also serves
 :func:`logsample.metrics.evaluate`); the smoothing in
@@ -19,12 +21,10 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, TrainingError
 from .features import END_MARKER, FeatureRows
@@ -73,30 +73,32 @@ class PrefixTreeModel:
     def _rank(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
 
-    @cached_property
-    def _reach(self) -> int:
-        # islice takes no stop above sys.maxsize; no prefix is that long
-        return min(self.max_order, sys.maxsize)
+    def _matches(self, keys: Iterable[Sequence[str]]) -> Iterator[int]:
+        """The node of the longest stored suffix of each key, in order.
 
-    def _match(self, prefix: Sequence[str]) -> int:
-        """The node of the longest stored suffix of the prefix.
-
-        Walks back at most max_order activities, passing over nodes without
-        counts; the root, the always-present empty suffix, ends every miss.
+        This is the back-off rule of every prediction. Each key is a prefix
+        already cut to its last max_order activities; its walk goes back
+        from its end, passing over nodes without counts, and the root, the
+        always-present empty suffix, ends every miss.
         """
         counts, children = self.counts, self.children
-        node = found = 0
-        for activity in islice(reversed(prefix), self._reach):
-            node = children[node].get(activity)
-            if node is None:
-                break
-            if counts[node]:
-                found = node
-        return found
+        for key in keys:
+            node = found = 0
+            for activity in reversed(key):
+                node = children[node].get(activity)
+                if node is None:
+                    break
+                if counts[node]:
+                    found = node
+            yield found
+
+    def _node(self, prefix: Sequence[str]) -> int:
+        """The node a prefix backs off to: :meth:`_matches` of its last max_order activities."""
+        return next(self._matches((prefix[max(len(prefix) - self.max_order, 0) :],)))
 
     def distribution(self, prefix: Sequence[str]) -> dict[str, float]:
         """Smoothed next-activity distribution for a prefix."""
-        table = self.counts[self._match(prefix)]
+        table = self.counts[self._node(prefix)]
         total = sum(table.values()) + self.smoothing * len(self.labels)
         return {
             label: (table.get(label, 0) + self.smoothing) / total
@@ -117,7 +119,7 @@ class PrefixTreeModel:
 
     def predict(self, prefix: Sequence[str]) -> str:
         """Most likely next activity: the argmax of :meth:`distribution`."""
-        return self.argmax(self._match(prefix))
+        return self.argmax(self._node(prefix))
 
     def to_dict(self) -> dict:
         return {

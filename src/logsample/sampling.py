@@ -174,7 +174,9 @@ def sample(
     """Select cases per the config and return the sub-log plus a report.
 
     Kept cases are carried over untouched (same events, same attribute
-    values). Raises EmptySampleError when the configuration keeps nothing.
+    values). A variant is ranked once per sorting (and seed, for random
+    sorting) and kept in ``index.rankings``, so the samples that share a
+    ranking nest. Raises EmptySampleError when the configuration keeps nothing.
     """
     if index.source_log is not log:
         raise ConfigurationError("the variant index was built from a different log")
@@ -185,12 +187,17 @@ def sample(
         kept_ids = set(rnd.sample(sorted(log.cases), n_keep))
         kept = [len(kept_ids.intersection(v.member_case_ids)) for v in index.variants]
     else:
-        # ranked[:count] keeps count members: rank_traces returns each member once
+        # ranked[:count] keeps count members: rank_traces returns each member once.
+        # Only a random ranking reads the seed, so the others are kept under None.
         kept = [sample_count(config, v.frequency) for v in index.variants]
-        kept_ids = set()
+        seed = config.seed if config.sorting == RANDOM_ORDER else None
+        rankings, kept_ids = index.rankings, set()
         for variant, count in zip(index.variants, kept):
             if count:
-                kept_ids.update(rank_traces(variant, index, config.sorting, config.seed)[:count])
+                key = (variant.activities, config.sorting, seed)
+                if key not in rankings:
+                    rankings[key] = rank_traces(variant, index, config.sorting, config.seed)
+                kept_ids.update(rankings[key][:count])
 
     if not kept_ids:
         raise EmptySampleError(

@@ -36,7 +36,9 @@ class VariantIndex:
 
     ``scores`` maps a case id to the number of its observations, over every
     named attribute, that hit its variant's modal set; it is empty when the
-    index has no attributes.
+    index has no attributes. ``rankings`` keeps each variant ranking that
+    :func:`~logsample.sampling.sample` has made on the index, so samples of
+    one sorting and seed rank each variant once; it takes no part in ``==``.
     """
 
     variants: tuple[Variant, ...]
@@ -44,6 +46,7 @@ class VariantIndex:
     modal_values: dict[ActivitySeq, dict[str, frozenset]]
     source_log: EventLog = field(repr=False)
     scores: dict[str, int] = field(repr=False)
+    rankings: dict[tuple, list[str]] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _modal(values: list) -> frozenset:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from logsample import experiment, features
+from logsample import experiment, features, sampling
 from logsample.errors import ConfigurationError, EvaluationError, SplitError, TrainingError
 from logsample.experiment import (
     BASELINE,
@@ -32,10 +32,12 @@ from logsample.predictor import train
 from logsample.sampling import (
     NEWEST_FIRST,
     OLDEST_FIRST,
+    RANDOM,
     RANDOM_ORDER,
     REPRESENTATIVE,
     SamplingConfig,
     parse_method_token,
+    rank_traces,
 )
 
 from helpers import attributed_log, log_from_variants, random_variant_freqs, skewed_log
@@ -303,12 +305,11 @@ class TestRunExperiment:
     def test_counts_each_test_fold_once(self, monkeypatch):
         counted = []
 
-        class SpyCounter(Counter):
-            def __init__(self, *args, **kwargs):
-                counted.append(1)
-                super().__init__(*args, **kwargs)
+        def spy(*args, _unique=features.np.unique, **kwargs):  # the one grouping step
+            counted.append(1)
+            return _unique(*args, **kwargs)
 
-        monkeypatch.setattr(features, "Counter", SpyCounter)
+        monkeypatch.setattr(features.np, "unique", spy)
         config = ExperimentConfig(folds=3, repeats=2, grid=grid("d2", "log2", "unique"), seed=1)
         report = run_experiment(skewed_log(), config)
         assert len(report.rows) == 3 * 2 * 4
@@ -419,6 +420,65 @@ def test_sorting_changes_no_core_row(seed):
         rows = run_experiment(log, ExperimentConfig(folds=2, repeats=1, grid=grid, seed=seed)).rows
         cores.append([tuple(getattr(row, name) for name in CORE_COLUMNS) for row in rows])
     assert all(core == cores[0] for core in cores)
+
+
+SORTINGS = (REPRESENTATIVE, OLDEST_FIRST, NEWEST_FIRST, RANDOM_ORDER)
+
+
+@pytest.mark.parametrize("sorting", SORTINGS)
+def test_each_fold_ranks_each_variant_at_most_once(monkeypatch, sorting):
+    ranked, variants = [], []
+
+    def rank_spy(*args, _rank=sampling.rank_traces, **kwargs):
+        ranked.append(args[0])
+        return _rank(*args, **kwargs)
+
+    def index_spy(*args, _build=experiment.build_variant_index, **kwargs):
+        index = _build(*args, **kwargs)
+        variants.append(len(index.variants))
+        return index
+
+    monkeypatch.setattr(sampling, "rank_traces", rank_spy)
+    monkeypatch.setattr(experiment, "build_variant_index", index_spy)
+    log = attributed_log(Random(38), max_variants=12, max_freq=30)
+    run_experiment(log, ExperimentConfig(folds=3, repeats=2, grid=default_grid(sorting), seed=5))
+    assert len(variants) == 3 * 2
+    assert 0 < len(ranked) <= sum(variants)
+
+
+@pytest.mark.parametrize("sorting", SORTINGS)
+def test_variant_method_samples_of_a_fold_nest(monkeypatch, sorting):
+    """The variant methods of a fold share one seed, so each keeps a prefix of one ranking."""
+    cells = []
+
+    def sample_spy(log, index, config, _sample=experiment.sample):
+        sampled, report = _sample(log, index, config)
+        cells.append((index, config, sampled))
+        return sampled, report
+
+    monkeypatch.setattr(experiment, "sample", sample_spy)
+    log = attributed_log(Random(7), max_variants=8, max_freq=40)
+    randoms = tuple(parse_method_token(t, sorting=sorting) for t in ("random:0.3", "random:0.5"))
+    config = ExperimentConfig(folds=3, repeats=2, grid=default_grid(sorting) + randoms, seed=2)
+    run_experiment(log, config)
+    folds = {}
+    for index, cfg, sampled in cells:
+        folds.setdefault(id(index), (index, []))[1].append((cfg, sampled))
+    assert len(folds) == 3 * 2
+    random_seeds = [cfg.seed for _, cfg, _ in cells if cfg.method == RANDOM]
+    fold_seeds = set()
+    for index, fold_cells in folds.values():
+        seeds = {cfg.seed for cfg, _ in fold_cells if cfg.method != RANDOM}
+        assert len(seeds) == 1
+        fold_seeds |= seeds
+        for variant in index.variants:
+            ranking = rank_traces(variant, index, sorting, *seeds)
+            for cfg, sampled in fold_cells:
+                if cfg.method != RANDOM:
+                    kept = sampled.cases.keys() & set(variant.member_case_ids)
+                    assert kept == set(ranking[: len(kept)])
+    # each random fraction draws with its own seed
+    assert len(random_seeds) == 2 * 3 * 2 == len(set(random_seeds) - fold_seeds)
 
 
 class TestRendering:

@@ -1101,7 +1101,7 @@ def reference_write_csv(
     case_names = {name for case in log.cases.values() for name in case.attributes}
     for case_id, case in log.cases.items():
         for name, value in case.attributes.items():
-            if name in event_names and all(
+            if name in event_names and events[case_id] and all(
                 name in held and render(held[name]) != render(value)
                 for _, _, held in events[case_id]
             ):
@@ -1332,6 +1332,20 @@ def test_labels_are_checked_as_written_and_only_for_cases_with_rows(tmp_path):
     quiet = {"": Case("", (), array("q"), {}, {}), "k": Case("k", ("a",), array("q", [0]), {}, {})}
     write_csv(EventLog(quiet), tmp_path / "quiet.csv")
     assert parse_csv(tmp_path / "quiet.csv").num_cases == 1
+
+
+def test_case_without_events_is_not_checked_for_a_shadowed_attribute(tmp_path):
+    # k holds p as a case attribute, which a's event holds; k writes no row, so it loses no value
+    log = EventLog({
+        "a": Case("a", ("x",), array("q", [0]), {}, {"p": (1,)}),
+        "k": Case("k", (), array("q"), {"p": 2}, {}),
+    })
+    out = tmp_path / "out.csv"
+    write_csv(log, out)
+    assert out.read_bytes() == (
+        b"case_id,activity,timestamp,p\r\na,x,1970-01-01T00:00:00.000+00:00,1\r\n"
+    )
+    assert written(reference_write_csv, log, tmp_path / "reference.csv") == out.read_bytes()
 
 
 def test_nul_is_written_as_it_is(tmp_path):

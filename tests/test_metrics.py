@@ -185,7 +185,7 @@ class TestEvaluate:
         with argmax_spy() as spy:
             result = evaluate(model, test_rows)
         nodes = [call.args[1] for call in spy.call_args_list]
-        assert sorted(nodes) == sorted({model._match(("a",)), model._match(("a", "b"))})
+        assert sorted(nodes) == sorted({*model._matches([("a",), ("a", "b")])})
         assert 0 not in nodes
         assert result.per_class["b"] == ClassTally(2, 2)
         assert result.per_class["c"] == ClassTally(2, 0)
@@ -246,12 +246,11 @@ class TestFoldRows:
     def test_each_horizon_is_grouped_once(self, monkeypatch):
         counted = []
 
-        class SpyCounter(Counter):
-            def __init__(self, *args, **kwargs):
-                counted.append(1)
-                super().__init__(*args, **kwargs)
+        def spy(*args, _unique=features.np.unique, **kwargs):  # the one grouping step
+            counted.append(1)
+            return _unique(*args, **kwargs)
 
-        monkeypatch.setattr(features, "Counter", SpyCounter)
+        monkeypatch.setattr(features.np, "unique", spy)
         test_rows = self.four_rows()
         assert test_rows.keys(1) is test_rows.keys(1)  # built once, then reused
         test_rows.keys(0)
@@ -277,6 +276,35 @@ class TestFoldRows:
         ]
         assert all(isinstance(row, FeatureRow) for row in test_rows)
         assert [(row.prefix, row.target) for row in test_rows] == [(("a", "b"), "c"), (("a",), "b")]
+
+
+def reference_keys(rows, horizon):
+    """keys(horizon) counted row by row over the rows as FeatureRows iterate them."""
+    tally = Counter((row.prefix[-horizon:] if horizon else (), row.target) for row in list(rows))
+    grouped = {}
+    for (key, target), count in tally.items():
+        grouped.setdefault(key, {})[target] = count
+    return grouped
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(st.sampled_from("abc"), min_size=1, max_size=8), st.integers(1, 4)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_keys_match_a_per_row_reference(variants, rnd):
+    # equal sequences repeat across cases in shuffled order, and a three-letter
+    # alphabet makes rows of different sequences share keys
+    traces = [tuple(seq) for seq, freq in variants for _ in range(freq)]
+    rnd.shuffle(traces)
+    rows = extract_features(log_from_variants([(t, 1) for t in traces]), include_end_marker=False)
+    rows = pick_rows(rows, rnd.sample(range(len(rows)), rnd.randint(0, len(rows))))
+    for horizon in (0, 1, 5, sys.maxsize):
+        assert rows.keys(horizon) == reference_keys(rows, horizon)
 
 
 class TestRatios:

@@ -539,6 +539,41 @@ def test_sorting_and_seed_choose_cases_not_traces(seed, token):
     assert all(outcome == outcomes[0] for outcome in outcomes)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_warm_index_samples_as_a_fresh_one(seed):
+    """A ranking the index kept gives the sub-log and report a fresh index gives."""
+    log = attributed_log(Random(seed), max_variants=6, max_freq=20)
+    configs = [
+        parse_method_token(token, sorting, sample_seed)
+        for token in ("unique", "d2", "d3", "log2", "log3", "random:0.4")
+        for sorting in SORTINGS
+        for sample_seed in ((seed, seed + 1) if sorting == RANDOM_ORDER else (seed,))
+    ]
+
+    def outcome(index, config):
+        try:
+            sampled, report = sample(log, index, config)
+        except EmptySampleError:
+            return EmptySampleError
+        return list(sampled.cases), report
+
+    warm = build_variant_index(log)
+    first = [outcome(warm, config) for config in configs]
+    assert warm.rankings  # the samples above ranked through it
+    for config, before in zip(reversed(configs), reversed(first)):
+        fresh = outcome(build_variant_index(log), config)
+        assert outcome(warm, config) == before == fresh
+
+
+def test_indexes_of_one_log_stay_equal_after_ranking(skewed):
+    index, other = build_variant_index(skewed), build_variant_index(skewed)
+    sample(skewed, index, SamplingConfig(DIVISION, k=10, sorting=RANDOM_ORDER, seed=3))
+    assert len(index.rankings) == len(index.variants) and not other.rankings
+    assert index == other
+    assert repr(index) == repr(other)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_sampled_size_monotone_in_k(seed):
