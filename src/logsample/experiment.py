@@ -36,7 +36,13 @@ from .log_model import EventLog, _gc_paused, subset_log
 from .metrics import evaluate, relative_accuracy, speedup
 from .predictor import train
 from .sampling import (
-    RANDOM, RANDOM_ORDER, REPRESENTATIVE, SamplingConfig, parse_method_token, sample
+    RANDOM,
+    RANDOM_ORDER,
+    REPRESENTATIVE,
+    SamplingConfig,
+    parse_method_token,
+    rank_variants,
+    sample,
 )
 from .variants import build_variant_index
 
@@ -273,11 +279,17 @@ def run_experiment(log: EventLog, config: ExperimentConfig) -> ExperimentReport:
                 **fold_fields,
             ))
             fold_parts = (config.seed, "sample", repeat, fold)
+            fold_seed = derive_seed(*fold_parts)
+            # the variant methods share the fold's seed, so each sorting ranks each variant
+            # once for all of them, here, untimed like the index; each random fraction
+            # draws its own cases
+            for sorting in dict.fromkeys(e.sorting for e in config.grid if e.method != RANDOM):
+                rank_variants(index, sorting, fold_seed)
             for entry in config.grid:
-                # the variant methods share the fold's seed, so the index ranks each variant
-                # once for all of them; each random fraction draws its own cases
-                parts = (*fold_parts, entry.label) if entry.method == RANDOM else fold_parts
-                cfg = replace(entry, seed=derive_seed(*parts))
+                seed = fold_seed
+                if entry.method == RANDOM:
+                    seed = derive_seed(*fold_parts, entry.label)
+                cfg = replace(entry, seed=seed)
                 try:
                     start = time.perf_counter()
                     fit_log, report = sample(train_log, index, cfg)

@@ -168,15 +168,31 @@ def rank_traces(
     raise ConfigurationError(f"unknown sorting strategy {sorting!r}")
 
 
+def rank_variants(index: VariantIndex, sorting: str, seed: int = 0) -> list[list[str]]:
+    """Every variant's :func:`rank_traces` ranking, in the index's variant order.
+
+    The index keeps the rankings of each sorting, so a second call ranks
+    nothing. Only a random ranking reads the seed; the index keeps one seed's
+    random rankings, and a call with another seed replaces them.
+    """
+    seed_read = seed if sorting == RANDOM_ORDER else None
+    kept = index.rankings.get(sorting)
+    if kept is None or kept[0] != seed_read:
+        ranked = [rank_traces(variant, index, sorting, seed) for variant in index.variants]
+        kept = index.rankings[sorting] = (seed_read, ranked)
+    return kept[1]
+
+
 def sample(
     log: EventLog, index: VariantIndex, config: SamplingConfig
 ) -> tuple[EventLog, SampleReport]:
     """Select cases per the config and return the sub-log plus a report.
 
     Kept cases are carried over untouched (same events, same attribute
-    values). A variant is ranked once per sorting (and seed, for random
-    sorting) and kept in ``index.rankings``, so the samples that share a
-    ranking nest. Raises EmptySampleError when the configuration keeps nothing.
+    values). The variant methods keep the top of each variant's ranking
+    (:func:`rank_variants`, kept on the index), so their samples of one
+    sorting and seed nest. Raises EmptySampleError when the configuration
+    keeps nothing.
     """
     if index.source_log is not log:
         raise ConfigurationError("the variant index was built from a different log")
@@ -187,17 +203,13 @@ def sample(
         kept_ids = set(rnd.sample(sorted(log.cases), n_keep))
         kept = [len(kept_ids.intersection(v.member_case_ids)) for v in index.variants]
     else:
-        # ranked[:count] keeps count members: rank_traces returns each member once.
-        # Only a random ranking reads the seed, so the others are kept under None.
+        # ranked[:count] keeps count members: rank_traces returns each member once
         kept = [sample_count(config, v.frequency) for v in index.variants]
-        seed = config.seed if config.sorting == RANDOM_ORDER else None
-        rankings, kept_ids = index.rankings, set()
-        for variant, count in zip(index.variants, kept):
-            if count:
-                key = (variant.activities, config.sorting, seed)
-                if key not in rankings:
-                    rankings[key] = rank_traces(variant, index, config.sorting, config.seed)
-                kept_ids.update(rankings[key][:count])
+        # a sample of nothing ranks nothing, so it fails as empty, whatever the sorting
+        rankings = rank_variants(index, config.sorting, config.seed) if any(kept) else []
+        kept_ids = set()
+        for ranked, count in zip(rankings, kept):
+            kept_ids.update(ranked[:count])
 
     if not kept_ids:
         raise EmptySampleError(

@@ -36,9 +36,9 @@ class VariantIndex:
 
     ``scores`` maps a case id to the number of its observations, over every
     named attribute, that hit its variant's modal set; it is empty when the
-    index has no attributes. ``rankings`` keeps each variant ranking that
-    :func:`~logsample.sampling.sample` has made on the index, so samples of
-    one sorting and seed rank each variant once; it takes no part in ``==``.
+    index has no attributes. ``rankings`` keeps, per sorting, the seed and
+    the variant rankings :func:`~logsample.sampling.rank_variants` last made
+    on the index; it is no constructor parameter and takes no part in ``==``.
     """
 
     variants: tuple[Variant, ...]
@@ -46,7 +46,9 @@ class VariantIndex:
     modal_values: dict[ActivitySeq, dict[str, frozenset]]
     source_log: EventLog = field(repr=False)
     scores: dict[str, int] = field(repr=False)
-    rankings: dict[tuple, list[str]] = field(default_factory=dict, repr=False, compare=False)
+    rankings: dict[str, tuple[int | None, list[list[str]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def _modal(values: list) -> frozenset:

@@ -48,6 +48,25 @@ def pick_rows(rows: FeatureRows, positions) -> FeatureRows:
     )
 
 
+def count_groupings(monkeypatch) -> list[int]:
+    """Spy on ``FeatureRows.keys``: the list gains each horizon a call groups anew.
+
+    A grouping adds one entry to the rows' ``_groups``, so the spy counts the
+    entries each call adds, whatever the grouping calls inside.
+    """
+    grouped = []
+    keys = FeatureRows.keys
+
+    def spy(rows: FeatureRows, horizon: int):
+        before = set(rows._groups)
+        result = keys(rows, horizon)
+        grouped.extend(rows._groups.keys() - before)
+        return result
+
+    monkeypatch.setattr(FeatureRows, "keys", spy)
+    return grouped
+
+
 def log_from_variants(
     variant_freqs,
     event_attrs=None,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from logsample import experiment, features, sampling
+from logsample import experiment, sampling
 from logsample.errors import ConfigurationError, EvaluationError, SplitError, TrainingError
 from logsample.experiment import (
     BASELINE,
@@ -40,7 +40,9 @@ from logsample.sampling import (
     rank_traces,
 )
 
-from helpers import attributed_log, log_from_variants, random_variant_freqs, skewed_log
+from helpers import (
+    attributed_log, count_groupings, log_from_variants, random_variant_freqs, skewed_log
+)
 
 
 def small_log():
@@ -303,13 +305,7 @@ class TestRunExperiment:
         assert calls == {"extract_features": fitted + folds, "train": fitted, "evaluate": len(ok)}
 
     def test_counts_each_test_fold_once(self, monkeypatch):
-        counted = []
-
-        def spy(*args, _unique=features.np.unique, **kwargs):  # the one grouping step
-            counted.append(1)
-            return _unique(*args, **kwargs)
-
-        monkeypatch.setattr(features.np, "unique", spy)
+        counted = count_groupings(monkeypatch)
         config = ExperimentConfig(folds=3, repeats=2, grid=grid("d2", "log2", "unique"), seed=1)
         report = run_experiment(skewed_log(), config)
         assert len(report.rows) == 3 * 2 * 4
@@ -426,12 +422,19 @@ SORTINGS = (REPRESENTATIVE, OLDEST_FIRST, NEWEST_FIRST, RANDOM_ORDER)
 
 
 @pytest.mark.parametrize("sorting", SORTINGS)
-def test_each_fold_ranks_each_variant_at_most_once(monkeypatch, sorting):
-    ranked, variants = [], []
+def test_each_fold_ranks_each_variant_once_outside_the_timed_samples(monkeypatch, sorting):
+    ranked, variants, in_sample = [], [], []
 
     def rank_spy(*args, _rank=sampling.rank_traces, **kwargs):
-        ranked.append(args[0])
+        ranked.append(bool(in_sample))
         return _rank(*args, **kwargs)
+
+    def sample_spy(*args, _sample=experiment.sample):
+        in_sample.append(True)
+        try:
+            return _sample(*args)
+        finally:
+            in_sample.pop()
 
     def index_spy(*args, _build=experiment.build_variant_index, **kwargs):
         index = _build(*args, **kwargs)
@@ -439,11 +442,19 @@ def test_each_fold_ranks_each_variant_at_most_once(monkeypatch, sorting):
         return index
 
     monkeypatch.setattr(sampling, "rank_traces", rank_spy)
+    monkeypatch.setattr(experiment, "sample", sample_spy)
     monkeypatch.setattr(experiment, "build_variant_index", index_spy)
     log = attributed_log(Random(38), max_variants=12, max_freq=30)
     run_experiment(log, ExperimentConfig(folds=3, repeats=2, grid=default_grid(sorting), seed=5))
     assert len(variants) == 3 * 2
-    assert 0 < len(ranked) <= sum(variants)
+    assert len(ranked) == sum(variants)
+    assert not any(ranked)  # no cell's sampling_seconds holds a ranking
+
+    # a grid of random fractions keeps no ranking to make
+    ranked.clear()
+    randoms = tuple(parse_method_token(t, sorting=sorting) for t in ("random:0.3", "random:0.5"))
+    run_experiment(log, ExperimentConfig(folds=3, repeats=2, grid=randoms, seed=5))
+    assert not ranked
 
 
 @pytest.mark.parametrize("sorting", SORTINGS)

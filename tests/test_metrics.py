@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsample import features
 from logsample.errors import EvaluationError, UndefinedRatioError
 from logsample.features import END_MARKER, FeatureRow, extract_features
 from logsample.metrics import ClassTally, evaluate, relative_accuracy, speedup
 from logsample.predictor import PrefixTreeModel, load_model, train
 
-from helpers import feature_rows, log_from_variants, pick_rows
+from helpers import count_groupings, feature_rows, log_from_variants, pick_rows
 
 
 def loaded_model(max_order, tables):
@@ -244,13 +243,7 @@ class TestFoldRows:
         }
 
     def test_each_horizon_is_grouped_once(self, monkeypatch):
-        counted = []
-
-        def spy(*args, _unique=features.np.unique, **kwargs):  # the one grouping step
-            counted.append(1)
-            return _unique(*args, **kwargs)
-
-        monkeypatch.setattr(features.np, "unique", spy)
+        counted = count_groupings(monkeypatch)
         test_rows = self.four_rows()
         assert test_rows.keys(1) is test_rows.keys(1)  # built once, then reused
         test_rows.keys(0)

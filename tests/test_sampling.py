@@ -5,6 +5,7 @@ route (ceil via math, floor-log via repeated integer division) and stay
 independent of the implementation under test.
 """
 
+import dataclasses
 import math
 import re
 from datetime import timedelta
@@ -37,10 +38,11 @@ from logsample.sampling import (
     SamplingConfig,
     parse_method_token,
     rank_traces,
+    rank_variants,
     sample,
     sample_count,
 )
-from logsample.variants import build_variant_index
+from logsample.variants import VariantIndex, build_variant_index
 
 from helpers import (
     T0,
@@ -569,9 +571,33 @@ def test_warm_index_samples_as_a_fresh_one(seed):
 def test_indexes_of_one_log_stay_equal_after_ranking(skewed):
     index, other = build_variant_index(skewed), build_variant_index(skewed)
     sample(skewed, index, SamplingConfig(DIVISION, k=10, sorting=RANDOM_ORDER, seed=3))
-    assert len(index.rankings) == len(index.variants) and not other.rankings
+    assert len(index.rankings[RANDOM_ORDER][1]) == len(index.variants) and not other.rankings
     assert index == other
     assert repr(index) == repr(other)
+
+
+def test_rankings_are_no_constructor_parameter(skewed):
+    index = build_variant_index(skewed)
+    rank_variants(index, NEWEST_FIRST)
+    with pytest.raises(TypeError):
+        VariantIndex(**{f.name: getattr(index, f.name) for f in dataclasses.fields(index)})
+    # a copy starts without the rankings, even of another log
+    assert not dataclasses.replace(index).rankings
+    assert not dataclasses.replace(index, source_log=log_from_variants([(("a",), 1)])).rankings
+
+
+def test_index_keeps_each_sortings_rankings_and_one_random_seeds(skewed):
+    index = build_variant_index(skewed)
+    newest = rank_variants(index, NEWEST_FIRST)
+    for seed in range(20):
+        sample(skewed, index, SamplingConfig(DIVISION, k=3, sorting=RANDOM_ORDER, seed=seed))
+    assert index.rankings.keys() == {NEWEST_FIRST, RANDOM_ORDER}
+    assert index.rankings[RANDOM_ORDER][0] == 19
+    assert rank_variants(index, NEWEST_FIRST) is newest
+    assert rank_variants(index, NEWEST_FIRST, seed=5) is newest  # only random reads the seed
+    assert rank_variants(index, RANDOM_ORDER, seed=4) == [
+        rank_traces(variant, index, RANDOM_ORDER, 4) for variant in index.variants
+    ]
 
 
 @settings(max_examples=40, deadline=None)
